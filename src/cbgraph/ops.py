@@ -121,11 +121,6 @@ class NeighborhoodProfile:
 def _ribbon_boundary_words(tri, reduced, strands):
     """Boundary circle words of the regular neighborhood of the strands."""
     words = []
-    seq_pos = {}
-    for s in strands:
-        for i, x in enumerate(reduced.seqs[s]):
-            seq_pos[(s, id(x))] = i
-
     for s in strands:
         if not reduced.seqs[s]:
             words.append(tuple(s.letters))
@@ -140,13 +135,13 @@ def _ribbon_boundary_words(tri, reduced, strands):
     for s0 in strands:
         for x0 in reduced.seqs[s0]:
             for d0 in (1, -1):
-                if (id(x0), id(s0), d0) in seen:
+                if (x0, s0, d0) in seen:
                     continue
                 word = []
                 x, s, d = x0, s0, d0
-                while (id(x), id(s), d) not in seen:
-                    seen.add((id(x), id(s), d))
-                    p = seq_pos[(s, id(x))]
+                while (x, s, d) not in seen:
+                    seen.add((x, s, d))
+                    p = reduced.index(s, x)
                     n = len(reduced.seqs[s])
                     if d == 1:
                         word.extend(reduced.arcs[s][p])

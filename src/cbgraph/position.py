@@ -13,9 +13,26 @@ With three or more mutually crossing curves exhaustive bigon removal
 can stall before simultaneous minimal position (a reducible bigon may
 be cut into triangles by third strands), so multi-curve consumers must
 not assume the reduction is taut; pairwise conclusions stay exact.
+The result then depends on the removal order, which is fixed here: the
+bigon removed next is always the first one met by a left-to-right scan
+of the strands in drawing order.
+
+That order is kept without rescanning.  A candidate bigon is a crossing
+x on a strand s, with corners x and its successor along s; whether it
+is a bigon depends only on the successors and arcs at x and at that
+successor on the two strands involved.  All candidates start on a
+min-heap keyed by (strand order, original position).  A popped
+candidate that is not a bigon stays off the heap until a removal
+changes one of its inputs, which happens only at the new predecessor
+p of a spliced strand: the candidate at p itself, and on p's other
+strand t the candidates at p and at its predecessor along t.  So every
+candidate off the heap is a known non-bigon, and the popped minimum
+that is a bigon is exactly the one the scan would find first.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from cbgraph import dehn
 from cbgraph.geom import Crossing, Drawing, Strand
@@ -33,20 +50,21 @@ def _path_reduce(word, mate):
 
 
 class Reduced:
-    """Crossing sequences of a drawing after exhaustive bigon removal."""
+    """Crossing sequences of a drawing after exhaustive bigon removal.
+
+    `seqs[s]` lists the surviving crossings of strand s in their drawn
+    order and `arcs[s][i]` the directed crossings from `seqs[s][i]` to the
+    next one; `index(s, x)` is the position of x in `seqs[s]`.  Removed
+    crossings have `alive` cleared.  Removal follows the left-to-right
+    scan order described in the module docstring.
+    """
 
     def __init__(self, drawing: Drawing):
         self.drawing = drawing
         self.tri = drawing.tri
         self.seqs: dict[Strand, list[Crossing]] = {}
         self.arcs: dict[Strand, list[tuple[int, ...]]] = {}
-        for s in drawing.strands:
-            seq = drawing.strand_sequence(s)
-            self.seqs[s] = seq
-            n = len(seq)
-            self.arcs[s] = [
-                drawing.arc_letters(s, seq[i], seq[(i + 1) % n]) for i in range(n)
-            ]
+        self._index: dict[Strand, dict[Crossing, int]] = {}
         self._reduce()
 
     def _loop_is_trivial(self, alpha, beta_forward, beta) -> bool:
@@ -59,67 +77,95 @@ class Reduced:
             loop = alpha + beta
         return dehn.is_trivial(self.tri.genus, dehn.path_word(self.tri, loop))
 
-    def _find_bigon(self):
-        for s1, seq in self.seqs.items():
-            n = len(seq)
-            if n < 2:
-                continue
-            for i in range(n):
-                x, y = seq[i], seq[(i + 1) % n]
-                if x is y:
-                    continue
-                _, _, s2, sx = x.strand_data(s1)
-                _, _, s2y, sy = y.strand_data(s1)
-                if s2y is not s2 or sx == sy:
-                    # Bigon corners involve the same strands with
-                    # opposite orientations.
-                    continue
-                seq2 = self.seqs[s2]
-                m = len(seq2)
-                jx = next(j for j in range(m) if seq2[j] is x)
-                alpha = self.arcs[s1][i]
-                if seq2[(jx + 1) % m] is y and self._loop_is_trivial(
-                    alpha, True, self.arcs[s2][jx]
-                ):
-                    return s1, i, s2, jx
-                jy = next(j for j in range(m) if seq2[j] is y)
-                if seq2[(jy + 1) % m] is x and self._loop_is_trivial(
-                    alpha, False, self.arcs[s2][jy]
-                ):
-                    return s1, i, s2, jy
-        return None
-
-    def _remove_adjacent(self, s: Strand, i: int):
-        # Drop crossings at positions i, i+1 and splice the three arcs
-        # around them into one.
-        seq, arcs = self.seqs[s], self.arcs[s]
-        n = len(seq)
-        j = (i + 1) % n
-        if n == 2:
-            self.seqs[s] = []
-            self.arcs[s] = []
-            return
-        prev = (i - 1) % n
-        merged = _path_reduce(arcs[prev] + arcs[i] + arcs[j], self.tri.mate)
-        keep = [k for k in range(n) if k not in (i, j)]
-        new_seq = [seq[k] for k in keep]
-        new_arcs = [arcs[k] for k in keep]
-        # arcs entry at the position of `prev` must become the merge.
-        new_arcs[keep.index(prev)] = merged
-        self.seqs[s] = new_seq
-        self.arcs[s] = new_arcs
-
     def _reduce(self):
-        while True:
-            found = self._find_bigon()
+        drawing = self.drawing
+        mate = self.tri.mate
+        # Per strand, keyed by crossing: successor, predecessor, arc to
+        # the successor, and the candidate's heap key.
+        succ, pred, arc, key = {}, {}, {}, {}
+        owner = []  # heap key -> (strand, crossing)
+        for s in drawing.strands:
+            seq = drawing.strand_sequence(s)
+            n = len(seq)
+            succ[s] = {seq[i - 1]: seq[i] for i in range(n)}
+            pred[s] = {seq[i]: seq[i - 1] for i in range(n)}
+            arc[s] = {
+                seq[i]: drawing.arc_letters(s, seq[i], seq[(i + 1) % n])
+                for i in range(n)
+            }
+            key[s] = {x: len(owner) + i for i, x in enumerate(seq)}
+            owner.extend((s, x) for x in seq)
+        heap = list(range(len(owner)))
+        queued = bytearray(b"\x01") * len(owner)
+
+        def push(s, x):
+            k = key[s][x]
+            if not queued[k]:
+                queued[k] = 1
+                heapq.heappush(heap, k)
+
+        def bigon_at(s1, x):
+            # The other strand's (first, second) corners if x and its
+            # successor along s1 bound a bigon.
+            y = succ[s1][x]
+            if y is x:
+                return None
+            _, _, s2, sx = x.strand_data(s1)
+            _, _, s2y, sy = y.strand_data(s1)
+            if s2y is not s2 or sx == sy:
+                # Bigon corners involve the same strands with opposite
+                # orientations.
+                return None
+            alpha = arc[s1][x]
+            if succ[s2][x] is y and self._loop_is_trivial(alpha, True, arc[s2][x]):
+                return s2, x, y
+            if succ[s2][y] is x and self._loop_is_trivial(alpha, False, arc[s2][y]):
+                return s2, y, x
+            return None
+
+        def splice(s, x, y):
+            # Drop consecutive crossings x, y of s and merge the three
+            # arcs around them; returns the new predecessor, if any.
+            p, q = pred[s].pop(x), succ[s].pop(y)
+            del succ[s][x], pred[s][y]
+            ax, ay = arc[s].pop(x), arc[s].pop(y)
+            if p is y:
+                return None
+            succ[s][p], pred[s][q] = q, p
+            arc[s][p] = _path_reduce(arc[s][p] + ax + ay, mate)
+            return p
+
+        while heap:
+            k = heapq.heappop(heap)
+            queued[k] = 0
+            s1, x = owner[k]
+            if not x.alive:
+                continue
+            found = bigon_at(s1, x)
             if found is None:
-                return
-            s1, i, s2, j = found
-            x, y = self.seqs[s1][i], self.seqs[s1][(i + 1) % len(self.seqs[s1])]
+                continue
+            s2, first, second = found
+            y = succ[s1][x]
             x.alive = False
             y.alive = False
-            self._remove_adjacent(s1, i)
-            self._remove_adjacent(s2, j)
+            for s, p in ((s1, splice(s1, x, y)), (s2, splice(s2, first, second))):
+                if p is None:
+                    continue
+                t = p.strand_data(s)[2]
+                push(s, p)
+                push(t, p)
+                push(t, pred[t][p])
+
+        for s in drawing.strands:
+            # `key[s]` iterates in drawn order.
+            seq = [x for x in key[s] if x.alive]
+            self.seqs[s] = seq
+            self.arcs[s] = [arc[s][x] for x in seq]
+            self._index[s] = {x: i for i, x in enumerate(seq)}
+
+    def index(self, s: Strand, x: Crossing) -> int:
+        """Position of surviving crossing x in `seqs[s]`."""
+        return self._index[s][x]
 
     def crossings(self, ci: int, cj: int) -> list[Crossing]:
         """Surviving crossings between curves ci and cj (ci may equal cj)."""

@@ -71,8 +71,7 @@ def _arc_candidates(tri, reduced, sa, sb, idx):
     n, m = len(seq_b), len(seq_a)
     x, y = seq_b[idx], seq_b[(idx + 1) % n]
     beta = arcs_b[idx]
-    jx = next(j for j in range(m) if seq_a[j] is x)
-    jy = next(j for j in range(m) if seq_a[j] is y)
+    jx, jy = reduced.index(sa, x), reduced.index(sa, y)
     fwd_len = (jx - jy) % m
     bwd_len = m if x is y else (jy - jx) % m
     alpha_fwd = tuple(

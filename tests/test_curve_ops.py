@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cbgraph import ops
-from cbgraph.polygon import curve_from_chords
+from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves
 from cbgraph.surface import standard_triangulation
 
 TRI = standard_triangulation(2)
@@ -76,6 +76,27 @@ def test_twist_intersection_growth_in_handle():
     for n in (-3, -1, 1, 2, 4):
         assert ops.intersect(ops.twist(B, A, n), B) == abs(n)
         assert ops.intersect(ops.twist(B, A, n), A) == 1
+
+
+@pytest.mark.parametrize(
+    "genus, steps, letters, crossings",
+    [(2, 6, 111, 13), (3, 6, 123, 13), (3, 7, 139, 21), (2, 8, 300, 34), (3, 8, 333, 34)],
+)
+def test_twist_identity_on_ladder_curves(genus, steps, letters, crossings):
+    # Alternate T_a and T_conn^-1 from the dual curve b of the first
+    # handle; the next twist curve d meets the rung c in a Fibonacci
+    # number of points, and i(T_d^p(c), c) = |p| * i(d, c)^2 needs
+    # hundreds to thousands of bigons removed.
+    tri = standard_triangulation(genus)
+    hs = handle_curves(tri)
+    ladder = ((hs[0], 1), (chain_connector(tri, 0), -1))
+    c = hs[1]
+    for n in range(steps):
+        c = ops.twist(c, *ladder[n % 2])
+    d, p = ladder[steps % 2]
+    assert len(c.word) == letters
+    assert ops.intersect(d, c) == crossings
+    assert ops.intersect(ops.twist(c, d, p), c) == abs(p) * crossings**2
 
 
 def test_band_sum_is_separating_boundary():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cbgraph import cut, ops
+from cbgraph.curves import CurveClass
 from cbgraph.polygon import curve_from_chords
 from cbgraph.surface import standard_triangulation
 
@@ -90,3 +91,20 @@ def test_signed_weights_vanish_exactly_for_separating():
     for c in (A, B, C, D):
         assert any(cut.signed_weights(c))
     assert not any(cut.signed_weights(W))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValueError,
+    reason="summed normal weights of disjoint classes need not trace their union",
+)
+def test_disjoint_union_of_classes_drawn_crossing():
+    # From `cbgraph run --suite projection-diameter --seed 104`: the two
+    # classes are disjoint, but their normal representatives cross, so
+    # the summed weights trace a different multicurve and the round
+    # trip in `from_words` fails.
+    a = CurveClass.from_weights(TRI, (3, 3, 4, 2, 2, 1, 4, 0, 2))
+    b = CurveClass.from_weights(TRI, (4, 0, 2, 4, 4, 8, 8, 6, 4))
+    assert ops.intersect(a, b) == 0
+    union = cut.disjoint_union([a, b])
+    assert sorted(union.words) == sorted(a.words + b.words)

@@ -1,0 +1,137 @@
+"""The worklist reducer against the rescanning one, crossing for crossing.
+
+Both reducers run on separate but identical drawings; they must merge
+the same arcs in the same order, and leave the same crossing sequences,
+the same arcs and the same surviving crossings.  With three or more
+curves the result depends on the removal order, which the worklist
+must keep equal to the rescan's.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import reducer_oracle
+from reducer_oracle import RescanReduced
+
+from cbgraph import ops, position
+from cbgraph.geom import Drawing
+from cbgraph.polygon import chain_connector, handle_curves
+from cbgraph.position import Reduced
+from cbgraph.surface import standard_triangulation
+
+TRIS = {g: standard_triangulation(g) for g in (2, 3, 4)}
+
+
+def _generators(tri):
+    g = tri.genus
+    return handle_curves(tri) + [chain_connector(tri, k) for k in range(g - 1)]
+
+
+def _snapshot(reduced):
+    """Seqs, arcs and alive flags with crossings named by their ends."""
+    strands = reduced.drawing.strands
+    at = {s: i for i, s in enumerate(strands)}
+
+    def name(x):
+        return (at[x.s1], x.k1, x.p1, at[x.s2], x.k2, x.p2)
+
+    seqs = [[name(x) for x in reduced.seqs[s]] for s in strands]
+    arcs = [reduced.arcs[s] for s in strands]
+    alive = [x.alive for x in reduced.drawing.crossings]
+    return seqs, arcs, alive
+
+
+def _run(module, reducer, tri, curves):
+    """Reduce a fresh drawing, recording the merged arcs in removal order."""
+    merged = []
+    merge = module._path_reduce
+
+    def record(word, mate):
+        merged.append(merge(word, mate))
+        return merged[-1]
+
+    module._path_reduce = record
+    try:
+        return reducer(Drawing(tri, curves)), merged
+    finally:
+        module._path_reduce = merge
+
+
+def _assert_same(tri, curves):
+    old, old_merges = _run(reducer_oracle, RescanReduced, tri, curves)
+    new, new_merges = _run(position, Reduced, tri, curves)
+    assert new_merges == old_merges
+    expected = _snapshot(old)
+    assert _snapshot(new) == expected
+    for s, seq in new.seqs.items():
+        assert [new.index(s, x) for x in seq] == list(range(len(seq)))
+    return expected[2].count(False) // 2
+
+
+def _push(c, word):
+    for d, p in word:
+        c = ops.twist(c, d, p)
+    return c
+
+
+def _seeded_curves(rng, tri, count):
+    gens = _generators(tri)
+    return [
+        _push(
+            rng.choice(gens),
+            [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(2, 6))],
+        )
+        for _ in range(count)
+    ]
+
+
+def test_seeded_pairs_and_multicurve_sets():
+    rng = random.Random(1508)
+    removed = {2: 0, 3: 0, 4: 0}
+    for g, tri in TRIS.items():
+        for count in (2, 2, 3, 3, 4, 4):
+            for _ in range(3):
+                curves = sorted(set(_seeded_curves(rng, tri, count)))
+                removed[g] += _assert_same(tri, curves)
+    # The sets must exercise removal, not just agree on empty work.
+    assert all(n > 10 for n in removed.values())
+
+
+def test_twist_ladder_rungs():
+    # Alternating twists along a handle curve and a chain connector: the
+    # drawings against the other handle and the twisting curves carry
+    # many bigons, and the three-curve sets make the order matter.
+    for g, k in ((2, 0), (3, 1)):
+        tri = TRIS[g]
+        hs = handle_curves(tri)
+        j = k + 1 if k < g - 1 else k - 1
+        conn = chain_connector(tri, min(j, k))
+        a, b = hs[2 * k], hs[2 * k + 1]
+        c, removed = b, 0
+        for n in range(5):
+            d, p = ((a, 1), (conn, -1))[n % 2]
+            c = ops.twist(c, d, p)
+            for others in ([hs[2 * j]], [d], [b], [a, hs[2 * j], conn]):
+                if c not in others:
+                    removed += _assert_same(tri, [c] + others)
+        assert removed > 20
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    genus=st.sampled_from((2, 3, 4)),
+    data=st.data(),
+)
+def test_twist_words_agree(genus, data):
+    tri = TRIS[genus]
+    gens = _generators(tri)
+    pick = st.integers(0, len(gens) - 1)
+    word = st.lists(st.tuples(pick, st.sampled_from((1, -1))), min_size=1, max_size=5)
+    count = data.draw(st.integers(2, 4), label="count")
+    curves = set()
+    for _ in range(count):
+        base = data.draw(pick, label="base")
+        steps = data.draw(word, label="word")
+        curves.add(_push(gens[base], [(gens[i], p) for i, p in steps]))
+    _assert_same(tri, sorted(curves))
