@@ -1,11 +1,24 @@
-"""Exact transverse drawings of curve systems in the polygon model.
+"""Exact transverse drawings of a curve pair by boundary interleaving.
 
-Each curve is drawn in normal position: its crossing points get rational
-parameters on the triangulation edges (curves stacked in blocks per
-edge, components in traced order), and every passage through a triangle
-is the straight chord between its two boundary points, using the convex
-rational 4g-gon coordinates.  Crossings between different curves are
-then honest transversal segment intersections, computed exactly.
+Each curve is drawn in normal position: its crossing points on every
+triangulation edge get distinct integer indices (the two curves stacked
+in blocks per edge, components in traced order), and every passage
+through a triangle is a chord between two of those boundary points.
+Reading the three sides of a triangle counterclockwise turns every
+point into an integer position on a circle, and all the drawing needs
+is combinatorial in those positions:
+
+- Interleaving.  Chords a->b of the first curve and c->d of the second
+  cross exactly when one of c, d lies in the open counterclockwise arc
+  (a, b) and the other does not, as straight chords do in a convex
+  triangle.
+- Sign.  The crossing is +1 when c lies in that arc (counterclockwise
+  order a, c, b, d), which is the orientation of (a->b, c->d) in the
+  surface orientation, and -1 otherwise.
+- Order.  Chords of one curve are pairwise disjoint, so the chords of
+  the other curve meeting a->b cross it in the order of their endpoints
+  in the arc (a, b).  A crossing's parameter along a->b is therefore the
+  counterclockwise distance from a to that endpoint.
 
 The drawing records, per component strand, the cyclic sequence of
 crossings with parameters, signs, and the directed-crossing subwords
@@ -15,19 +28,12 @@ between consecutive crossings, which is everything the curve operations
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from cbgraph.curves import CurveClass, _Tracer
-from cbgraph.polygon import polygon_vertices
+from cbgraph.curves import _Tracer
 from cbgraph.surface import Triangulation
 
 
-class DegenerateDrawing(Exception):
-    """A chord hit a chord endpoint or a collinear chord; respace and retry."""
-
-
 class Strand:
-    """One drawn component: letters, edge parameters, and its crossings."""
+    """One drawn component: letters, edge indices, and its crossings."""
 
     __slots__ = ("curve", "comp", "letters", "keys", "crossings")
 
@@ -61,9 +67,6 @@ class Crossing:
         self.sign = sign
         self.alive = True
 
-    def ends(self):
-        return ((self.s1, self.k1, self.p1), (self.s2, self.k2, self.p2))
-
     def strand_data(self, strand):
         """(chord index, param, other strand, crossing sign from this side)."""
         if strand is self.s1:
@@ -72,33 +75,21 @@ class Crossing:
             return self.k2, self.p2, self.s1, -self.sign
         raise ValueError("crossing does not involve this strand")
 
-    def triangle(self, tri: Triangulation) -> int:
-        return self.s1.letters[self.k1] // 3
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
 
 class Drawing:
-    """Simultaneous exact drawing of several multicurves."""
+    """Simultaneous exact drawing of one or two multicurves."""
 
     def __init__(self, tri: Triangulation, curves):
         self.tri = tri
         self.curves = list(curves)
+        if len(self.curves) > 2:
+            raise ValueError("a drawing holds at most two curves")
         for c in self.curves:
             if c.tri != tri:
                 raise ValueError("curve drawn on a different triangulation")
-        # Respace deterministically if an accidental degeneracy appears.
-        for spread in (1, 3, 7, 31, 127, 8191):
-            try:
-                self._build(spread)
-                return
-            except DegenerateDrawing:
-                continue
-        raise RuntimeError("could not find a nondegenerate spacing")
+        self._build()
 
-    def _build(self, spread: int):
+    def _build(self):
         tri = self.tri
         totals = [0] * tri.num_edges
         offsets = []
@@ -110,35 +101,21 @@ class Drawing:
         for ci, c in enumerate(self.curves):
             for mi, cycle in enumerate(_Tracer(tri, c.weights).components()):
                 letters = [lam for lam, _ in cycle]
-                keys = []
-                for lam, pos in cycle:
-                    e = tri.side_edge[lam]
-                    g = offsets[ci][e] + pos
-                    keys.append(Fraction(g * spread + 1, totals[e] * spread + 1))
+                keys = [offsets[ci][tri.side_edge[lam]] + pos for lam, pos in cycle]
                 self.strands.append(Strand(ci, mi, letters, keys))
 
-        verts = polygon_vertices(tri.genus)
-        corner_cache = {}
+        # Side `slot` of a triangle holds the positions slot*width + r,
+        # 0 <= r < totals[e], increasing counterclockwise.
+        width = max(totals) + 1
+        circle = 3 * width
 
-        def corners(t):
-            got = corner_cache.get(t)
-            if got is None:
-                got = (verts[0], verts[t + 1], verts[t + 2])
-                corner_cache[t] = got
-            return got
+        def position(t, slot, e, g):
+            r = g if tri.sides[e][0] == (t, slot) else totals[e] - 1 - g
+            return slot * width + r
 
-        def coords(t, lam_edge, key, slot):
-            # Point with canonical-frame parameter `key` on the edge at
-            # `slot` of triangle t, in polygon coordinates.
-            a = corners(t)[slot]
-            b = corners(t)[(slot + 1) % 3]
-            e = lam_edge
-            p = key if self.tri.sides[e][0] == (t, slot) else 1 - key
-            return (a[0] + p * (b[0] - a[0]), a[1] + p * (b[1] - a[1]))
-
-        # Chord endpoints: chord k of a strand runs inside the triangle of
-        # letter k, from point k (entry) to point k+1 (exit).
-        self._chords = {}
+        # Chord k of a strand runs inside the triangle of letter k, from
+        # point k (entry) to point k+1 (exit); chords are kept per
+        # triangle in first-visit order, split by curve.
         by_triangle = {}
         for s in self.strands:
             n = len(s)
@@ -146,43 +123,26 @@ class Drawing:
                 lam = s.letters[k]
                 t, slot = tri.side_of(lam)
                 lam2 = s.letters[(k + 1) % n]
-                e2 = tri.side_edge[lam2]
-                t2b, slot2b = tri.side_of(tri.mate[lam2])
-                if t2b != t:
+                t2, slot2 = tri.side_of(tri.mate[lam2])
+                if t2 != t:
                     raise RuntimeError("strand letters do not chain")
-                p = coords(t, tri.side_edge[lam], s.keys[k], slot)
-                q = coords(t, e2, s.keys[(k + 1) % n], slot2b)
-                self._chords[(s, k)] = (p, q)
-                by_triangle.setdefault(t, []).append((s, k))
+                a = position(t, slot, tri.side_edge[lam], s.keys[k])
+                b = position(t, slot2, tri.side_edge[lam2], s.keys[(k + 1) % n])
+                by_triangle.setdefault(t, ([], []))[s.curve].append((s, k, a, b))
 
         self.crossings = []
-        for t, chords in by_triangle.items():
-            for i in range(len(chords)):
-                s1, k1 = chords[i]
-                a, b = self._chords[(s1, k1)]
-                for j in range(i + 1, len(chords)):
-                    s2, k2 = chords[j]
-                    if s1.curve == s2.curve:
+        for first, second in by_triangle.values():
+            for s1, k1, a, b in first:
+                arc = (b - a) % circle
+                for s2, k2, c, d in second:
+                    c_in = (c - a) % circle < arc
+                    if c_in == ((d - a) % circle < arc):
                         continue
-                    c, d = self._chords[(s2, k2)]
-                    d1 = (b[0] - a[0], b[1] - a[1])
-                    d2 = (d[0] - c[0], d[1] - c[1])
-                    den = d1[0] * d2[1] - d1[1] * d2[0]
-                    if den == 0:
-                        if _cross(a, b, c) == 0:
-                            raise DegenerateDrawing
-                        continue
-                    # Solve a + p1*d1 = c + p2*d2 exactly (Cramer).
-                    rx, ry = c[0] - a[0], c[1] - a[1]
-                    p1 = Fraction(rx * d2[1] - ry * d2[0], den)
-                    p2 = Fraction(rx * d1[1] - ry * d1[0], den)
-                    if p1 in (0, 1) or p2 in (0, 1):
-                        raise DegenerateDrawing
-                    if 0 < p1 < 1 and 0 < p2 < 1:
-                        sign = 1 if den > 0 else -1
-                        self.crossings.append(
-                            Crossing(s1, k1, p1, s2, k2, p2, sign)
-                        )
+                    if c_in:  # a, c, b, d
+                        x = Crossing(s1, k1, (c - a) % circle, s2, k2, (b - c) % circle, 1)
+                    else:  # a, d, b, c
+                        x = Crossing(s1, k1, (d - a) % circle, s2, k2, (a - c) % circle, -1)
+                    self.crossings.append(x)
 
         for s in self.strands:
             s.crossings = [[] for _ in range(len(s))]
@@ -192,9 +152,6 @@ class Drawing:
         for s in self.strands:
             for lst in s.crossings:
                 lst.sort(key=lambda pair: pair[0])
-                params = [p for p, _ in lst]
-                if len(set(params)) != len(params):
-                    raise DegenerateDrawing
 
     def strand_sequence(self, strand: Strand) -> list[Crossing]:
         """Crossings in cyclic order along the strand."""

@@ -1,28 +1,75 @@
-"""Selects the compiled kernel when present, else the Python fallback."""
+"""The hot word operations.
 
-try:
-    from cbgraph._kernel import (
-        canonical_cyclic,
-        cyclic_reduce,
-        min_rotation,
-        reverse_word,
-    )
+Words are cyclic sequences of small int letters.  Letters carry an
+involution `mate` (as an indexable sequence): traversing a letter
+backwards gives its mate, and the pattern x, mate(x) is a backtrack.
+"""
 
-    BACKEND = "cython"
-except ImportError:  # pragma: no cover - depends on build environment
-    from cbgraph._kernel_py import (
-        canonical_cyclic,
-        cyclic_reduce,
-        min_rotation,
-        reverse_word,
-    )
+from __future__ import annotations
 
-    BACKEND = "python"
+# Name of this implementation, recorded in benchmark provenance.
+BACKEND = "python"
 
-__all__ = [
-    "canonical_cyclic",
-    "cyclic_reduce",
-    "min_rotation",
-    "reverse_word",
-    "BACKEND",
-]
+
+def cyclic_reduce(word, mate):
+    """Remove backtracks (x followed by mate[x]) cyclically."""
+    w = list(word)
+    changed = True
+    while changed and w:
+        changed = False
+        out = []
+        i = 0
+        n = len(w)
+        while i < n:
+            if i + 1 < n and w[i + 1] == mate[w[i]]:
+                i += 2
+                changed = True
+            else:
+                out.append(w[i])
+                i += 1
+        while len(out) >= 2 and out[0] == mate[out[-1]]:
+            out.pop()
+            out.pop(0)
+            changed = True
+        w = out
+    return tuple(w)
+
+
+def min_rotation(word):
+    """Lexicographically minimal rotation (Booth's algorithm)."""
+    w = tuple(word)
+    n = len(w)
+    if n <= 1:
+        return w
+    s = w + w
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return s[k : k + n]
+
+
+def reverse_word(word, mate):
+    """The same cyclic path traversed backwards."""
+    return tuple(mate[x] for x in reversed(word))
+
+
+def canonical_cyclic(word, mate):
+    """Minimal rotation over both traversal directions, after reduction."""
+    w = cyclic_reduce(word, mate)
+    if not w:
+        return w
+    a = min_rotation(w)
+    b = min_rotation(reverse_word(w, mate))
+    return a if a <= b else b

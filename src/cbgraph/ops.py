@@ -162,7 +162,11 @@ def _ribbon_boundary_words(tri, reduced, strands):
 
 
 def neighborhood_profile(curves) -> NeighborhoodProfile:
-    """Genus/boundary record of the filled neighborhood of a curve union."""
+    """Genus/boundary record of the filled neighborhood of a curve union.
+
+    The union has at most two distinct curves; more raise ValueError
+    from the drawing.
+    """
     curves = sorted(set(curves))
     if not curves:
         raise ValueError("empty curve set")

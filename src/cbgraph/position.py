@@ -1,4 +1,4 @@
-"""Minimal position for drawn curve systems via exhaustive bigon removal.
+"""Minimal position for a drawn curve pair via exhaustive bigon removal.
 
 A bigon between two drawn curves has its two corner crossings adjacent
 along both strands, and the loop formed by its two arcs is
@@ -9,13 +9,8 @@ minimal position.  Removal is pure bookkeeping: the two crossings are
 dropped and the neighbouring arcs concatenated, which is valid because
 the two arcs of a bigon are homotopic rel endpoints.
 
-With three or more mutually crossing curves exhaustive bigon removal
-can stall before simultaneous minimal position (a reducible bigon may
-be cut into triangles by third strands), so multi-curve consumers must
-not assume the reduction is taut; pairwise conclusions stay exact.
-The result then depends on the removal order, which is fixed here: the
-bigon removed next is always the first one met by a left-to-right scan
-of the strands in drawing order.
+The removal order is fixed: the bigon removed next is always the first
+one met by a left-to-right scan of the strands in drawing order.
 
 That order is kept without rescanning.  A candidate bigon is a crossing
 x on a strand s, with corners x and its successor along s; whether it

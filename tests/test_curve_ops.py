@@ -149,6 +149,13 @@ def test_neighborhood_profile_disjoint_pair():
     assert prof.genus is None
 
 
+def test_neighborhood_profile_rejects_more_than_two_curves():
+    with pytest.raises(ValueError):
+        ops.neighborhood_profile([A, B, C])
+    # Repeats count once.
+    assert ops.neighborhood_profile([A, B, A, B]).genus == 1
+
+
 def test_common_punctured_torus_cases():
     assert ops.common_punctured_torus([A])
     assert ops.common_punctured_torus([A, A])

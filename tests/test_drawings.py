@@ -86,7 +86,24 @@ def test_drawing_chords_cover_curve():
             tuple(w) for w in c.words
         }
         assert len(s.keys) == len(s.letters)
-        assert all(0 < k < 1 for k in s.keys)
+    # Keys are integer indices on each edge, distinct across both curves.
+    totals = [wa + wb for wa, wb in zip(a.weights, b.weights)]
+    on_edge = {}
+    for s in d.strands:
+        for lam, k in zip(s.letters, s.keys):
+            e = tri.side_edge[lam]
+            assert isinstance(k, int) and 0 <= k < totals[e]
+            on_edge.setdefault(e, []).append(k)
+    for e, ks in on_edge.items():
+        assert len(set(ks)) == len(ks) == totals[e]
+
+
+def test_drawing_rejects_more_than_two_curves():
+    tri = standard_triangulation(2)
+    a, b = _handles(tri)
+    c = curve_from_chords(tri, [(4, "1/2")])
+    with pytest.raises(ValueError):
+        Drawing(tri, [a, b, c])
 
 
 def test_drawing_algebraic_sign_conventions():

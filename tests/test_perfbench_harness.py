@@ -1,0 +1,37 @@
+"""The benchmark's layer tracer still binds to the package it measures.
+
+`perfbench/spans.py` wraps named functions and constructors of cbgraph
+in place; a rename or fold of any of them must fail here, not only
+when the benchmark runs.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+from spans import Layers, Tracer  # noqa: E402
+
+from cbgraph import geom, kernel, ops  # noqa: E402
+from cbgraph.polygon import handle_curves  # noqa: E402
+from cbgraph.surface import standard_triangulation  # noqa: E402
+
+
+def test_layers_install_trace_and_remove():
+    tri = standard_triangulation(2)
+    a, b = handle_curves(tri)[:2]
+    originals = (ops.intersect, ops.twist, geom.Drawing.__init__, kernel.min_rotation)
+    layers = Layers(Tracer())
+    installed = layers.install()
+    try:
+        assert ops.intersect(a, ops.twist(b, a, 1)) == 1
+    finally:
+        installed.remove()
+    assert (ops.intersect, ops.twist, geom.Drawing.__init__, kernel.min_rotation) == originals
+    metrics = layers.metrics()
+    assert metrics["ops.intersect.calls"] == 1
+    assert metrics["ops.twist.calls"] == 1
+    assert metrics["geom.Drawing.calls"] == 2
+    assert metrics["geom.crossings"] == 2
+    assert kernel.BACKEND == "python"

@@ -4,7 +4,8 @@ Both reducers run on separate but identical drawings; they must merge
 the same arcs in the same order, and leave the same crossing sequences,
 the same arcs and the same surviving crossings.  With three or more
 curves the result depends on the removal order, which the worklist
-must keep equal to the rescan's.
+must keep equal to the rescan's.  `Drawing` holds at most two curves,
+so those sets are drawn by the rational-coordinate oracle drawing.
 """
 
 import random
@@ -12,6 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import reducer_oracle
+from drawing_oracle import FractionDrawing
 from reducer_oracle import RescanReduced
 
 from cbgraph import ops, position
@@ -52,8 +54,9 @@ def _run(module, reducer, tri, curves):
         return merged[-1]
 
     module._path_reduce = record
+    draw = Drawing if len(curves) <= 2 else FractionDrawing
     try:
-        return reducer(Drawing(tri, curves)), merged
+        return reducer(draw(tri, curves)), merged
     finally:
         module._path_reduce = merge
 
