@@ -9,10 +9,12 @@ reduced words are canonical up to rotation and reversal (reversal maps
 each letter to its mate) for isotopy in the punctured surface.  Isotopy
 in the closed surface additionally allows pushes across the vertex,
 which swap a run parallel to the vertex link for the complementary run;
-`vertex_canonical` exhausts those, so word equality is isotopy.  The
-letter counts per edge are exactly the normal coordinates, and tracing
-those coordinates through the triangles recovers the components, which
-doubles as an embeddedness check.
+`vertex_canonical` exhausts those, so word equality is isotopy.  Each
+letter occurs once in the vertex link, so such a run is found from the
+link offset of its first letter, in one scan per word and direction.
+The letter counts per edge are exactly the normal coordinates, and
+tracing those coordinates through the triangles recovers the components,
+which doubles as an embeddedness check.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import json
 
 from cbgraph.kernel import canonical_cyclic, cyclic_reduce, reverse_word
 from cbgraph.surface import Triangulation, standard_triangulation
+
+MAX_VERTEX_CLOSURE = 20000  # words `vertex_canonical` may reach from one input
 
 
 def corner_counts(w0: int, w1: int, w2: int) -> tuple[int, int, int]:
@@ -49,63 +53,60 @@ class _Tracer:
             raise ValueError("weight vector has wrong length")
         if any(x < 0 for x in self.w):
             raise ValueError("negative weight")
-        self.corners = []
-        for t in range(tri.num_triangles):
-            e0, e1, e2 = tri.triangles[t]
-            self.corners.append(corner_counts(self.w[e0], self.w[e1], self.w[e2]))
-
-    def _across(self, t: int, slot: int, pos: int) -> tuple[int, int]:
-        # Follow the arc through triangle t from the point at index pos on
-        # side `slot` (indices count from the slot's start corner).
-        n = self.corners[t]
-        w_here = self.w[self.tri.edge_of(t, slot)]
-        if pos < n[slot]:
-            # Arc at the slot's start corner, joining side slot-1.
-            out = (slot - 1) % 3
-            a = pos + 1
-            return out, self.w[self.tri.edge_of(t, out)] - a
-        # Arc at the end corner, joining side slot+1.
-        out = (slot + 1) % 3
-        a = w_here - pos
-        return out, a - 1
+        self.corners = [
+            corner_counts(self.w[a], self.w[b], self.w[c]) for a, b, c in tri.triangles
+        ]
 
     def components(self) -> list[list[tuple[int, int]]]:
         """All traced components as cycles of (letter, position) crossings.
 
         Each step is a directed crossing 3t + s together with the index of
         the crossing point along the edge, counted in the frame of the
-        edge's first listed incidence.
+        edge's first listed incidence.  An arc at the start corner of slot
+        s leaves through side s-1 at the same index; any other leaves
+        through side s+1, its index shifted by the change in weight.
         """
         tri = self.tri
-        seen = set()
+        w = self.w
+        mate = tri.mate
+        edge = tri.side_edge
+        letters = range(len(edge))
+        # Per letter 3t + s: weight, arc count at the start corner, the
+        # letters leaving t through sides s-1 and s+1, whether (t, s) is
+        # the first incidence, and the edge's first point number base[e].
+        weight = [w[e] for e in edge]
+        corner = [self.corners[x // 3][x % 3] for x in letters]
+        back = [mate[x - x % 3 + (x - 1) % 3] for x in letters]
+        ahead = [mate[x - x % 3 + (x + 1) % 3] for x in letters]
+        first = [tri.sides[edge[x]][0] == divmod(x, 3) for x in letters]
+        base = [0] * tri.num_edges
+        for e in range(1, tri.num_edges):
+            base[e] = base[e - 1] + w[e - 1]
+        offset = [base[e] for e in edge]
+        seen = bytearray(sum(w))
         out = []
         for e in range(tri.num_edges):
             t0, s0 = tri.sides[e][0]
-            for p in range(self.w[e]):
-                if (e, p) in seen:
+            for p in range(w[e]):
+                if seen[base[e] + p]:
                     continue
                 cycle = []
-                t, slot, pos = t0, s0, p
+                x, pos = 3 * t0 + s0, p
                 while True:
-                    ce = tri.edge_of(t, slot)
-                    cpos = self._canonical_pos(t, slot, pos)
-                    if (ce, cpos) in seen:
+                    cpos = pos if first[x] else weight[x] - 1 - pos
+                    key = offset[x] + cpos
+                    if seen[key]:
                         break
-                    seen.add((ce, cpos))
-                    cycle.append((3 * t + slot, cpos))
-                    # Pass through triangle t, then cross the exit edge.
-                    out_slot, out_pos = self._across(t, slot, pos)
-                    t2, s2 = tri.opposite(t, out_slot)
-                    pos2 = self.w[tri.edge_of(t, out_slot)] - 1 - out_pos
-                    t, slot, pos = t2, s2, pos2
+                    seen[key] = 1
+                    cycle.append((x, cpos))
+                    if pos < corner[x]:
+                        x = back[x]
+                    else:
+                        y = ahead[x]
+                        pos += weight[y] - weight[x]
+                        x = y
                 out.append(cycle)
         return out
-
-    def _canonical_pos(self, t: int, slot: int, pos: int) -> int:
-        e = self.tri.edge_of(t, slot)
-        if self.tri.sides[e][0] == (t, slot):
-            return pos
-        return self.w[e] - 1 - pos
 
 
 def trace_components(tri: Triangulation, weights) -> list[tuple[int, ...]]:
@@ -148,14 +149,22 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     from the vertex, so swapped words that fail to retrace as normal
     words are discarded.  The empty word comes back exactly for
     null-isotopic inputs (such as the vertex link itself).
+
+    The link holds each of the 3 * num_triangles letters exactly once
+    (one per corner), so a run parallel to it or to its reverse starting
+    at w[i] starts at the offset of w[i]: one scan per direction.
     """
     mate = tri.mate
     start = cyclic_reduce(tuple(word), mate)
     if not start:
         return ()
     link = tuple(tri.vertex_link)
-    links = (link, reverse_word(link, mate))
     n = len(link)
+    # Each link direction, doubled, and its inverse permutation: letter -> offset.
+    scans = [
+        (cycle + cycle, sorted(range(n), key=cycle.__getitem__))
+        for cycle in (link, reverse_word(link, mate))
+    ]
     min_len = n // 2
     seen = {canonical_cyclic(start, mate)}
     frontier = list(seen)
@@ -163,35 +172,35 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
         nxt = []
         for w in frontier:
             m = len(w)
-            for cycle in links:
-                dbl = cycle + cycle
-                for j in range(n):
-                    for i in range(m):
-                        k = 0
-                        while k < m and k < n and w[(i + k) % m] == dbl[j + k]:
-                            k += 1
-                        if k < min_len:
+            for dbl, at in scans:
+                for i in range(m):
+                    j = at[w[i]]
+                    k = 0
+                    while k < m and k < n and w[(i + k) % m] == dbl[j + k]:
+                        k += 1
+                    if k < min_len:
+                        continue
+                    anchored = tuple(w[(i + t) % m] for t in range(m))
+                    for kk in range(min_len, k + 1):
+                        v = dbl[j + kk : j + n]
+                        cand = canonical_cyclic(
+                            reverse_word(v, mate) + anchored[kk:], mate
+                        )
+                        if len(cand) > len(w) or cand in seen:
                             continue
-                        anchored = tuple(w[(i + t) % m] for t in range(m))
-                        for kk in range(min_len, k + 1):
-                            v = dbl[j + kk : j + n]
-                            cand = canonical_cyclic(
-                                reverse_word(v, mate) + anchored[kk:], mate
-                            )
-                            if len(cand) > len(w) or cand in seen:
-                                continue
-                            if cand and [
-                                canonical_cyclic(t2, mate)
-                                for t2 in trace_components(
-                                    tri, word_weights(tri, [cand])
-                                )
-                            ] != [cand]:
-                                continue
-                            seen.add(cand)
-                            nxt.append(cand)
+                        if cand and [
+                            canonical_cyclic(t2, mate)
+                            for t2 in trace_components(tri, word_weights(tri, [cand]))
+                        ] != [cand]:
+                            continue
+                        seen.add(cand)
+                        nxt.append(cand)
         frontier = nxt
-        if len(seen) > 20000:
-            raise RuntimeError("vertex reduction closure exploded")
+        if len(seen) > MAX_VERTEX_CLOSURE:
+            raise RuntimeError(
+                f"vertex reduction closure exceeded MAX_VERTEX_CLOSURE = {MAX_VERTEX_CLOSURE}:"
+                f" {len(seen)} words reached from an input word of length {len(word)}"
+            )
     best = min(len(w) for w in seen)
     if best == 0:
         return ()
@@ -252,16 +261,9 @@ class CurveClass:
             raise ValueError(
                 "words are not an embedded multicurve (round trip failed)"
             )
-        return cls._from_traced(tri, reduced)
-
-    @classmethod
-    def _from_traced(cls, tri: Triangulation, words) -> "CurveClass":
-        link = canonical_cyclic(tri.vertex_link, tri.mate)
-        canon = tuple(sorted(canonical_cyclic(w, tri.mate) for w in words))
-        for w in canon:
-            if w == link:
-                raise ValueError("vertex-linking component is inessential")
-        return cls(tri, canon)
+        if canonical_cyclic(tri.vertex_link, tri.mate) in traced:
+            raise ValueError("vertex-linking component is inessential")
+        return cls(tri, tuple(traced))
 
     @property
     def weights(self) -> tuple[int, ...]:

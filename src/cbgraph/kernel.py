@@ -27,10 +27,11 @@ def cyclic_reduce(word, mate):
             else:
                 out.append(w[i])
                 i += 1
-        while len(out) >= 2 and out[0] == mate[out[-1]]:
-            out.pop()
-            out.pop(0)
-            changed = True
+        i, j = 0, len(out) - 1
+        while j > i and out[i] == mate[out[j]]:
+            i, j = i + 1, j - 1
+        if i:
+            out, changed = out[i : j + 1], True
         w = out
     return tuple(w)
 

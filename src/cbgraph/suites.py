@@ -565,6 +565,9 @@ def run_check(name: str, seed: int = 7, recipe: Recipe | None = None) -> dict:
     except SuiteSkip as skip:
         entry.update(status="skip", reason=str(skip), counts={})
         return entry
+    except (ValueError, RuntimeError) as exc:
+        ok, counts, witnesses = False, {}, []
+        entry["error"] = {"type": type(exc).__name__, "message": str(exc)}
     entry["status"] = "pass" if ok else "fail"
     entry["counts"] = counts
     if not ok:

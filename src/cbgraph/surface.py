@@ -110,12 +110,6 @@ class Triangulation:
     def letter(self, tri: int, slot: int) -> int:
         return 3 * tri + slot
 
-    def _corner_rotation(self, tri: int, corner: int) -> tuple[int, int]:
-        # Corner k sits at the start of slot k; crossing that edge lands at
-        # the corner after the matching slot (gluings reverse parameters).
-        t2, s2 = self.opposite(tri, corner)
-        return t2, (s2 + 1) % 3
-
     def _compute_vertex_link(self) -> tuple[int, ...]:
         # The vertex-linking curve as a directed-crossing word: rotating
         # the corner (t, k) across the edge at slot k enters the opposite

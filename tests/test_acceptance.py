@@ -7,7 +7,9 @@ claims of the calculus against independent oracles and exhaustive scans
 at desk scale; see `cbgraph suites` for the claim strings.
 """
 
-from cbgraph.suites import SUITES, run_check
+import pytest
+
+from cbgraph.suites import SUITES, Recipe, run_check, run_suite
 
 
 def _check(name):
@@ -92,3 +94,19 @@ def test_every_suite_has_a_criterion():
         if n.startswith("test_criterion_")
     }
     assert names == set(SUITES)
+
+
+@pytest.mark.parametrize("error", [ValueError, RuntimeError])
+def test_raising_suite_fails_with_reproducer(monkeypatch, error):
+    def boom(rng, recipe):
+        raise error("library failure")
+
+    claim, _ = SUITES["farey-oracle"]
+    monkeypatch.setitem(SUITES, "farey-oracle", (claim, boom))
+    entry = run_check("farey-oracle", seed=104)
+    assert entry["status"] == "fail"
+    assert entry["error"] == {"type": error.__name__, "message": "library failure"}
+    assert entry["reproducer"] == "cbgraph run --suite farey-oracle --seed 104"
+    report = run_suite(Recipe(checks=["farey-oracle", "height-formula"], seed=104))
+    assert [c["status"] for c in report["checks"]] == ["fail", "pass"]
+    assert (report["passed"], report["failed"]) == (1, 1)

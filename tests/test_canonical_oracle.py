@@ -1,0 +1,156 @@
+"""The indexed canonicaliser and flat tracer against the code they replaced.
+
+For every input, `vertex_canonical` must return the oracle's word,
+`CurveClass.from_words` must store the words the old rule stored (or
+raise the same error), and the tracer must give the oracle's cycles on
+the class's weights.  Inputs are the generators, the raw unreduced words
+that `ops.twist` and `ops.band_sum` hand to `from_words`, twisted
+multicurves, long twist ladder rungs and `hypothesis` twist words.
+"""
+
+import contextlib
+import random
+
+import canonical_oracle as oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbgraph import ops
+from cbgraph.curves import CurveClass, _Tracer, vertex_canonical
+from cbgraph.kernel import reverse_word
+from cbgraph.polygon import chain_connector, handle_curves
+from cbgraph.surface import standard_triangulation
+
+TRIS = {g: standard_triangulation(g) for g in (2, 3, 4)}
+
+
+def _generators(tri):
+    g = tri.genus
+    return handle_curves(tri) + [chain_connector(tri, k) for k in range(g - 1)]
+
+
+@contextlib.contextmanager
+def _raw_words():
+    """Record the words every `from_words` call receives."""
+    calls = []
+    kept = CurveClass.__dict__["from_words"]
+
+    def record(cls, tri, words):
+        words = [tuple(w) for w in words]
+        calls.append((tri, words))
+        return kept.__func__(cls, tri, words)
+
+    CurveClass.from_words = classmethod(record)
+    try:
+        yield calls
+    finally:
+        CurveClass.from_words = kept
+
+
+def _outcome(build, tri, words):
+    try:
+        return build(tri, words)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _assert_same(tri, words):
+    for w in words:
+        assert vertex_canonical(tri, w) == oracle.vertex_canonical(tri, w)
+    got = _outcome(lambda t, ws: CurveClass.from_words(t, ws).words, tri, words)
+    assert got == _outcome(oracle.parent_words, tri, words)
+    if got[0] != "ValueError":
+        weights = CurveClass(tri, got).weights
+        expected = oracle.StepTracer(tri, weights).components()
+        assert _Tracer(tri, weights).components() == expected
+
+
+def _push(c, word):
+    for d, p in word:
+        c = ops.twist(c, d, p)
+    return c
+
+
+def test_vertex_link_is_null():
+    for tri in TRIS.values():
+        for w in (tri.vertex_link, reverse_word(tri.vertex_link, tri.mate)):
+            assert vertex_canonical(tri, w) == ()
+            assert oracle.vertex_canonical(tri, w) == ()
+
+
+def test_generators():
+    for tri in TRIS.values():
+        for c in _generators(tri):
+            _assert_same(tri, list(c.words))
+
+
+def test_raw_twist_and_band_sum_words():
+    rng = random.Random(1508)
+    checked = 0
+    for tri in TRIS.values():
+        gens = _generators(tri)
+        g = tri.genus
+        for _ in range(8):
+            phi = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+            k = rng.randrange(g)
+            a, b = gens[2 * k], gens[2 * k + 1]
+            with _raw_words() as calls:
+                c = _push(rng.choice(gens), phi)
+                ops.twist(c, rng.choice(gens), rng.choice((1, -1, 2, -2)))
+                ops.band_sum(_push(a, phi), _push(b, phi))
+            for t, words in calls:
+                _assert_same(t, words)
+                checked += 1
+    assert checked > 100
+
+
+def test_multicurves():
+    # One handle curve per handle, listed in reverse, then twisted: the
+    # raw words are one per component.
+    rng = random.Random(2993)
+    checked = 0
+    for tri in TRIS.values():
+        gens = _generators(tri)
+        cores = [gens[2 * k].word for k in reversed(range(tri.genus))]
+        for _ in range(4):
+            with _raw_words() as calls:
+                m = CurveClass.from_words(tri, cores)
+                ops.twist(m, rng.choice(gens), rng.choice((1, -1)))
+            for t, words in calls:
+                assert len(words) == tri.genus
+                _assert_same(t, words)
+                checked += 1
+    assert checked == 24
+
+
+def test_twist_ladder_rungs():
+    # The twists that build rungs of about 2,000 letters, alternating a
+    # handle curve and a chain connector as in the drawing oracle test.
+    for g, k in ((2, 0), (3, 1)):
+        tri = TRIS[g]
+        hs = handle_curves(tri)
+        j = k + 1 if k < g - 1 else k - 1
+        conn = chain_connector(tri, min(j, k))
+        a, b = hs[2 * k], hs[2 * k + 1]
+        c, n = b, 0
+        while len(c.word) < 2000:
+            d, p = ((a, 1), (conn, -1))[n % 2]
+            with _raw_words() as calls:
+                c = ops.twist(c, d, p)
+            n += 1
+        (t, words), = calls
+        assert len(words[0]) > 2000
+        _assert_same(t, words)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(genus=st.sampled_from((2, 3, 4)), data=st.data())
+def test_twist_words_agree(genus, data):
+    tri = TRIS[genus]
+    gens = _generators(tri)
+    pick = st.integers(0, len(gens) - 1)
+    word = st.lists(st.tuples(pick, st.sampled_from((1, -1))), min_size=1, max_size=6)
+    with _raw_words() as calls:
+        _push(gens[data.draw(pick, label="base")], [(gens[i], p) for i, p in data.draw(word, label="word")])
+    for t, words in calls:
+        _assert_same(t, words)

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from cbgraph.kernel import canonical_cyclic, cyclic_reduce, min_rotation, reverse_word
-from cbgraph.curves import CurveClass, trace_components, word_weights
+from cbgraph import curves
+from cbgraph.curves import CurveClass, trace_components, vertex_canonical, word_weights
 from cbgraph.polygon import curve_from_chords, partner_side, polygon_vertices
 from cbgraph.surface import Triangulation, standard_triangulation
 
@@ -19,6 +20,35 @@ def test_triangulation_counts():
         # One vertex forces Euler characteristic 2 - 2g.
         assert 1 - tri.num_edges + tri.num_triangles == 2 - 2 * g
         assert len(tri.vertex_link) == 3 * tri.num_triangles
+
+
+def test_vertex_link_holds_each_letter_once():
+    # The indexed scan in `vertex_canonical` relies on this.
+    for g in (2, 3, 4, 5, 6):
+        tri = Triangulation(g)
+        assert sorted(tri.vertex_link) == list(range(3 * tri.num_triangles))
+
+
+def test_vertex_closure_guard_reports_bound_and_input(monkeypatch):
+    tri = standard_triangulation(2)
+    a = curve_from_chords(tri, [(0, "1/2")])
+    # A detour once around the vertex: its closure holds the detour and
+    # the short word at least.
+    link = tuple(tri.vertex_link)
+    j = next(
+        j
+        for j in range(len(link))
+        if tri.side_of(tri.mate[link[j]])[0] == tri.side_of(a.word[0])[0]
+    )
+    word = a.word[:1] + link[j:] + link[:j] + a.word[1:]
+    assert vertex_canonical(tri, word) == a.word
+    monkeypatch.setattr(curves, "MAX_VERTEX_CLOSURE", 1)
+    with pytest.raises(
+        RuntimeError,
+        match=rf"exceeded MAX_VERTEX_CLOSURE = 1: \d+ words reached from an "
+        rf"input word of length {len(word)}$",
+    ):
+        vertex_canonical(tri, word)
 
 
 def test_mate_involution():
@@ -49,6 +79,13 @@ def test_cyclic_reduce():
     assert cyclic_reduce((0, 2, 3, 1), MATE) == ()
     assert cyclic_reduce((1, 4, 0), MATE) == (4,)
     assert cyclic_reduce((0, 2, 0, 2), MATE) == (0, 2, 0, 2)
+    # A conjugate u.c.u^-1 with a long u strips back to c, and to nothing
+    # when c is empty.
+    u = (0, 2, 4, 6, 8) * 400
+    c = (3, 5)
+    assert cyclic_reduce(u + c + reverse_word(u, MATE), MATE) == c
+    assert cyclic_reduce(u + reverse_word(u, MATE), MATE) == ()
+    assert cyclic_reduce(u + (0, 1) + c + reverse_word(u, MATE), MATE) == c
 
 
 def test_min_rotation_matches_bruteforce():
@@ -136,6 +173,8 @@ def test_invalid_words_rejected():
     with pytest.raises(ValueError):
         # Letters entering triangles 0 and 3 are never consecutive.
         CurveClass.from_word(tri, (0, 10))
+    with pytest.raises(ValueError, match="unknown letter -1"):
+        CurveClass.from_word(tri, (-1, 3, 4))
     with pytest.raises(ValueError):
         # A backtrack x, mate[x] reduces to the trivial loop.
         CurveClass.from_word(tri, (0, tri.mate[0]))
