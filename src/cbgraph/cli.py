@@ -4,6 +4,11 @@ Subcommands cover the slope calculus, the curve engine, the
 compression-body calculus, complex fragments, boundary projections and
 the deterministic verification suites.  All outputs are JSON (sorted
 keys) so identical invocations produce identical bytes.
+
+A subcommand that fails on its input writes
+`{"error": {"type", "message"}}` to stderr instead of a traceback and
+exits 2 for a `ValueError` (bad input) or 3 for a `RuntimeError` (a
+tripped guard).
 """
 
 from __future__ import annotations
@@ -63,11 +68,19 @@ def curve_from_spec(tri, spec) -> CurveClass:
     """Build a curve from a recipe entry.
 
     Entries are either serialized curves or small constructors:
-    {"handle": i}, {"connector": k}, {"band_sum": [spec, spec]},
+    {"handle": i}, {"connector": k}, {"word": [letter, ...]},
+    {"band_sum": [spec, spec]},
     {"twist": {"base": spec, "along": spec, "power": p}}.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"bad curve spec: {spec!r}")
+    if "word" in spec:
+        word, top = spec["word"], 3 * tri.num_triangles
+        if not isinstance(word, list) or any(
+            type(x) is not int or not 0 <= x < top for x in word
+        ):
+            raise ValueError(f"bad curve word: {word!r}")
+        return CurveClass.from_word(tri, word)
     if "handle" in spec:
         return handle_curves(tri)[spec["handle"]]
     if "connector" in spec:
@@ -385,9 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     opts = build_parser().parse_args(argv)
-    return opts.func(opts)
+    try:
+        return opts.func(opts)
+    except ValueError as exc:
+        return _fail(exc, 2)
+    except RuntimeError as exc:
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ which doubles as an embeddedness check.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from cbgraph.kernel import canonical_cyclic, cyclic_reduce, reverse_word
 from cbgraph.surface import Triangulation, standard_triangulation
@@ -41,6 +42,18 @@ def corner_counts(w0: int, w1: int, w2: int) -> tuple[int, int, int]:
     if any(c < 0 for c in counts):
         raise ValueError("triangle inequality violated by weights")
     return counts
+
+
+@lru_cache(maxsize=None)
+def _arc_tables(tri: Triangulation):
+    """Per letter 3t + s: the letters leaving t through sides s-1 and
+    s+1, and whether (t, s) is the first listed incidence of its edge."""
+    mate = tri.mate
+    letters = range(len(mate))
+    back = tuple(mate[x - x % 3 + (x - 1) % 3] for x in letters)
+    ahead = tuple(mate[x - x % 3 + (x + 1) % 3] for x in letters)
+    first = tuple(tri.sides[tri.side_edge[x]][0] == divmod(x, 3) for x in letters)
+    return back, ahead, first
 
 
 class _Tracer:
@@ -68,17 +81,12 @@ class _Tracer:
         """
         tri = self.tri
         w = self.w
-        mate = tri.mate
         edge = tri.side_edge
-        letters = range(len(edge))
-        # Per letter 3t + s: weight, arc count at the start corner, the
-        # letters leaving t through sides s-1 and s+1, whether (t, s) is
-        # the first incidence, and the edge's first point number base[e].
+        back, ahead, first = _arc_tables(tri)
+        # Per letter: weight, arc count at the start corner, and the
+        # edge's first point number base[e].
         weight = [w[e] for e in edge]
-        corner = [self.corners[x // 3][x % 3] for x in letters]
-        back = [mate[x - x % 3 + (x - 1) % 3] for x in letters]
-        ahead = [mate[x - x % 3 + (x + 1) % 3] for x in letters]
-        first = [tri.sides[edge[x]][0] == divmod(x, 3) for x in letters]
+        corner = [n for counts in self.corners for n in counts]
         base = [0] * tri.num_edges
         for e in range(1, tri.num_edges):
             base[e] = base[e - 1] + w[e - 1]

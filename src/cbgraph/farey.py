@@ -13,6 +13,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator
 
+from cbgraph import MEMO_ENTRIES
+
 
 class Slope:
     """A reduced extended rational p/q labelling a curve on the torus.
@@ -165,15 +167,24 @@ def apply_sl2(m: tuple[int, int, int, int], s: Slope) -> Slope:
 
 
 def enumerate_slopes(max_height: int) -> set[Slope]:
-    """All reduced slopes with |p| <= max_height and q <= max_height."""
+    """All reduced slopes with |p| <= max_height and q <= max_height.
+
+    Each height's slopes are built once per process; every call returns
+    a fresh set.
+    """
     if max_height < 1:
         raise ValueError("max_height must be >= 1")
+    return set(_slopes(max_height))
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _slopes(max_height: int) -> frozenset[Slope]:
     out = {Slope(1, 0)}
     for q in range(1, max_height + 1):
         for p in range(-max_height, max_height + 1):
             if gcd(abs(p), q) == 1:
                 out.add(Slope(p, q))
-    return out
+    return frozenset(out)
 
 
 def once_intersectors(a: Slope, beta: ArcSlope, max_height: int) -> set[Slope]:

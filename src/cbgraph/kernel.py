@@ -12,28 +12,25 @@ BACKEND = "python"
 
 
 def cyclic_reduce(word, mate):
-    """Remove backtracks (x followed by mate[x]) cyclically."""
-    w = list(word)
-    changed = True
-    while changed and w:
-        changed = False
-        out = []
-        i = 0
-        n = len(w)
-        while i < n:
-            if i + 1 < n and w[i + 1] == mate[w[i]]:
-                i += 2
-                changed = True
-            else:
-                out.append(w[i])
-                i += 1
-        i, j = 0, len(out) - 1
-        while j > i and out[i] == mate[out[j]]:
-            i, j = i + 1, j - 1
-        if i:
-            out, changed = out[i : j + 1], True
-        w = out
-    return tuple(w)
+    """Remove backtracks (x followed by mate[x]) cyclically.
+
+    One stack pass cancels the backtracks of the linear word, then the
+    ends are stripped once while they cancel; linear in the length.  The
+    result is cyclically reduced, but it need not be the rotation that
+    repeated left-to-right passes would leave.  Every caller passes it
+    through `canonical_cyclic` or tests it for emptiness, so no answer
+    depends on the rotation.
+    """
+    out = []
+    for x in word:
+        if out and x == mate[out[-1]]:
+            out.pop()
+        else:
+            out.append(x)
+    i, j = 0, len(out) - 1
+    while j > i and out[i] == mate[out[j]]:
+        i, j = i + 1, j - 1
+    return tuple(out[i : j + 1])
 
 
 def min_rotation(word):

@@ -8,11 +8,33 @@ crossings insert cancelling passes, so minimal position is not needed).
 Intersection numbers come from exhaustive bigon removal; the boundary
 of a regular neighborhood is traced from the ribbon structure of the
 reduced crossing data.
+
+The exact answers whose inputs repeat are memoised per process in
+bounded `functools.lru_cache`s of `MEMO_ENTRIES` entries: the geometric
+and the algebraic intersection number of a pair, and the punctured-torus
+test of a curve set.  They key on the curves (value-typed and hashable)
+and hold only ints and bools.  A key keeps its curves alive.  Measured
+with `tracemalloc`, an entry costs about 150 bytes on top of curves that
+live elsewhere; after a cold acceptance pass (seed 101) the memos of
+this module, `projections` and `farey` hold 1,733 entries and 0.86 MB,
+the curves that only the keys still reference included.  Left out on
+purpose:
+
+- Drawings, and with them `Reduced`: a drawing of two long curves is
+  large, and memoising 1,024 drawings raised the peak RSS of the scale
+  benchmark from 27.3 to 34.7 MB.
+- `twist`: 1,481 of the 2,261 calls of an acceptance pass are distinct,
+  and the scale benchmark generates its inputs by twisting exactly the
+  curves its timed pass twists, so a memo would time cache reads.
+- `neighborhood_profile`, which returns a mutable record, and
+  `band_sum`, whose inputs do not repeat.
 """
 
 from __future__ import annotations
 
-from cbgraph import dehn
+from functools import lru_cache
+
+from cbgraph import MEMO_ENTRIES, dehn
 from cbgraph.curves import CurveClass
 from cbgraph.geom import Drawing
 from cbgraph.kernel import reverse_word
@@ -20,9 +42,19 @@ from cbgraph.position import Reduced
 
 
 def intersect(a: CurveClass, b: CurveClass) -> int:
-    """Geometric intersection number of the classes on the closed surface."""
+    """Geometric intersection number of the classes on the closed surface.
+
+    The number is symmetric, so the memo is read with the pair sorted.
+    """
     if a == b:
         return 0
+    if b < a:
+        a, b = b, a
+    return _intersect(a, b)
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _intersect(a: CurveClass, b: CurveClass) -> int:
     drawing = Drawing(a.tri, [a, b])
     raw = drawing.raw_count(0, 1)
     if raw == abs(drawing.algebraic(0, 1)):
@@ -43,7 +75,15 @@ def algebraic_intersect(a: CurveClass, b: CurveClass, orientations=(1, 1)) -> in
         raise ValueError("orientations must be +1 or -1")
     if a == b:
         return 0
-    return oa * ob * Drawing(a.tri, [a, b]).algebraic(0, 1)
+    # Swapping the pair negates the count of the traced orientations.
+    if b < a:
+        return -oa * ob * _algebraic(b, a)
+    return oa * ob * _algebraic(a, b)
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _algebraic(a: CurveClass, b: CurveClass) -> int:
+    return Drawing(a.tri, [a, b]).algebraic(0, 1)
 
 
 def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
@@ -234,6 +274,11 @@ def common_punctured_torus(curves) -> bool:
             raise ValueError("curves must be connected")
         if c.is_separating:
             raise ValueError("curves must be nonseparating")
+    return _common_punctured_torus(tuple(curves))
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _common_punctured_torus(curves: tuple[CurveClass, ...]) -> bool:
     if len(curves) == 1:
         return True
     for i in range(len(curves)):

@@ -14,7 +14,9 @@ Farey diameters and distance witnesses.
 
 from __future__ import annotations
 
-from cbgraph import cut, ops
+from functools import lru_cache
+
+from cbgraph import MEMO_ENTRIES, cut, ops
 from cbgraph.curves import CurveClass
 from cbgraph.cut import CutComplex
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance
@@ -27,7 +29,11 @@ MAX_WITNESS_HEIGHT = 64
 
 
 class SideSelector:
-    """One complementary component Sigma_F of a separating curve."""
+    """One complementary component Sigma_F of a separating curve.
+
+    Selectors are equal when their curve and side are: those two
+    determine the cut complex and the region.
+    """
 
     __slots__ = ("curve", "side", "complex", "region")
 
@@ -50,6 +56,16 @@ class SideSelector:
 
     def other(self) -> "SideSelector":
         return SideSelector(self.curve, "right" if self.side == "left" else "left")
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is SideSelector
+            and self.curve == other.curve
+            and self.side == other.side
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.curve, self.side))
 
     def __repr__(self):
         return f"SideSelector(side={self.side!r}, genus={self.genus})"
@@ -94,17 +110,27 @@ def _curve_or_none(tri, word):
 
 
 def project(sel: SideSelector, b: CurveClass) -> set[CurveClass]:
-    """Interior boundary projection of b to the selected side."""
+    """Interior boundary projection of b to the selected side.
+
+    The answer is memoised per (selector, curve) as a frozenset; every
+    call returns a fresh set.  A memo key keeps its selector, and so its
+    cut complex, alive.
+    """
     if not b.is_connected:
         raise ValueError("projection needs a connected curve")
+    return set(_project(sel, b))
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _project(sel: SideSelector, b: CurveClass) -> frozenset[CurveClass]:
     a = sel.curve
     if b == a:
         # Boundary-parallel in the capped side.
-        return set()
+        return frozenset()
     if ops.intersect(a, b) == 0:
         if sel.complex.region_containing(b) == sel.region:
-            return {b}
-        return set()
+            return frozenset((b,))
+        return frozenset()
 
     tri = a.tri
     reduced = Reduced(Drawing(tri, [a, b]))
@@ -123,7 +149,7 @@ def project(sel: SideSelector, b: CurveClass) -> set[CurveClass]:
         if sel.complex.region_containing(kept[0]) != sel.region:
             continue
         out.update(kept)
-    return out
+    return frozenset(out)
 
 
 def innermost_surgery(a: CurveClass, b: CurveClass) -> dict:

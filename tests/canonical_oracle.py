@@ -7,7 +7,9 @@ looks up the one offset a letter can have.  `StepTracer` is the normal
 arc tracer that calls a method per step, where the kept one reads
 per-letter tables.  `parent_words` is the class-building rule that
 canonicalised every traced word a second time.  Tests require the kept
-code to give the same words, cycles and classes.
+code to give the same words, cycles and classes.  `rescanning_cyclic_reduce`
+is the word reduction that repeated whole passes until nothing
+cancelled; the kept one must return a rotation of its result.
 """
 
 from __future__ import annotations
@@ -183,3 +185,28 @@ def parent_words(tri: Triangulation, words) -> tuple[tuple[int, ...], ...]:
         if w == link:
             raise ValueError("vertex-linking component is inessential")
     return canon
+
+
+def rescanning_cyclic_reduce(word, mate):
+    """Remove backtracks (x followed by mate[x]) cyclically."""
+    w = list(word)
+    changed = True
+    while changed and w:
+        changed = False
+        out = []
+        i = 0
+        n = len(w)
+        while i < n:
+            if i + 1 < n and w[i + 1] == mate[w[i]]:
+                i += 2
+                changed = True
+            else:
+                out.append(w[i])
+                i += 1
+        i, j = 0, len(out) - 1
+        while j > i and out[i] == mate[out[j]]:
+            i, j = i + 1, j - 1
+        if i:
+            out, changed = out[i : j + 1], True
+        w = out
+    return tuple(w)

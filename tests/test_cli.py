@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cbgraph import cli, ops
+from cbgraph import cli, curves, ops
 from cbgraph.cb import CBType, MarkedCB, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.polygon import chain_connector, handle_curves
@@ -252,6 +252,73 @@ def test_run_empty_recipe(capsys, tmp_path):
     assert "0 passed, 0 failed, 0 skipped" in out
 
 
+def _run_error(capsys, argv):
+    """Exit code and the JSON error record of a failing command."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, json.loads(captured.err)["error"]
+
+
 def test_run_rejects_unknown_suite(capsys):
-    with pytest.raises(ValueError):
-        cli.main(["run", "--suite", "no-such-suite"])
+    code, error = _run_error(capsys, ["run", "--suite", "no-such-suite"])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "unknown suites: ['no-such-suite']"}
+
+
+def test_odd_weights_exit_with_typed_error(capsys, tmp_path):
+    bad = tmp_path / "odd.json"
+    weights = [1] + [0] * (TRI.num_edges - 1)
+    bad.write_text(json.dumps({"genus": 2, "weights": weights, "checksum": TRI.checksum}))
+    code, error = _run_error(capsys, ["curve", "separating", "--a", str(bad)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "odd weight sum in a triangle"}
+
+
+def test_wrong_checksum_exits_with_typed_error(capsys, tmp_path):
+    bad = tmp_path / "a.json"
+    bad.write_text(json.dumps(dict(A.to_json(), checksum="0" * 16)))
+    fb = _write_curve(tmp_path / "b.json", B)
+    code, error = _run_error(capsys, ["curve", "i", "--a", str(bad), "--b", fb])
+    assert code == 2
+    assert error == {
+        "type": "ValueError",
+        "message": "curve was saved against a different triangulation",
+    }
+
+
+def _build_tc(capsys, tmp_path, curves):
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps({"genus": 2, "curves": curves}))
+    argv = ["complex", "build", "--kind", "tc", "--recipe", str(recipe)]
+    return _run_error(capsys, argv + ["--out", str(tmp_path / "frag")])
+
+
+def test_non_simple_word_exits_with_typed_error(capsys, tmp_path):
+    # a.a runs twice around a: a valid dual path that no simple curve has.
+    code, error = _build_tc(capsys, tmp_path, [{"word": list(A.word * 2)}])
+    assert code == 2
+    assert error == {
+        "type": "ValueError",
+        "message": "words are not an embedded multicurve (round trip failed)",
+    }
+    for word in (["x"], [-1, 3, 4], [3 * TRI.num_triangles]):
+        code, error = _build_tc(capsys, tmp_path, [{"word": word}])
+        assert (code, error["type"]) == (2, "ValueError")
+    assert not (tmp_path / "frag").exists()
+
+
+def test_tripped_guard_exits_3(capsys, tmp_path, monkeypatch):
+    # A detour once around the vertex; its closure holds two words at least.
+    link = tuple(TRI.vertex_link)
+    j = next(
+        j
+        for j in range(len(link))
+        if TRI.side_of(TRI.mate[link[j]])[0] == TRI.side_of(A.word[0])[0]
+    )
+    word = A.word[:1] + link[j:] + link[:j] + A.word[1:]
+    monkeypatch.setattr(curves, "MAX_VERTEX_CLOSURE", 1)
+    code, error = _build_tc(capsys, tmp_path, [{"word": list(word)}])
+    assert code == 3
+    assert error["type"] == "RuntimeError"
+    assert error["message"].startswith("vertex reduction closure exceeded MAX_VERTEX_CLOSURE = 1:")

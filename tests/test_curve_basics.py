@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from cbgraph import curves
 from cbgraph.curves import CurveClass, trace_components, vertex_canonical, word_weights
 from cbgraph.polygon import curve_from_chords, partner_side, polygon_vertices
 from cbgraph.surface import Triangulation, standard_triangulation
+from canonical_oracle import rescanning_cyclic_reduce
 
 
 def test_triangulation_counts():
@@ -86,6 +88,36 @@ def test_cyclic_reduce():
     assert cyclic_reduce(u + c + reverse_word(u, MATE), MATE) == c
     assert cyclic_reduce(u + reverse_word(u, MATE), MATE) == ()
     assert cyclic_reduce(u + (0, 1) + c + reverse_word(u, MATE), MATE) == c
+    # A nested cancellation u.u^-1 inside the word, with |u| = 4000.
+    u = (0, 2, 4, 6, 8) * 800
+    assert cyclic_reduce((3,) + u + reverse_word(u, MATE) + (5,), MATE) == (3, 5)
+
+
+def _nested_word(rng):
+    """A random word with cancelling blocks inserted, then conjugated."""
+    w = [rng.randrange(10) for _ in range(rng.randint(0, 60))]
+    for _ in range(rng.randint(1, 6)):
+        u = tuple(rng.randrange(10) for _ in range(rng.randint(1, 80)))
+        k = rng.randint(0, len(w))
+        w[k:k] = u + reverse_word(u, MATE)
+    v = tuple(rng.randrange(10) for _ in range(rng.randint(0, 80)))
+    return v + tuple(w) + reverse_word(v, MATE)
+
+
+def test_cyclic_reduce_is_a_rotation_of_the_rescanning_oracle():
+    # Every word of length <= 7 over 6 letters, then random longer ones.
+    words = itertools.chain.from_iterable(
+        itertools.product(range(6), repeat=n) for n in range(8)
+    )
+    rng = random.Random(11)
+    longer = [_nested_word(rng) for _ in range(500)]
+    longer += [tuple(rng.randrange(10) for _ in range(400)) for _ in range(100)]
+    for w in itertools.chain(words, longer):
+        got, want = cyclic_reduce(w, MATE), rescanning_cyclic_reduce(w, MATE)
+        assert len(got) == len(want), w
+        assert got == want or any(
+            got == want[i:] + want[:i] for i in range(1, len(want))
+        ), w
 
 
 def test_min_rotation_matches_bruteforce():
