@@ -12,9 +12,10 @@ tests, containment) lives further down and builds on the curve engine.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from typing import Iterable, Iterator
+
+from cbgraph.curves import json_record
 
 MAX_SCAN_GENUS = 6
 MAX_CHAIN_HEIGHT = 12
@@ -70,8 +71,7 @@ class CBType:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "CBType":
-        if isinstance(data, str):
-            data = json.loads(data)
+        data = json_record(data, "type", "g", "interior")
         return cls(data["g"], data["interior"])
 
 
@@ -374,9 +374,9 @@ class MarkedCB:
         from cbgraph.curves import CurveClass
         from cbgraph.surface import standard_triangulation
 
-        if isinstance(data, str):
-            data = json.loads(data)
-        tri = standard_triangulation(data["type"]["g"])
+        data = json_record(data, "body", "type", "system")
+        kind = CBType.from_json(data["type"])
+        tri = standard_triangulation(kind.exterior_genus)
         curves = [CurveClass.from_json(c) for c in data["system"]]
         base = data.get("small_base")
         got = cls(
@@ -384,7 +384,7 @@ class MarkedCB:
             curves,
             small_base=CurveClass.from_json(base) if base else None,
         )
-        if got.derived_type != CBType.from_json(data["type"]):
+        if got.derived_type != kind:
             raise ValueError("serialized type disagrees with the system")
         return got
 
@@ -402,6 +402,19 @@ def meridian_of_small(a, c) -> bool:
     For separating a only a itself does; for nonseparating a the
     meridians are a and the boundaries of embedded punctured tori
     containing a.
+
+    Such a boundary c is separating and disjoint from a, so a lies on
+    one side of c, and c is a meridian exactly when that side is a
+    punctured torus.  With no genus-1 side the answer is no, and at
+    genus 2 both sides are punctured tori.  Otherwise exactly one side
+    T is, and alpha is a nonseparating curve inside it.  The two sides
+    of c split H1(S) into summands orthogonal for the intersection
+    pairing, so a curve on the far side has algebraic intersection 0
+    with alpha.  A nonseparating curve inside T other than alpha has
+    another slope there, and distinct slopes in a punctured torus have
+    nonzero algebraic intersection (Farb-Margalit, A Primer on Mapping
+    Class Groups).  So a lies in T exactly when it is alpha or pairs
+    nonzero with it.
     """
     from cbgraph import cut, ops
 
@@ -416,8 +429,13 @@ def meridian_of_small(a, c) -> bool:
     if ops.intersect(a, c) != 0:
         return False
     cc = cut.CutComplex(a.tri, c)
-    side = cc.side_containing(a)
-    return cc.region_genus(side) == 1
+    tori = [r for r in cc.chi if cc.region_genus(r) == 1]
+    if not tori:
+        return False
+    if len(tori) == 2:
+        return True
+    alpha = cc.nonseparating_in_region(tori[0])
+    return a == alpha or ops.algebraic_intersect(a, alpha) != 0
 
 
 def contains(c: MarkedCB, d: MarkedCB) -> Containment:

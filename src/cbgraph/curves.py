@@ -223,6 +223,21 @@ def word_weights(tri: Triangulation, words) -> tuple[int, ...]:
     return tuple(w)
 
 
+def json_record(data, what: str, *keys) -> dict:
+    """A JSON object holding `keys`, parsed first if given as text.
+
+    A non-object record or a missing key raises ValueError naming it.
+    """
+    if isinstance(data, str):
+        data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} record is a JSON {type(data).__name__}, not an object")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} record lacks the key {key!r}")
+    return data
+
+
 class CurveClass:
     """An essential simple closed multicurve up to isotopy."""
 
@@ -341,8 +356,7 @@ class CurveClass:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "CurveClass":
-        if isinstance(data, str):
-            data = json.loads(data)
+        data = json_record(data, "curve", "genus", "weights")
         tri = standard_triangulation(data["genus"])
         if "checksum" in data and data["checksum"] != tri.checksum:
             raise ValueError("curve was saved against a different triangulation")

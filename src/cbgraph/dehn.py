@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from cbgraph.kernel import cyclic_reduce, free_reduce
 from cbgraph.surface import Triangulation
 
 
@@ -38,25 +39,13 @@ def path_word(tri: Triangulation, lams) -> tuple[int, ...]:
         x = side_letter(tri, lam)
         if x is not None:
             out.append(x)
-    return free_reduce(out)
+    return free_reduce(out, _inverse(tri.genus))
 
 
-def free_reduce(word) -> tuple[int, ...]:
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def _cyclic_free_reduce(word) -> tuple[int, ...]:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w.pop()
-        w.pop(0)
-    return tuple(w)
+@lru_cache(maxsize=None)
+def _inverse(genus: int) -> dict[int, int]:
+    # Inversion of the side letters, as the kernel's `mate` table.
+    return {x: -x for e in range(1, 2 * genus + 1) for x in (e, -e)}
 
 
 @lru_cache(maxsize=None)
@@ -76,7 +65,8 @@ def is_trivial(genus: int, word) -> bool:
     """Whether a side-generator word is null-homotopic (Dehn's algorithm)."""
     half = 2 * genus
     rots = _relators(genus)
-    w = _cyclic_free_reduce(word)
+    inverse = _inverse(genus)
+    w = cyclic_reduce(word, inverse)
     while w:
         n = len(w)
         if n < half + 1:
@@ -89,9 +79,10 @@ def is_trivial(genus: int, word) -> bool:
             for i in range(n):
                 if tuple(w[(i + k) % n] for k in range(half + 1)) == piece:
                     rest = tuple(-x for x in reversed(rel[half + 1 :]))
-                    w = _cyclic_free_reduce(
+                    w = cyclic_reduce(
                         tuple(w[(i + half + 1 + k) % n] for k in range(n - half - 1))
-                        + rest
+                        + rest,
+                        inverse,
                     )
                     replaced = True
                     break

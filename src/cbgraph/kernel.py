@@ -1,7 +1,7 @@
 """The hot word operations.
 
 Words are cyclic sequences of small int letters.  Letters carry an
-involution `mate` (as an indexable sequence): traversing a letter
+involution `mate` (a sequence or a dict): traversing a letter
 backwards gives its mate, and the pattern x, mate(x) is a backtrack.
 """
 
@@ -11,26 +11,33 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def cyclic_reduce(word, mate):
-    """Remove backtracks (x followed by mate[x]) cyclically.
-
-    One stack pass cancels the backtracks of the linear word, then the
-    ends are stripped once while they cancel; linear in the length.  The
-    result is cyclically reduced, but it need not be the rotation that
-    repeated left-to-right passes would leave.  Every caller passes it
-    through `canonical_cyclic` or tests it for emptiness, so no answer
-    depends on the rotation.
-    """
+def free_reduce(word, mate):
+    """Remove backtracks (x followed by mate[x]) in one stack pass."""
     out = []
     for x in word:
         if out and x == mate[out[-1]]:
             out.pop()
         else:
             out.append(x)
+    return tuple(out)
+
+
+def cyclic_reduce(word, mate):
+    """Remove backtracks (x followed by mate[x]) cyclically.
+
+    `free_reduce` cancels the backtracks of the linear word, then the
+    ends are stripped once while they cancel; linear in the length.  The
+    result is cyclically reduced, but it need not be the rotation that
+    repeated left-to-right passes would leave.  Every caller passes it
+    through `canonical_cyclic`, tests it for emptiness or runs Dehn's
+    algorithm on it, which decides the whole conjugacy class, so no
+    answer depends on the rotation.
+    """
+    out = free_reduce(word, mate)
     i, j = 0, len(out) - 1
     while j > i and out[i] == mate[out[j]]:
         i, j = i + 1, j - 1
-    return tuple(out[i : j + 1])
+    return out[i : j + 1]
 
 
 def min_rotation(word):

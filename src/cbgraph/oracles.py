@@ -9,16 +9,9 @@ and compression-body heights by breadth-first search over the move graph.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
 from cbgraph.cb import CBType, enumerate_types, minimal_moves, trivial_type
 from cbgraph.farey import ArcSlope, Slope, enumerate_slopes
-
-# Generic offsets keep the swept lines away from endpoints and lattice
-# points; any small rationals with large odd denominators work.
-_OFF_A = Fraction(1, 97)
-_OFF_B = Fraction(1, 89)
-
 
 def _count_strict(lo_num: int, hi_num: int, den: int) -> int:
     """Integers k with lo_num/den < k < hi_num/den, endpoints non-integer."""

@@ -3,8 +3,10 @@
 The genus-g surface is the quotient of a convex 4g-gon with the side
 word a b a' b' c d c' d' ...; a curve is given by the ordered points
 where it crosses the sides, and the chords between consecutive points
-are traced through the fan diagonals with exact rational arithmetic to
-produce the curve's dual word.
+are traced through the fan diagonals to produce the curve's dual word.
+The triangulation fans out from vertex 0, so a chord's diagonals follow
+from the two sides it joins alone: no coordinates are formed, and a
+side parameter only has to lie strictly inside (0, 1).
 """
 
 from __future__ import annotations
@@ -15,45 +17,10 @@ from cbgraph.curves import CurveClass
 from cbgraph.surface import Triangulation
 
 
-def polygon_vertices(genus: int) -> list[tuple[Fraction, Fraction]]:
-    """Rational points on the unit circle in convex ccw position."""
-    m = 4 * genus
-    out = []
-    for k in range(m):
-        phi = Fraction(2 * k + 1, m) - 1
-        u = phi / (1 - phi * phi)
-        d = 1 + u * u
-        out.append(((1 - u * u) / d, 2 * u / d))
-    return out
-
-
 def partner_side(j: int) -> int:
     # Sides pair as a b a' b' per handle: 4k <-> 4k+2, 4k+1 <-> 4k+3.
     k, r = divmod(j, 4)
     return 4 * k + (r + 2) % 4
-
-
-def _side_point(verts, j: int, t: Fraction):
-    m = len(verts)
-    a, b = verts[j], verts[(j + 1) % m]
-    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
-
-def _cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _segment_param(p, q, a, b):
-    """Parameter along pq of its crossing with ab, or None."""
-    d1 = _cross(p, q, a)
-    d2 = _cross(p, q, b)
-    d3 = _cross(a, b, p)
-    d4 = _cross(a, b, q)
-    if 0 in (d1, d2, d3, d4):
-        raise ValueError("degenerate chord touches a diagonal endpointwise")
-    if (d1 > 0) == (d2 > 0) or (d3 > 0) == (d4 > 0):
-        return None
-    return d3 / (d3 - d4)
 
 
 def _side_incidence(genus: int, p: int) -> tuple[int, int]:
@@ -64,6 +31,23 @@ def _side_incidence(genus: int, p: int) -> tuple[int, int]:
     if p == n - 1:
         return n - 3, 2
     return p - 1, 1
+
+
+def _chord_letters(genus: int, p: int, q: int) -> list[int]:
+    """Directed crossings of a chord entering across side p, leaving across q.
+
+    One letter for side p, then one per fan diagonal.  The fan triangles
+    are angular sectors around vertex 0, so the chord crosses exactly the
+    diagonals between the sectors of p and q, in order.
+    """
+    t_in, slot_in = _side_incidence(genus, p)
+    t_out, _ = _side_incidence(genus, q)
+    word = [3 * t_in + slot_in]
+    if t_out > t_in:
+        word.extend(3 * t for t in range(t_in + 1, t_out + 1))
+    else:
+        word.extend(3 * t + 2 for t in range(t_in - 1, t_out - 1, -1))
+    return word
 
 
 def handle_curves(tri: Triangulation) -> list[CurveClass]:
@@ -96,36 +80,12 @@ def curve_from_chords(tri: Triangulation, crossings) -> CurveClass:
     listed point.  The result is the directed-crossing word: one letter
     for the side crossing, then one per fan diagonal the chord meets.
     """
-    g = tri.genus
-    m = 4 * g
-    verts = polygon_vertices(g)
     specs = [(j, Fraction(t)) for j, t in crossings]
     for j, t in specs:
         if not (0 < t < 1):
             raise ValueError("side parameters must lie strictly inside (0,1)")
-
     word = []
-    for idx, (j, t) in enumerate(specs):
-        p = partner_side(j)
-        t_in, slot_in = _side_incidence(g, p)
-        word.append(3 * t_in + slot_in)
-        start = _side_point(verts, p, 1 - t)
-        j2, t2 = specs[(idx + 1) % len(specs)]
-        end = _side_point(verts, j2, t2)
-        t_out, _ = _side_incidence(g, j2)
-        # The fan triangles are angular sectors around vertex 0, so the
-        # chord crosses exactly the diagonals between the two sectors, in
-        # order.  The exact predicates double-check that and reject
-        # chords through a polygon vertex.
-        hit = set()
-        for d in range(2, m - 1):
-            if _segment_param(start, end, verts[0], verts[d]) is not None:
-                hit.add(d)
-        lo, hi = min(t_in, t_out), max(t_in, t_out)
-        if hit != set(range(lo + 2, hi + 2)):
-            raise RuntimeError("chord does not cross the expected diagonals")
-        if t_out > t_in:
-            word.extend(3 * t_mid for t_mid in range(t_in + 1, t_out + 1))
-        else:
-            word.extend(3 * t_mid + 2 for t_mid in range(t_in - 1, t_out - 1, -1))
+    for idx, (j, _) in enumerate(specs):
+        j2 = specs[(idx + 1) % len(specs)][0]
+        word.extend(_chord_letters(tri.genus, partner_side(j), j2))
     return CurveClass.from_word(tri, word)

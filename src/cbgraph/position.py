@@ -31,17 +31,7 @@ import heapq
 
 from cbgraph import dehn
 from cbgraph.geom import Crossing, Drawing, Strand
-from cbgraph.kernel import reverse_word
-
-
-def _path_reduce(word, mate):
-    out = []
-    for x in word:
-        if out and x == mate[out[-1]]:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+from cbgraph.kernel import free_reduce, reverse_word
 
 
 class Reduced:
@@ -127,7 +117,7 @@ class Reduced:
             if p is y:
                 return None
             succ[s][p], pred[s][q] = q, p
-            arc[s][p] = _path_reduce(arc[s][p] + ax + ay, mate)
+            arc[s][p] = free_reduce(arc[s][p] + ax + ay, mate)
             return p
 
         while heap:

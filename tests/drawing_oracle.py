@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from cbgraph.curves import _Tracer
 from cbgraph.geom import Crossing, Strand
-from cbgraph.polygon import polygon_vertices
 from cbgraph.surface import Triangulation
+from polygon_oracle import polygon_vertices
 
 
 class DegenerateDrawing(Exception):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from cbgraph import dehn
 from cbgraph.geom import Crossing, Drawing, Strand
-from cbgraph.kernel import reverse_word
-from cbgraph.position import _path_reduce
+from cbgraph.kernel import free_reduce, reverse_word
 
 
 class RescanReduced:
@@ -83,7 +82,7 @@ class RescanReduced:
             self.arcs[s] = []
             return
         prev = (i - 1) % n
-        merged = _path_reduce(arcs[prev] + arcs[i] + arcs[j], self.tri.mate)
+        merged = free_reduce(arcs[prev] + arcs[i] + arcs[j], self.tri.mate)
         keep = [k for k in range(n) if k not in (i, j)]
         new_seq = [seq[k] for k in keep]
         new_arcs = [arcs[k] for k in keep]

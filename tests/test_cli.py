@@ -275,6 +275,33 @@ def test_odd_weights_exit_with_typed_error(capsys, tmp_path):
     assert error == {"type": "ValueError", "message": "odd weight sum in a triangle"}
 
 
+def test_curve_record_without_weights_exits_2(capsys, tmp_path):
+    bad = tmp_path / "g2.json"
+    bad.write_text(json.dumps({"genus": 2}))
+    code, error = _run_error(capsys, ["curve", "separating", "--a", str(bad)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "curve record lacks the key 'weights'"}
+
+
+def test_malformed_type_and_body_records_exit_2(capsys, tmp_path):
+    code, error = _run_error(capsys, ["cb", "height", "--type", '{"g": 3}'])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "type record lacks the key 'interior'"}
+    code, error = _run_error(capsys, ["cb", "height", "--type", "[3, [1]]"])
+    assert code == 2
+    assert error == {
+        "type": "ValueError",
+        "message": "type record is a JSON list, not an object",
+    }
+    body = tmp_path / "body.json"
+    body.write_text(json.dumps({"type": {"g": 2, "interior": [1]}}))
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps(small_cb(A).to_json()))
+    code, error = _run_error(capsys, ["cb", "contains", "--c", str(body), "--d", str(d)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "body record lacks the key 'system'"}
+
+
 def test_wrong_checksum_exits_with_typed_error(capsys, tmp_path):
     bad = tmp_path / "a.json"
     bad.write_text(json.dumps(dict(A.to_json(), checksum="0" * 16)))
@@ -305,6 +332,13 @@ def test_non_simple_word_exits_with_typed_error(capsys, tmp_path):
     for word in (["x"], [-1, 3, 4], [3 * TRI.num_triangles]):
         code, error = _build_tc(capsys, tmp_path, [{"word": word}])
         assert (code, error["type"]) == (2, "ValueError")
+    assert not (tmp_path / "frag").exists()
+
+
+def test_recipe_curve_spec_without_genus_exits_2(capsys, tmp_path):
+    code, error = _build_tc(capsys, tmp_path, [{}])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "curve record lacks the key 'genus'"}
     assert not (tmp_path / "frag").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from cbgraph.kernel import canonical_cyclic, cyclic_reduce, min_rotation, reverse_word
 from cbgraph import curves
 from cbgraph.curves import CurveClass, trace_components, vertex_canonical, word_weights
-from cbgraph.polygon import curve_from_chords, partner_side, polygon_vertices
+from cbgraph.polygon import curve_from_chords, partner_side
 from cbgraph.surface import Triangulation, standard_triangulation
 from canonical_oracle import rescanning_cyclic_reduce
 
@@ -221,18 +221,6 @@ def test_curve_json_round_trip():
     for spec in ([(0, "1/2")], [(1, "1/2")]):
         c = curve_from_chords(tri, spec)
         assert CurveClass.from_json(c.to_json()) == c
-
-
-def test_polygon_vertices_convex():
-    for g in (2, 3):
-        verts = polygon_vertices(g)
-        n = len(verts)
-        assert n == 4 * g
-        for i in range(n):
-            o, a, b = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-            cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-            assert cross > 0
-        assert all(x * x + y * y == 1 for x, y in verts)
 
 
 def test_partner_side():

@@ -5,7 +5,7 @@ import pytest
 from cbgraph import dehn
 from cbgraph.curves import CurveClass
 from cbgraph.geom import Drawing
-from cbgraph.kernel import reverse_word
+from cbgraph.kernel import cyclic_reduce, reverse_word
 from cbgraph.polygon import curve_from_chords
 from cbgraph.position import Reduced
 from cbgraph.surface import standard_triangulation
@@ -45,6 +45,16 @@ def test_word_problem_random_trivial_words():
                 rel = list(rng.choice(rels))
                 word.extend(conj + rel + [-x for x in reversed(conj)])
             assert dehn.is_trivial(g, tuple(word))
+
+
+def test_long_conjugate_of_a_generator():
+    # u . 7 . u^-1 with |u| = 40,000: the end strip is linear, where
+    # popping the front of a list made it quadratic.
+    rng = random.Random(29)
+    u = [rng.choice((1, -1)) * rng.randint(1, 8) for _ in range(40_000)]
+    word = tuple(u) + (7,) + tuple(-x for x in reversed(u))
+    assert cyclic_reduce(word, dehn._inverse(4)) == (7,)
+    assert not dehn.is_trivial(4, word)
 
 
 def test_word_problem_random_nontrivial_words():

@@ -47,18 +47,18 @@ def _snapshot(reduced):
 def _run(module, reducer, tri, curves):
     """Reduce a fresh drawing, recording the merged arcs in removal order."""
     merged = []
-    merge = module._path_reduce
+    merge = module.free_reduce
 
     def record(word, mate):
         merged.append(merge(word, mate))
         return merged[-1]
 
-    module._path_reduce = record
+    module.free_reduce = record
     draw = Drawing if len(curves) <= 2 else FractionDrawing
     try:
         return reducer(draw(tri, curves)), merged
     finally:
-        module._path_reduce = merge
+        module.free_reduce = merge
 
 
 def _assert_same(tri, curves):
