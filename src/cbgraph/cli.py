@@ -64,6 +64,13 @@ def _type_arg(text) -> CBType:
     return CBType.from_json(text)
 
 
+def _spec_index(spec, key, count) -> int:
+    value = spec[key]
+    if type(value) is not int or not 0 <= value < count:
+        raise ValueError(f"bad {key} index {value!r}: expected an int in 0..{count - 1}")
+    return value
+
+
 def curve_from_spec(tri, spec) -> CurveClass:
     """Build a curve from a recipe entry.
 
@@ -71,6 +78,7 @@ def curve_from_spec(tri, spec) -> CurveClass:
     {"handle": i}, {"connector": k}, {"word": [letter, ...]},
     {"band_sum": [spec, spec]},
     {"twist": {"base": spec, "along": spec, "power": p}}.
+    A malformed constructor raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"bad curve spec: {spec!r}")
@@ -82,18 +90,26 @@ def curve_from_spec(tri, spec) -> CurveClass:
             raise ValueError(f"bad curve word: {word!r}")
         return CurveClass.from_word(tri, word)
     if "handle" in spec:
-        return handle_curves(tri)[spec["handle"]]
+        return handle_curves(tri)[_spec_index(spec, "handle", 2 * tri.genus)]
     if "connector" in spec:
-        return chain_connector(tri, spec["connector"])
+        return chain_connector(tri, _spec_index(spec, "connector", tri.genus - 1))
     if "band_sum" in spec:
-        a, b = (curve_from_spec(tri, s) for s in spec["band_sum"])
+        parts = spec["band_sum"]
+        if not isinstance(parts, list) or len(parts) != 2:
+            raise ValueError(f"band_sum needs a list of two curve specs, not {parts!r}")
+        a, b = (curve_from_spec(tri, s) for s in parts)
         return ops.band_sum(a, b)
     if "twist" in spec:
         t = spec["twist"]
+        if not isinstance(t, dict) or "base" not in t or "along" not in t:
+            raise ValueError(f"twist needs an object with \"base\" and \"along\", not {t!r}")
+        power = t.get("power", 1)
+        if type(power) is not int:
+            raise ValueError(f"bad twist power: {power!r}")
         return ops.twist(
             curve_from_spec(tri, t["base"]),
             curve_from_spec(tri, t["along"]),
-            t.get("power", 1),
+            power,
         )
     return CurveClass.from_json(spec)
 

@@ -10,17 +10,21 @@ each letter to its mate) for isotopy in the punctured surface.  Isotopy
 in the closed surface additionally allows pushes across the vertex,
 which swap a run parallel to the vertex link for the complementary run;
 `vertex_canonical` exhausts those, so word equality is isotopy.  Each
-letter occurs once in the vertex link, so such a run is found from the
-link offset of its first letter, in one scan per word and direction.
+letter occurs once in the vertex link, so each direction of the link is
+a successor table on the letters, and the runs parallel to it are found
+by one `str.translate` of the encoded word per direction.
 The letter counts per edge are exactly the normal coordinates, and
 tracing those coordinates through the triangles recovers the components,
-which doubles as an embeddedness check.
+which doubles as an embeddedness check.  The traced cycles are matched
+to the canonical words by substring tests on the encoded words, so each
+word is canonicalised once.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
+from operator import eq
 
 from cbgraph.kernel import canonical_cyclic, cyclic_reduce, reverse_word
 from cbgraph.surface import Triangulation, standard_triangulation
@@ -123,25 +127,70 @@ def trace_components(tri: Triangulation, weights) -> list[tuple[int, ...]]:
     return [tuple(x for x, _ in cycle) for cycle in cycles]
 
 
+def _check_letters(tri: Triangulation, word) -> None:
+    top = 3 * tri.num_triangles
+    if word and not (0 <= min(word) and max(word) < top):
+        bad = next(x for x in word if not 0 <= x < top)
+        raise ValueError(f"unknown letter {bad}")
+
+
 def validate_word(tri: Triangulation, word) -> None:
     """Check that a cyclic letter sequence is a valid reduced dual path."""
-    n = len(word)
-    if n == 0:
+    if not word:
         raise ValueError("empty word")
-    top = 3 * tri.num_triangles
-    for x in word:
-        if not 0 <= x < top:
-            raise ValueError(f"unknown letter {x}")
-    for i in range(n):
-        a, b = word[i], word[(i + 1) % n]
+    _check_letters(tri, word)
+    mate = tri.mate
+    for a, b in zip(word, word[1:] + word[:1]):
         # After entering triangle t via letter a, the next crossing must
         # exit t through a different slot: b's mate sits in t.
-        t, slot = tri.side_of(a)
-        t2, slot2 = tri.side_of(tri.mate[b])
-        if t2 != t:
+        mb = mate[b]
+        if mb // 3 != a // 3:
             raise ValueError("consecutive letters do not share a triangle")
-        if slot2 == slot:
+        if mb == a:
             raise ValueError("word has a backtrack")
+
+
+@lru_cache(maxsize=None)
+def _translate_tables(tri: Triangulation):
+    """Tables for words encoded one character per letter.
+
+    `str.translate` tables: each letter to its mate, and per direction
+    of the vertex link, each letter to its successor along the link,
+    given with that direction's letters doubled as a string.
+    """
+    mate = tri.mate
+    directions = []
+    for cycle in (tri.vertex_link, reverse_word(tri.vertex_link, mate)):
+        succ = [0] * len(cycle)
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[x] = y
+        text = "".join(map(chr, cycle))
+        directions.append(("".join(map(chr, succ)), text + text))
+    return "".join(map(chr, mate)), tuple(directions)
+
+
+def _same_cycle(text: str, word, flip: str) -> bool:
+    """Whether `word` is the cyclic word `text` up to rotation and reversal."""
+    if len(text) != len(word):
+        return False
+    t = "".join(map(chr, word))
+    r = t[::-1].translate(flip)
+    return text in t + t or text in r + r
+
+
+def _parallel_runs(text: str, succ: str, n: int, min_len: int):
+    """(i, k) for each i starting a run of k >= min_len letters of the
+    cyclic word `text` parallel to the link direction `succ`, with k
+    capped at the lengths of the word and of the link, n."""
+    m = len(text)
+    marks = bytes(map(eq, text.translate(succ), text[1:] + text[:1]))
+    marks += marks
+    stretch = b"\x01" * (min_len - 1)
+    i = marks.find(stretch)
+    while 0 <= i < m:
+        end = marks.find(0, i)
+        yield i, min(m, n) if end < 0 else min(m, n, end - i + 1)
+        i = marks.find(stretch, i + 1)
 
 
 def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
@@ -159,20 +208,19 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     null-isotopic inputs (such as the vertex link itself).
 
     The link holds each of the 3 * num_triangles letters exactly once
-    (one per corner), so a run parallel to it or to its reverse starting
-    at w[i] starts at the offset of w[i]: one scan per direction.
+    (one per corner), so each direction of it is a successor table on
+    the letters: w[i..i+k-1] runs parallel to it exactly when each of
+    w[i..i+k-2] is followed by its successor.  Translating the encoded
+    word by that table and comparing it with the word rotated by one
+    marks those letters in a byte vector, so runs of at least min_len
+    letters are the cyclic stretches of min_len - 1 marks there.
     """
     mate = tri.mate
     start = cyclic_reduce(tuple(word), mate)
     if not start:
         return ()
-    link = tuple(tri.vertex_link)
-    n = len(link)
-    # Each link direction, doubled, and its inverse permutation: letter -> offset.
-    scans = [
-        (cycle + cycle, sorted(range(n), key=cycle.__getitem__))
-        for cycle in (link, reverse_word(link, mate))
-    ]
+    flip, directions = _translate_tables(tri)
+    n = len(tri.vertex_link)
     min_len = n // 2
     seen = {canonical_cyclic(start, mate)}
     frontier = list(seen)
@@ -180,27 +228,25 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
         nxt = []
         for w in frontier:
             m = len(w)
-            for dbl, at in scans:
-                for i in range(m):
-                    j = at[w[i]]
-                    k = 0
-                    while k < m and k < n and w[(i + k) % m] == dbl[j + k]:
-                        k += 1
-                    if k < min_len:
-                        continue
-                    anchored = tuple(w[(i + t) % m] for t in range(m))
+            text = "".join(map(chr, w))
+            for succ, dbl in directions:
+                for i, k in _parallel_runs(text, succ, n, min_len):
+                    anchored = text[i:] + text[:i]
+                    j = dbl.find(text[i])
                     for kk in range(min_len, k + 1):
-                        v = dbl[j + kk : j + n]
-                        cand = canonical_cyclic(
-                            reverse_word(v, mate) + anchored[kk:], mate
-                        )
-                        if len(cand) > len(w) or cand in seen:
+                        swapped = dbl[j + kk : j + n][::-1].translate(flip) + anchored[kk:]
+                        cand = cyclic_reduce(tuple(map(ord, swapped)), mate)
+                        if len(cand) > m:
                             continue
-                        if cand and [
-                            canonical_cyclic(t2, mate)
-                            for t2 in trace_components(tri, word_weights(tri, [cand]))
-                        ] != [cand]:
+                        cand = canonical_cyclic(cand, mate)
+                        if cand in seen:
                             continue
+                        if cand:
+                            traced = trace_components(tri, word_weights(tri, [cand]))
+                            if len(traced) != 1 or not _same_cycle(
+                                "".join(map(chr, cand)), traced[0], flip
+                            ):
+                                continue
                         seen.add(cand)
                         nxt.append(cand)
         frontier = nxt
@@ -265,28 +311,35 @@ class CurveClass:
         """Build from component dual words, verifying embeddedness.
 
         The words are reduced, then the normal multicurve with the summed
-        coordinates is traced; it must reproduce the words exactly.  That
-        round trip fails precisely when a word is non-simple or two
-        components cannot be made disjoint.
+        coordinates is traced; it must reproduce the words exactly, each
+        traced cycle running one reduced word up to rotation and
+        reversal.  That round trip fails precisely when a word is
+        non-simple or two components cannot be made disjoint.  A
+        component isotopic to the vertex link needs no check of its own:
+        its closure in `vertex_canonical` holds the full-link swap, the
+        empty word, so it is rejected as the trivial loop.
         """
         reduced = []
         for word in words:
+            _check_letters(tri, word)
             w = vertex_canonical(tri, word)
             if not w:
                 raise ValueError("a component reduces to the trivial loop")
             validate_word(tri, w)
             reduced.append(w)
-        traced = sorted(
-            canonical_cyclic(w, tri.mate)
-            for w in trace_components(tri, word_weights(tri, reduced))
-        )
-        if traced != sorted(reduced):
+        flip = _translate_tables(tri)[0]
+        traced = trace_components(tri, word_weights(tri, reduced))
+        unmatched = ["".join(map(chr, w)) for w in reduced]
+        for t in traced:
+            hit = next((r for r in unmatched if _same_cycle(r, t, flip)), None)
+            if hit is None:
+                break
+            unmatched.remove(hit)
+        if unmatched or len(traced) != len(reduced):
             raise ValueError(
                 "words are not an embedded multicurve (round trip failed)"
             )
-        if canonical_cyclic(tri.vertex_link, tri.mate) in traced:
-            raise ValueError("vertex-linking component is inessential")
-        return cls(tri, tuple(traced))
+        return cls(tri, tuple(sorted(reduced)))
 
     @property
     def weights(self) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ between consecutive crossings, which is everything the curve operations
 
 from __future__ import annotations
 
-from cbgraph.curves import _Tracer
+from cbgraph.curves import _arc_tables, _Tracer
 from cbgraph.surface import Triangulation
 
 
@@ -105,30 +105,35 @@ class Drawing:
                 self.strands.append(Strand(ci, mi, letters, keys))
 
         # Side `slot` of a triangle holds the positions slot*width + r,
-        # 0 <= r < totals[e], increasing counterclockwise.
+        # 0 <= r < totals[e], increasing counterclockwise.  Per letter
+        # 3t + slot the point with key g on that side sits at
+        # lo + sgn * g: r = g in the frame of the edge's first listed
+        # incidence, totals[e] - 1 - g in the other.
         width = max(totals) + 1
         circle = 3 * width
-
-        def position(t, slot, e, g):
-            r = g if tri.sides[e][0] == (t, slot) else totals[e] - 1 - g
-            return slot * width + r
+        _, _, in_first = _arc_tables(tri)
+        lo, sgn = [], []
+        for x, e in enumerate(tri.side_edge):
+            base = x % 3 * width
+            lo.append(base if in_first[x] else base + totals[e] - 1)
+            sgn.append(1 if in_first[x] else -1)
+        mate = tri.mate
 
         # Chord k of a strand runs inside the triangle of letter k, from
-        # point k (entry) to point k+1 (exit); chords are kept per
-        # triangle in first-visit order, split by curve.
+        # point k (entry) to point k+1 (exit), which the mate of letter
+        # k+1 names; chords are kept per triangle in first-visit order,
+        # split by curve.
         by_triangle = {}
         for s in self.strands:
-            n = len(s)
-            for k in range(n):
-                lam = s.letters[k]
-                t, slot = tri.side_of(lam)
-                lam2 = s.letters[(k + 1) % n]
-                t2, slot2 = tri.side_of(tri.mate[lam2])
-                if t2 != t:
+            letters, keys = s.letters, s.keys
+            ahead = zip(letters[1:] + letters[:1], keys[1:] + keys[:1])
+            for k, (x, g, (nxt, h)) in enumerate(zip(letters, keys, ahead)):
+                y = mate[nxt]
+                if y // 3 != x // 3:
                     raise RuntimeError("strand letters do not chain")
-                a = position(t, slot, tri.side_edge[lam], s.keys[k])
-                b = position(t, slot2, tri.side_edge[lam2], s.keys[(k + 1) % n])
-                by_triangle.setdefault(t, ([], []))[s.curve].append((s, k, a, b))
+                a = lo[x] + sgn[x] * g
+                b = lo[y] + sgn[y] * h
+                by_triangle.setdefault(x // 3, ([], []))[s.curve].append((s, k, a, b))
 
         self.crossings = []
         for first, second in by_triangle.values():

@@ -3,9 +3,15 @@
 Words are cyclic sequences of small int letters.  Letters carry an
 involution `mate` (a sequence or a dict): traversing a letter
 backwards gives its mate, and the pattern x, mate(x) is a backtrack.
+Reduction walks the word once; the least rotation encodes it as a
+`str`, one character per letter, and does its per-letter work in
+string operations.
 """
 
 from __future__ import annotations
+
+import re
+from functools import lru_cache
 
 # Name of this implementation, recorded in benchmark provenance.
 BACKEND = "python"
@@ -40,29 +46,59 @@ def cyclic_reduce(word, mate):
     return out[i : j + 1]
 
 
+@lru_cache(maxsize=256)
+def _blocks_at(least: str):
+    """`findall` cutting a string at the runs of its least letter."""
+    e = re.escape(least)
+    return re.compile(f"{e}+[^{e}]+").findall
+
+
 def min_rotation(word):
-    """Lexicographically minimal rotation (Booth's algorithm)."""
+    """Lexicographically minimal rotation, by least-letter blocks.
+
+    The word is encoded one letter per character, so each round runs on
+    `str` operations.  With m the least letter, a least rotation starts
+    at a maximal run of m, so the string is rotated to start at one and
+    cut into blocks: a maximal run of m and the other letters after it.
+    Ordinary string order on blocks agrees with the order of the
+    rotations they start (a block that is a proper prefix of another is
+    followed by m, which is below the other block's next letter), so
+    the least rotation of the string of block ranks gives the answer.
+    Every block holds an m and another letter, so each round at least
+    halves the length and there are O(log n) rounds; with the sort of
+    the distinct blocks the work is O(n log n) character comparisons,
+    all inside `str` methods.  Cutting at single m letters instead
+    would shrink m^k x by one letter per round, a quadratic loop.
+
+    Letters and block ranks are encoded as code points, so letters lie
+    in 0..0x10FFFF and words longer than 0x10FFFF letters are out of
+    range.
+    """
     w = tuple(word)
-    n = len(w)
-    if n <= 1:
+    if not w:
         return w
-    s = w + w
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return s[k : k + n]
+    s = "".join(map(chr, w))
+    rounds = []
+    while True:
+        m = min(s)
+        count = s.count(m)
+        if count == 1:
+            k = s.find(m)
+            break
+        if count == len(s):
+            k = 0
+            break
+        # The first m after the leading run of m starts a maximal run;
+        # with none, the leading run itself is maximal.
+        p = max(s.find(m, len(s) - len(s.lstrip(m))), 0)
+        blocks = _blocks_at(m)(s[p:] + s[:p])
+        rounds.append((p, len(s), blocks))
+        distinct = sorted(set(blocks))
+        rank = dict(zip(distinct, map(chr, range(len(distinct)))))
+        s = "".join(map(rank.__getitem__, blocks))
+    for p, size, blocks in reversed(rounds):
+        k = (p + sum(map(len, blocks[:k]))) % size
+    return w[k:] + w[:k]
 
 
 def reverse_word(word, mate):

@@ -1,15 +1,21 @@
-"""The letter-by-offset canonicaliser and the step tracer, kept as oracles.
+"""The letter-by-offset canonicaliser, the step tracer and Booth's least
+rotation, kept as oracles.
 
 `vertex_canonical` here is the closure search that
 `cbgraph.curves.vertex_canonical` replaced: it compares every word
 position with every offset into the vertex link, where the kept code
-looks up the one offset a letter can have.  `StepTracer` is the normal
+marks the letters followed by their successor along the link with one
+`str.translate` per direction.  `StepTracer` is the normal
 arc tracer that calls a method per step, where the kept one reads
 per-letter tables.  `parent_words` is the class-building rule that
 canonicalised every traced word a second time.  Tests require the kept
 code to give the same words, cycles and classes.  `rescanning_cyclic_reduce`
 is the word reduction that repeated whole passes until nothing
 cancelled; the kept one must return a rotation of its result.
+`min_rotation` is Booth's linear-time least rotation (K. S. Booth,
+"Lexicographically least circular substrings", IPL 1980), a loop over
+the letters that the block-ranking `cbgraph.kernel.min_rotation`
+replaced; the two must return the same rotation.
 """
 
 from __future__ import annotations
@@ -210,3 +216,28 @@ def rescanning_cyclic_reduce(word, mate):
             out, changed = out[i : j + 1], True
         w = out
     return tuple(w)
+
+
+def min_rotation(word):
+    """Lexicographically minimal rotation (Booth's algorithm)."""
+    w = tuple(word)
+    n = len(w)
+    if n <= 1:
+        return w
+    s = w + w
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return s[k : k + n]

@@ -6,16 +6,21 @@ raise the same error), and the tracer must give the oracle's cycles on
 the class's weights.  Inputs are the generators, the raw unreduced words
 that `ops.twist` and `ops.band_sum` hand to `from_words`, twisted
 multicurves, long twist ladder rungs and `hypothesis` twist words.
+`kernel.min_rotation` must return Booth's rotation on short words over
+few letters, on random words, on the P^k Q words where cutting at
+single least letters would go quadratic, and on every word it is given
+while the scale ladders are built.
 """
 
 import contextlib
+import itertools
 import random
 
 import canonical_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbgraph import ops
+from cbgraph import kernel, ops
 from cbgraph.curves import CurveClass, _Tracer, vertex_canonical
 from cbgraph.kernel import reverse_word
 from cbgraph.polygon import chain_connector, handle_curves
@@ -154,3 +159,58 @@ def test_twist_words_agree(genus, data):
         _push(gens[data.draw(pick, label="base")], [(gens[i], p) for i, p in data.draw(word, label="word")])
     for t, words in calls:
         _assert_same(t, words)
+
+
+def test_min_rotation_on_all_short_words():
+    for n in range(10):
+        for w in itertools.product(range(3), repeat=n):
+            assert kernel.min_rotation(w) == oracle.min_rotation(w), w
+
+
+def test_min_rotation_on_random_words():
+    # Letters include the code points regular expressions treat specially
+    # and the ends of the code point range.
+    rng = random.Random(1980)
+    special = [0, 1, 45, 91, 92, 93, 94, 0xD800, 0x10FFFF]
+    for _ in range(3000):
+        alphabet = rng.choice((range(2), range(4), range(42), special))
+        w = [rng.choice(alphabet) for _ in range(rng.randint(0, 80))]
+        assert kernel.min_rotation(w) == oracle.min_rotation(w), w
+
+
+def test_min_rotation_on_powers_with_one_defect():
+    # P^k Q: one block per P, so blocks must be cut at runs of the least
+    # letter for the rank string to halve each round.
+    shapes = [((0, 1), (0, 2)), ((0, 2), (0, 1)), ((0, 0, 1), (0, 1)), ((1,), (0,)), ((0,), (1,))]
+    for k in (1, 2, 3, 10, 1000):
+        for p, q in shapes:
+            for w in (p * k + q, q + p * k, p * k):
+                assert kernel.min_rotation(w) == oracle.min_rotation(w)
+    for p, q in shapes:
+        w = p * 10**5 + q
+        assert kernel.min_rotation(w) == oracle.min_rotation(w)
+
+
+def test_min_rotation_on_scale_ladder_inputs(monkeypatch):
+    # Every word canonicalised while the scale workload's genus-2 and
+    # genus-3 twist ladders are built, up to 5,484 letters.
+    inputs = []
+    kept = kernel.min_rotation
+
+    def record(word):
+        inputs.append(tuple(word))
+        return kept(word)
+
+    monkeypatch.setattr(kernel, "min_rotation", record)
+    for g, k, most in ((2, 0, 5000), (3, 1, 2500)):
+        tri = TRIS[g]
+        hs = handle_curves(tri)
+        conn = chain_connector(tri, min(k, k + 1 if k < g - 1 else k - 1))
+        c, n = hs[2 * k + 1], 0
+        while len(c.word) < most:
+            d, p = ((hs[2 * k], 1), (conn, -1))[n % 2]
+            c = ops.twist(c, d, p)
+            n += 1
+    assert max(map(len, inputs)) == 5484
+    for w in inputs:
+        assert kept(w) == oracle.min_rotation(w)

@@ -342,6 +342,38 @@ def test_recipe_curve_spec_without_genus_exits_2(capsys, tmp_path):
     assert not (tmp_path / "frag").exists()
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"handle": 99}, "bad handle index 99: expected an int in 0..3"),
+        ({"handle": -1}, "bad handle index -1: expected an int in 0..3"),
+        ({"handle": "x"}, "bad handle index 'x': expected an int in 0..3"),
+        ({"connector": 1}, "bad connector index 1: expected an int in 0..0"),
+        (
+            {"twist": {"along": {"handle": 0}}},
+            'twist needs an object with "base" and "along", not {\'along\': {\'handle\': 0}}',
+        ),
+        (
+            {"twist": {"base": {"handle": 1}}},
+            'twist needs an object with "base" and "along", not {\'base\': {\'handle\': 1}}',
+        ),
+        (
+            {"twist": {"base": {"handle": 1}, "along": {"handle": 0}, "power": 1.5}},
+            "bad twist power: 1.5",
+        ),
+        (
+            {"band_sum": [{"handle": 0}]},
+            "band_sum needs a list of two curve specs, not [{'handle': 0}]",
+        ),
+    ],
+)
+def test_malformed_constructor_spec_exits_2(capsys, tmp_path, spec, message):
+    code, error = _build_tc(capsys, tmp_path, [spec])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "frag").exists()
+
+
 def test_tripped_guard_exits_3(capsys, tmp_path, monkeypatch):
     # A detour once around the vertex; its closure holds two words at least.
     link = tuple(TRI.vertex_link)

@@ -25,7 +25,7 @@ def test_triangulation_counts():
 
 
 def test_vertex_link_holds_each_letter_once():
-    # The indexed scan in `vertex_canonical` relies on this.
+    # The link successor tables in `vertex_canonical` rely on this.
     for g in (2, 3, 4, 5, 6):
         tri = Triangulation(g)
         assert sorted(tri.vertex_link) == list(range(3 * tri.num_triangles))
@@ -190,9 +190,16 @@ def test_doubled_word_rejected():
 
 
 def test_vertex_link_rejected():
-    tri = standard_triangulation(2)
-    with pytest.raises(ValueError):
-        CurveClass.from_word(tri, tri.vertex_link)
+    # The full-link swap puts the empty word into the closure of the
+    # link, so it is rejected as the trivial loop, alone or beside an
+    # essential component.
+    for g in (2, 3, 4):
+        tri = standard_triangulation(g)
+        a = curve_from_chords(tri, [(0, "1/2")])
+        for link in (tri.vertex_link, reverse_word(tri.vertex_link, tri.mate)):
+            for words in ([link], [a.word, link]):
+                with pytest.raises(ValueError, match="reduces to the trivial loop"):
+                    CurveClass.from_words(tri, words)
 
 
 def test_invalid_words_rejected():
@@ -207,6 +214,12 @@ def test_invalid_words_rejected():
         CurveClass.from_word(tri, (0, 10))
     with pytest.raises(ValueError, match="unknown letter -1"):
         CurveClass.from_word(tri, (-1, 3, 4))
+    # Checked before the word is encoded as a string, one code point
+    # per letter.
+    top = 3 * tri.num_triangles
+    for bad in (top, 2**40):
+        with pytest.raises(ValueError, match=f"unknown letter {bad}$"):
+            CurveClass.from_word(tri, (0, bad, 4))
     with pytest.raises(ValueError):
         # A backtrack x, mate[x] reduces to the trivial loop.
         CurveClass.from_word(tri, (0, tri.mate[0]))
@@ -214,6 +227,22 @@ def test_invalid_words_rejected():
         CurveClass.from_weights(tri, [0] * tri.num_edges)
     with pytest.raises(ValueError):
         CurveClass.from_weights(tri, [1] + [0] * (tri.num_edges - 1))
+
+
+def test_validate_word_messages():
+    tri = standard_triangulation(2)
+    curves.validate_word(tri, curve_from_chords(tri, [(0, "1/2")]).word)
+    top = 3 * tri.num_triangles
+    for word, message in [
+        ((), "empty word"),
+        ((-1, 3, 4), "unknown letter -1"),
+        ((0, top, 4), f"unknown letter {top}"),
+        ((0, 2**40, 4), f"unknown letter {2**40}"),
+        ((0, 10), "consecutive letters do not share a triangle"),
+        ((0, tri.mate[0]), "word has a backtrack"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            curves.validate_word(tri, word)
 
 
 def test_curve_json_round_trip():
