@@ -13,8 +13,10 @@ tests, containment) lives further down and builds on the curve engine.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
+from cbgraph import MEMO_ENTRIES
 from cbgraph.curves import json_record
 
 MAX_SCAN_GENUS = 6
@@ -250,7 +252,8 @@ class Containment(Enum):
     UNDECIDED = "undecided"
 
 
-def _placement(tri, ordered, a):
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _placement(tri, ordered: tuple, a) -> tuple[bool, bool, bool]:
     """How the curve a sits in the capped surface compressed along `ordered`.
 
     Returns (separates, eligible, repairable): `separates` within its
@@ -258,11 +261,11 @@ def _placement(tri, ordered, a):
     the height (essential in a torus component, or separating a capped
     component into two positive-genus pieces), `repairable` when the
     standard-form repair (inserting a punctured-torus boundary around a)
-    applies.
+    applies.  Memoised per process on the ordered system and a.
     """
     from cbgraph import cut
 
-    union = cut.disjoint_union(list(ordered) + [a])
+    union = cut.disjoint_union(ordered + (a,))
     cc = cut.CutComplex(tri, union)
     rp, rm = cc.sides_of(a)
     if rp != rm:
@@ -306,8 +309,9 @@ class MarkedCB:
             if rounds > 4 * len(curves) + 8:
                 raise RuntimeError("standard form ordering did not stabilize")
             placed = False
+            key = tuple(ordered)
             for a in remaining:
-                separates, eligible, repairable = _placement(tri, ordered, a)
+                separates, eligible, repairable = _placement(tri, key, a)
                 if eligible:
                     ordered.append(a)
                     remaining.remove(a)
@@ -316,7 +320,7 @@ class MarkedCB:
             if placed:
                 continue
             for a in remaining:
-                separates, eligible, repairable = _placement(tri, ordered, a)
+                separates, eligible, repairable = _placement(tri, key, a)
                 if not repairable:
                     continue
                 others = ordered + [x for x in remaining if x != a]
@@ -390,9 +394,18 @@ class MarkedCB:
 
 
 def small_cb(a) -> MarkedCB:
-    """The small compression body obtained by compressing the single curve a."""
+    """The small compression body obtained by compressing the single curve a.
+
+    Memoised per process, so equal curves get the same body; a MarkedCB
+    is value-typed and never written after construction.
+    """
     if not a.is_connected:
         raise ValueError("small compression body needs a connected curve")
+    return _small_cb(a)
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _small_cb(a) -> MarkedCB:
     return MarkedCB(a.tri, [a], small_base=a)
 
 

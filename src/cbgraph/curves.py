@@ -26,6 +26,7 @@ import json
 from functools import lru_cache
 from operator import eq
 
+from cbgraph import MEMO_ENTRIES
 from cbgraph.kernel import canonical_cyclic, cyclic_reduce, reverse_word
 from cbgraph.surface import Triangulation, standard_triangulation
 
@@ -297,10 +298,15 @@ class CurveClass:
 
     @classmethod
     def from_weights(cls, tri: Triangulation, weights) -> "CurveClass":
-        words = trace_components(tri, weights)
-        if not words:
-            raise ValueError("zero weights: empty multicurve is not essential")
-        return cls.from_words(tri, words)
+        """The multicurve with these normal coordinates, memoised per process.
+
+        The weights must be ints: a float or bool equal to one would
+        otherwise read the memo entry of that int.
+        """
+        weights = tuple(weights)
+        if not all(type(x) is int for x in weights):
+            raise ValueError(f"weights must be ints, not {list(weights)!r}")
+        return _from_weights(tri, weights)
 
     @classmethod
     def from_word(cls, tri: Triangulation, word) -> "CurveClass":
@@ -414,3 +420,11 @@ class CurveClass:
         if "checksum" in data and data["checksum"] != tri.checksum:
             raise ValueError("curve was saved against a different triangulation")
         return cls.from_weights(tri, data["weights"])
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _from_weights(tri: Triangulation, weights: tuple[int, ...]) -> CurveClass:
+    words = trace_components(tri, weights)
+    if not words:
+        raise ValueError("zero weights: empty multicurve is not essential")
+    return CurveClass.from_words(tri, words)

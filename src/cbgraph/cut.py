@@ -17,6 +17,9 @@ intersection with a curve from `nonseparating_in_region` (see
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from cbgraph import MEMO_ENTRIES
 from cbgraph.curves import CurveClass, _Tracer, corner_counts
 from cbgraph.surface import Triangulation
 
@@ -276,9 +279,17 @@ def disjoint_union(system) -> CurveClass | None:
 
 
 def cut_profile(tri: Triangulation, system):
-    """Sorted (genus, boundary_count) records of S cut along the system."""
-    union = disjoint_union(system)
-    return CutComplex(tri, union).profile()
+    """Sorted (genus, boundary_count) records of S cut along the system.
+
+    Memoised per process on the set of system curves; every call
+    returns a fresh list.
+    """
+    return list(_cut_profile(tri, tuple(sorted(set(system)))))
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _cut_profile(tri: Triangulation, system) -> tuple:
+    return tuple(CutComplex(tri, disjoint_union(system)).profile())
 
 
 def dual_curve(a: CurveClass, avoid=()) -> CurveClass:

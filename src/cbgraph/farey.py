@@ -199,11 +199,16 @@ def once_intersectors(a: Slope, beta: ArcSlope, max_height: int) -> set[Slope]:
     """
     if intersect_ca(a, beta) == 0:
         raise ValueError("normalize so that the arc crosses a")
-    found = set()
-    for c in enumerate_slopes(max_height):
-        if intersect_cc(a, c) == 1 and intersect_ca(c, beta) <= 1:
-            found.add(c)
-    return found
+    if max_height < 1:
+        raise ValueError("max_height must be >= 1")
+    # The two determinants of intersect_cc(a, c) and intersect_ca(c, beta),
+    # over the memoised slopes of this height.
+    ap, aq, bp, bq = a.p, a.q, beta.p, beta.q
+    return {
+        c
+        for c in _slopes(max_height)
+        if abs(ap * c.q - aq * c.p) == 1 and abs(c.p * bq - c.q * bp) <= 1
+    }
 
 
 def mn_constraint_solutions(scan: int = 0) -> set[tuple[int, int]]:

@@ -17,8 +17,10 @@ and hold only ints and bools.  A key keeps its curves alive.  Measured
 with `tracemalloc`, an entry costs about 150 bytes on top of curves that
 live elsewhere; after a cold acceptance pass (seed 101) the memos of
 this module, `projections` and `farey` hold 1,733 entries and 0.86 MB,
-the curves that only the keys still reference included.  Left out on
-purpose:
+the curves that only the keys still reference included.  The
+package's other memos, among them two that hold curves and bodies
+rather than ints and bools, are listed in `cbgraph/__init__.py`.  Left
+out on purpose:
 
 - Drawings, and with them `Reduced`: a drawing of two long curves is
   large, and memoising 1,024 drawings raised the peak RSS of the scale

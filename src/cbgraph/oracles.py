@@ -49,35 +49,30 @@ def lattice_ca(c: Slope, arc: ArcSlope) -> int:
     return _count_strict(-1, det * 97 - 1, 97)
 
 
-def _seg_cross(a0, a1, b0, b1) -> bool:
-    # Proper crossing of open segments, exact rational arithmetic.
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    o1, o2 = orient(a0, a1, b0), orient(a0, a1, b1)
-    o3, o4 = orient(b0, b1, a0), orient(b0, b1, a1)
-    return (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0) and 0 not in (o1, o2, o3, o4)
-
-
 def lattice_aa(a: ArcSlope, b: ArcSlope) -> int:
     """Interior crossings of the straight arcs on the punctured torus.
 
     Both arcs are straight segments between punctures; segment-vs-translate
-    counting realizes the minimal position.
+    counting realizes the minimal position.  The a-arc runs from (0, 0)
+    to (p, q), the translate of the b-arc from m = (mx, my) to
+    m + (r, s), and they cross properly exactly when each segment has
+    the two ends of the other strictly on opposite sides.  Those four
+    orientations are linear forms in m, two apart by d = ps - qr.
     """
     p, q = a.p, a.q
     r, s = b.p, b.q
-    a0, a1 = (0, 0), (p, q)
+    d = p * s - q * r
     lo_x, hi_x = min(0, p) - abs(r) - 1, max(0, p) + abs(r) + 1
     lo_y, hi_y = min(0, q) - abs(s) - 1, max(0, q) + abs(s) + 1
     count = 0
     for mx in range(lo_x, hi_x + 1):
         for my in range(lo_y, hi_y + 1):
-            b0 = (mx, my)
-            b1 = (mx + r, my + s)
-            if (b0, b1) == (a0, a1):
-                continue
-            if _seg_cross(a0, a1, b0, b1):
+            o1 = p * my - q * mx  # b's start against the a-arc
+            o3 = s * mx - r * my  # a's start against the b-arc
+            # o2 = o1 + d and o4 = o3 - d are the two ends; a product
+            # below zero means opposite sides with neither end on the line
+            # (so the translate equal to the a-arc, o1 = d = 0, never counts).
+            if o1 * (o1 + d) < 0 and o3 * (o3 - d) < 0:
                 count += 1
     return count
 

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cbgraph import farey, ops, projections  # noqa: E402
+from cbgraph import cb, curves, cut, farey, ops, projections  # noqa: E402
 
 # Every memo of exact answers in the package.
 MEMOS = (
@@ -14,6 +14,10 @@ MEMOS = (
     ops._common_punctured_torus,
     projections._project,
     farey._slopes,
+    cb._placement,
+    cb._small_cb,
+    cut._cut_profile,
+    curves._from_weights,
 )
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cbgraph import cli, curves, ops
+from cbgraph import cli, curves, ops, suites
 from cbgraph.cb import CBType, MarkedCB, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.polygon import chain_connector, handle_curves
@@ -275,6 +275,15 @@ def test_odd_weights_exit_with_typed_error(capsys, tmp_path):
     assert error == {"type": "ValueError", "message": "odd weight sum in a triangle"}
 
 
+def test_float_weights_exit_2(capsys, tmp_path):
+    bad = tmp_path / "float.json"
+    bad.write_text(json.dumps(dict(A.to_json(), weights=[float(x) for x in A.weights])))
+    code, error = _run_error(capsys, ["curve", "separating", "--a", str(bad)])
+    assert code == 2
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("weights must be ints")
+
+
 def test_curve_record_without_weights_exits_2(capsys, tmp_path):
     bad = tmp_path / "g2.json"
     bad.write_text(json.dumps({"genus": 2}))
@@ -388,3 +397,34 @@ def test_tripped_guard_exits_3(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert error["type"] == "RuntimeError"
     assert error["message"].startswith("vertex reduction closure exceeded MAX_VERTEX_CLOSURE = 1:")
+
+
+def test_vertex_link_word_exits_2(capsys, tmp_path):
+    # The vertex link is null-isotopic on the closed surface.
+    code, error = _build_tc(capsys, tmp_path, [{"word": list(TRI.vertex_link)}])
+    assert code == 2
+    assert error == {
+        "type": "ValueError",
+        "message": "a component reduces to the trivial loop",
+    }
+    assert not (tmp_path / "frag").exists()
+
+
+def test_raising_suite_exits_1_with_reproducer(capsys, tmp_path, monkeypatch):
+    claim, _ = suites.SUITES["sep-equivalence"]
+
+    def broken(rng, recipe):
+        raise ValueError("planted library error")
+
+    monkeypatch.setitem(suites.SUITES, "sep-equivalence", (claim, broken))
+    argv = ["run", "--suite", "sep-equivalence", "--suite", "short-classification"]
+    code, out = _run(capsys, argv + ["--seed", "5", "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert f"[fail] sep-equivalence: {claim}" in out
+    assert "1 passed, 1 failed, 0 skipped" in out
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    entry = report["checks"][0]
+    assert entry["status"] == "fail"
+    assert entry["error"] == {"type": "ValueError", "message": "planted library error"}
+    assert entry["reproducer"] == "cbgraph run --suite sep-equivalence --seed 5"
+    assert report["checks"][1]["status"] == "pass"

@@ -1,23 +1,27 @@
 """Warm memos give the answers of a cold computation.
 
 `ops.intersect`, `ops.algebraic_intersect`, `ops.common_punctured_torus`,
-`projections.project` and `farey.enumerate_slopes` read bounded memos of
-exact answers.  Each test asks its questions with the memos filling up,
-again with them warm, and once more after `cache_clear()`, and requires
-the same answers every time.  The pair memos store one order of each
-pair, so the computations behind them are also checked to be symmetric
-(geometric) and antisymmetric (algebraic) under swapping the pair.
+`projections.project`, `farey.enumerate_slopes`, `cb.small_cb`, the
+standard-form placement `cb._placement`, `cut.cut_profile` and
+`CurveClass.from_weights` read bounded memos of exact answers.  Each
+test asks its questions with the memos filling up, again with them warm,
+and once more after `cache_clear()`, and requires the same answers every
+time.  The pair memos store one order of each pair, so the computations
+behind them are also checked to be symmetric (geometric) and
+antisymmetric (algebraic) under swapping the pair.
 """
 
 import itertools
 import random
 
+import pytest
 from conftest import MEMOS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbgraph import ops
+from cbgraph import cb, cut, ops
 from cbgraph import projections as pj
+from cbgraph.curves import CurveClass, _from_weights
 from cbgraph.farey import Slope, enumerate_slopes
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
@@ -147,3 +151,120 @@ def test_twist_words_warm_equals_cold(genus, data):
     assert answers() == warm
     _clear()
     assert answers() == warm
+
+
+def _systems(rng, tri):
+    """Disjoint systems of handle curves and a separating band sum, each
+    also moved by a random twist word (which keeps it disjoint)."""
+    h = handle_curves(tri)
+    w = ops.band_sum(h[0], h[1])
+    systems = [[h[0]], [w], [h[0], h[2]], [h[2], w], [h[0], h[2], w]]
+    if tri.genus == 3:
+        systems.append([h[0], h[2], h[4]])
+    gens = _generators(tri)
+    out = []
+    for system in systems:
+        word = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 2))]
+        moved = list(system)
+        for along, p in word:
+            moved = [ops.twist(c, along, p) for c in moved]
+        out += [system, moved]
+    return out
+
+
+def _body_answers(body):
+    return body.system, body.derived_type, body.to_json()
+
+
+def test_small_bodies_are_shared_and_equal_cold_bodies():
+    rng = random.Random(1511)
+    for genus in (2, 3):
+        tri = TRIS[genus]
+        for a in _pool(rng, tri, 5):
+            body = cb.small_cb(a)
+            assert cb.small_cb(a) is body
+            want = _body_answers(body)
+            _clear()
+            cold = cb.small_cb(a)
+            assert cold is not body and cold == body
+            assert _body_answers(cold) == want
+            assert want == _body_answers(cb.MarkedCB(tri, [a], small_base=a))
+
+
+def test_placements_equal_cold_placements():
+    rng = random.Random(1512)
+    seen = set()
+    for genus in (2, 3):
+        tri = TRIS[genus]
+        for system in _systems(rng, tri):
+            order = cb.MarkedCB(tri, system).system
+            asks = [
+                (order[:k], a) for k in range(len(order)) for a in order[k:]
+            ]
+            warm = [cb._placement(tri, ordered, a) for ordered, a in asks]
+            assert [cb._placement(tri, o, a) for o, a in asks] == warm
+            _clear()
+            assert [cb._placement(tri, o, a) for o, a in asks] == warm
+            raw = [cb._placement.__wrapped__(tri, o, a) for o, a in asks]
+            assert raw == warm
+            seen.update(warm)
+    # Separating, eligible and repairable placements all occur.
+    assert {s for s, _, _ in seen} == {True, False}
+    assert {e for _, e, _ in seen} == {True, False}
+    assert {r for _, _, r in seen} == {True, False}
+
+
+def test_cut_profiles_are_fresh_lists_equal_to_cold_profiles():
+    rng = random.Random(1513)
+    for genus in (2, 3):
+        tri = TRIS[genus]
+        for system in _systems(rng, tri):
+            got = cut.cut_profile(tri, system)
+            want = list(got)
+            got.append((99, 99))  # callers may mutate what they get back
+            got.sort()
+            shuffled = rng.sample(system, len(system)) + system[:1]
+            assert cut.cut_profile(tri, shuffled) == want
+            _clear()
+            assert cut.cut_profile(tri, system) == want
+            union = cut.disjoint_union(system)
+            assert want == cut.CutComplex(tri, union).profile()
+            assert sum(2 - 2 * h - b for h, b in want) == 2 - 2 * genus
+
+
+def test_curves_from_weights_equal_cold_curves():
+    rng = random.Random(1514)
+    for genus in (2, 3):
+        tri = TRIS[genus]
+        curves = _pool(rng, tri, 6)
+        unions = [cut.disjoint_union(s) for s in _systems(rng, tri)]
+        for c in curves + unions:
+            got = CurveClass.from_weights(tri, c.weights)
+            assert got == c
+            assert CurveClass.from_weights(tri, list(c.weights)) is got
+            _clear()
+            cold = CurveClass.from_weights(tri, c.weights)
+            assert cold == got and cold.words == c.words
+
+
+def test_from_weights_rejects_weights_equal_to_cached_ints():
+    tri = TRIS[2]
+    a = handle_curves(tri)[0]
+    assert CurveClass.from_weights(tri, a.weights) == a
+    for weights in ([float(x) for x in a.weights], [bool(x) for x in a.weights]):
+        with pytest.raises(ValueError, match="weights must be ints"):
+            CurveClass.from_weights(tri, weights)
+
+
+def test_from_weights_raises_every_time():
+    # The summed weights of the disjoint seed-104 pair (see the strict
+    # xfail in test_cut_profiles.py) trace a different multicurve.
+    tri = TRIS[2]
+    a = CurveClass.from_weights(tri, (3, 3, 4, 2, 2, 1, 4, 0, 2))
+    b = CurveClass.from_weights(tri, (4, 0, 2, 4, 4, 8, 8, 6, 4))
+    summed = tuple(x + y for x, y in zip(a.weights, b.weights))
+    held = _from_weights.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="round trip failed"):
+            CurveClass.from_weights(tri, summed)
+    assert _from_weights.cache_info().currsize == held
