@@ -383,10 +383,6 @@ class CurveClass:
             raise ValueError("is_separating needs a connected curve")
         return all(w % 2 == 0 for w in self._weights)
 
-    @property
-    def mod2_class(self) -> tuple[int, ...]:
-        return tuple(w % 2 for w in self._weights)
-
     def components(self) -> list["CurveClass"]:
         return [CurveClass(self.tri, (w,)) for w in self.words]
 

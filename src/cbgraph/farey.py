@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from cbgraph import MEMO_ENTRIES
 
@@ -240,7 +240,3 @@ def mn_scan_has_large_solution(limit: int) -> bool:
                 if abs(mm * n - 1) == 1:
                     return True
     return False
-
-
-def sorted_slopes(slopes: Iterable[Slope]) -> list[Slope]:
-    return sorted(slopes)

@@ -23,27 +23,43 @@ is combinatorial in those positions:
 The drawing records, per component strand, the cyclic sequence of
 crossings with parameters, signs, and the directed-crossing subwords
 between consecutive crossings, which is everything the curve operations
-(bigon reduction, twisting, surgery, neighborhoods) consume.
+(bigon reduction, twisting, surgery, neighborhoods) consume.  A crossing
+holds its two strands and a strand only the indices of its crossings,
+so a drawing has no reference cycle and is freed as soon as its last
+reference goes, without waiting for the cyclic garbage collector.
 """
 
 from __future__ import annotations
 
+from itertools import count, repeat
+
 from cbgraph.curves import _arc_tables, _Tracer
 from cbgraph.surface import Triangulation
 
+# Crossings a drawing may hold.  Measured with `tracemalloc` on
+# Farey-neighbour model pairs of 10^4-7*10^4 crossings, a drawing peaks
+# at 308-332 bytes per crossing while it sorts the strand orders (and
+# holds 173-188 after), so one at the bound peaks near 0.85 GB.
+# Drawing and then removing bigons peaks at 700-800 bytes per crossing,
+# so an `ops.intersect` at the bound needs about 2 GB.
+MAX_DRAWN_CROSSINGS = 2_500_000
+
 
 class Strand:
-    """One drawn component: letters, edge indices, and its crossings."""
+    """One drawn component: letters, edge indices, and its crossings.
 
-    __slots__ = ("curve", "comp", "letters", "keys", "crossings")
+    `order` lists the indices in `Drawing.crossings` of the strand's
+    crossings in strand order: by chord, then by parameter along it.
+    """
+
+    __slots__ = ("curve", "comp", "letters", "keys", "order")
 
     def __init__(self, curve: int, comp: int, letters, keys):
         self.curve = curve
         self.comp = comp
         self.letters = tuple(letters)
         self.keys = list(keys)
-        # Filled by Drawing: per chord k, [(param, Crossing)] sorted.
-        self.crossings = None
+        self.order = None  # filled by Drawing
 
     def __len__(self):
         return len(self.letters)
@@ -126,17 +142,26 @@ class Drawing:
         by_triangle = {}
         for s in self.strands:
             letters, keys = s.letters, s.keys
-            ahead = zip(letters[1:] + letters[:1], keys[1:] + keys[:1])
-            for k, (x, g, (nxt, h)) in enumerate(zip(letters, keys, ahead)):
-                y = mate[nxt]
-                if y // 3 != x // 3:
-                    raise RuntimeError("strand letters do not chain")
-                a = lo[x] + sgn[x] * g
-                b = lo[y] + sgn[y] * h
-                by_triangle.setdefault(x // 3, ([], []))[s.curve].append((s, k, a, b))
+            exits = [mate[y] for y in letters[1:] + letters[:1]]
+            triangles = [x // 3 for x in letters]
+            if triangles != [y // 3 for y in exits]:
+                raise RuntimeError("strand letters do not chain")
+            chords = zip(
+                repeat(s),
+                count(),
+                [lo[x] + sgn[x] * g for x, g in zip(letters, keys)],
+                [lo[y] + sgn[y] * h for y, h in zip(exits, keys[1:] + keys[:1])],
+            )
+            for t, chord in zip(triangles, chords):
+                split = by_triangle.get(t)
+                if split is None:
+                    split = by_triangle[t] = ([], [])
+                split[s.curve].append(chord)
 
-        self.crossings = []
+        self.crossings = crossings = []
         for first, second in by_triangle.values():
+            if not second:
+                continue
             for s1, k1, a, b in first:
                 arc = (b - a) % circle
                 for s2, k2, c, d in second:
@@ -147,23 +172,29 @@ class Drawing:
                         x = Crossing(s1, k1, (c - a) % circle, s2, k2, (b - c) % circle, 1)
                     else:  # a, d, b, c
                         x = Crossing(s1, k1, (d - a) % circle, s2, k2, (a - c) % circle, -1)
-                    self.crossings.append(x)
+                    crossings.append(x)
+                if len(crossings) > MAX_DRAWN_CROSSINGS:
+                    m, n = (sum(map(len, curve.words)) for curve in self.curves)
+                    raise RuntimeError(
+                        f"drawing exceeded MAX_DRAWN_CROSSINGS = {MAX_DRAWN_CROSSINGS}:"
+                        f" {len(crossings)} crossings drawn between curves of"
+                        f" {m} and {n} letters"
+                    )
+        del by_triangle  # before the sort, which peaks the drawing's memory
 
-        for s in self.strands:
-            s.crossings = [[] for _ in range(len(s))]
-        for x in self.crossings:
-            x.s1.crossings[x.k1].append((x.p1, x))
-            x.s2.crossings[x.k2].append((x.p2, x))
-        for s in self.strands:
-            for lst in s.crossings:
-                lst.sort(key=lambda pair: pair[0])
+        # Strand order: one sort per strand by (chord, param, index).
+        rows = {s: [] for s in self.strands}
+        for i, x in enumerate(crossings):
+            rows[x.s1].append((x.k1, x.p1, i))
+            rows[x.s2].append((x.k2, x.p2, i))
+        for s, row in rows.items():
+            row.sort()
+            s.order = [i for _, _, i in row]
 
     def strand_sequence(self, strand: Strand) -> list[Crossing]:
         """Crossings in cyclic order along the strand."""
-        out = []
-        for lst in strand.crossings:
-            out.extend(x for _, x in lst)
-        return out
+        crossings = self.crossings
+        return [crossings[i] for i in strand.order]
 
     def arc_letters(self, strand: Strand, x: Crossing, y: Crossing):
         """Directed crossings traversed from x to y along the strand.

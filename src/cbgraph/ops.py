@@ -100,16 +100,19 @@ def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
     for s in drawing.strands:
         if s.curve != 0:
             continue
-        out = []
-        for k in range(len(s)):
-            out.append(s.letters[k])
-            for _, x in s.crossings[k]:
-                _, _, sd, sign = x.strand_data(s)
-                kd = x.strand_data(sd)[0]
-                rot = sd.letters[kd + 1 :] + sd.letters[: kd + 1]
-                if sign * power < 0:
-                    rot = reverse_word(rot, tri.mate)
-                out.extend(rot * abs(power))
+        # Splice a pass around `along` into the word after the chord of
+        # each crossing, in strand order; curve 0 is each crossing's s1.
+        letters = s.letters
+        out, done = [], 0
+        for x in drawing.strand_sequence(s):
+            out.extend(letters[done : x.k1 + 1])
+            done = x.k1 + 1
+            sd, kd = x.s2, x.k2
+            rot = sd.letters[kd + 1 :] + sd.letters[: kd + 1]
+            if x.sign * power < 0:
+                rot = reverse_word(rot, tri.mate)
+            out.extend(rot * abs(power))
+        out.extend(letters[done:])
         words.append(tuple(out))
     return CurveClass.from_words(tri, words)
 

@@ -42,10 +42,13 @@ class SideSelector:
             raise ValueError("side selection needs a connected separating curve")
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
+        self._place(curve, side, CutComplex(curve.tri, curve))
+
+    def _place(self, curve: CurveClass, side: str, complex: CutComplex):
         self.curve = curve
         self.side = side
-        self.complex = CutComplex(curve.tri, curve)
-        left, right = self.complex.sides_of(curve)
+        self.complex = complex
+        left, right = complex.sides_of(curve)
         self.region = left if side == "left" else right
         if self.genus < 1:
             raise RuntimeError("side of a separating curve must have genus >= 1")
@@ -55,7 +58,10 @@ class SideSelector:
         return self.complex.region_genus(self.region)
 
     def other(self) -> "SideSelector":
-        return SideSelector(self.curve, "right" if self.side == "left" else "left")
+        """The selector of the other side, sharing this one's cut complex."""
+        sel = SideSelector.__new__(SideSelector)
+        sel._place(self.curve, "right" if self.side == "left" else "left", self.complex)
+        return sel
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -267,8 +273,8 @@ def surjdisc_witness(a: CurveClass, b: CurveClass, container) -> CurveClass | No
     if contains(small_cb(b), container) is Containment.FALSE:
         raise ValueError("container certifiably excludes S[b]")
     others = [c for c in container.system if c != a]
-    for side in ("left", "right"):
-        sel = SideSelector(a, side)
+    left = SideSelector(a, "left")
+    for sel in (left, left.other()):
         marks = [
             c
             for c in others

@@ -132,13 +132,13 @@ class FractionDrawing:
                             Crossing(s1, k1, p1, s2, k2, p2, sign)
                         )
 
-        for s in self.strands:
-            s.crossings = [[] for _ in range(len(s))]
+        # Per strand and chord, [(param, Crossing)] sorted.
+        self._along = {s: [[] for _ in range(len(s))] for s in self.strands}
         for x in self.crossings:
-            x.s1.crossings[x.k1].append((x.p1, x))
-            x.s2.crossings[x.k2].append((x.p2, x))
+            self._along[x.s1][x.k1].append((x.p1, x))
+            self._along[x.s2][x.k2].append((x.p2, x))
         for s in self.strands:
-            for lst in s.crossings:
+            for lst in self._along[s]:
                 lst.sort(key=lambda pair: pair[0])
                 params = [p for p, _ in lst]
                 if len(set(params)) != len(params):
@@ -147,7 +147,7 @@ class FractionDrawing:
     def strand_sequence(self, strand: Strand) -> list[Crossing]:
         """Crossings in cyclic order along the strand."""
         out = []
-        for lst in strand.crossings:
+        for lst in self._along[strand]:
             out.extend(x for _, x in lst)
         return out
 

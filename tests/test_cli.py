@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cbgraph import cli, curves, ops, suites
+from cbgraph import cli, curves, geom, ops, suites
 from cbgraph.cb import CBType, MarkedCB, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.polygon import chain_connector, handle_curves
@@ -397,6 +397,20 @@ def test_tripped_guard_exits_3(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert error["type"] == "RuntimeError"
     assert error["message"].startswith("vertex reduction closure exceeded MAX_VERTEX_CLOSURE = 1:")
+
+
+def test_tripped_drawing_guard_exits_3(capsys, tmp_path, monkeypatch):
+    # b_0 and the chain connector are drawn with two crossings.
+    fb = _write_curve(tmp_path / "b.json", B)
+    fe = _write_curve(tmp_path / "e.json", E)
+    monkeypatch.setattr(geom, "MAX_DRAWN_CROSSINGS", 1)
+    code, error = _run_error(capsys, ["curve", "i", "--a", fb, "--b", fe])
+    assert code == 3
+    assert error == {
+        "type": "RuntimeError",
+        "message": "drawing exceeded MAX_DRAWN_CROSSINGS = 1:"
+        f" 2 crossings drawn between curves of {len(B.word)} and {len(E.word)} letters",
+    }
 
 
 def test_vertex_link_word_exits_2(capsys, tmp_path):

@@ -6,6 +6,7 @@ must meet its crossings in the same order.
 """
 
 import random
+from collections import Counter
 
 from drawing_oracle import FractionDrawing
 from hypothesis import given, settings
@@ -33,6 +34,13 @@ def _shape(drawing):
     number = {x: i for i, x in enumerate(drawing.crossings)}
     orders = [[number[x] for x in drawing.strand_sequence(s)] for s in drawing.strands]
     return strands, crossings, orders
+
+
+def _most_per_chord(drawing):
+    """Most crossings on one chord of the first curve and of the second."""
+    first = Counter((id(x.s1), x.k1) for x in drawing.crossings)
+    second = Counter((id(x.s2), x.k2) for x in drawing.crossings)
+    return max(first.values(), default=0), max(second.values(), default=0)
 
 
 def _assert_same(tri, curves):
@@ -103,6 +111,36 @@ def test_twist_ladder_rungs():
             crossings += _assert_same(tri, [c, other])
             crossings += _assert_same(tri, [other, c])
         assert crossings > 2000
+
+
+def test_scale_ladder_pairs():
+    # The pairs of the scale benchmark's ladders: every rung of 100 to
+    # about 1,000 letters after the neighbouring handle curve and before
+    # the curve it is twisted along next, and the twisted images of the
+    # neighbouring handle pair against each other, as `band_sum` draws
+    # them.  A short curve's chords meet many chords of the long one, so
+    # the strand orders of both the first and the second curve sort long
+    # runs.
+    for g, k in ((2, 0), (3, 1)):
+        tri = TRIS[g]
+        hs = handle_curves(tri)
+        j = k + 1 if k < g - 1 else k - 1
+        conn = chain_connector(tri, min(j, k))
+        a, b = hs[2 * k], hs[2 * k + 1]
+        c, x, y, n = b, hs[2 * j], hs[2 * j + 1], 0
+        rungs, most = 0, (0, 0)
+        while len(c.word) <= 1000:
+            d, p = ((a, 1), (conn, -1))[n % 2]
+            if len(c.word) >= 100:
+                rungs += 1
+                for pair in ([hs[2 * j], c], [c, d], [x, y]):
+                    _assert_same(tri, pair)
+                    got = _most_per_chord(Drawing(tri, pair))
+                    most = tuple(map(max, most, got))
+            c, x, y = (ops.twist(z, d, p) for z in (c, x, y))
+            n += 1
+        assert rungs >= 5
+        assert min(most) > 50
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

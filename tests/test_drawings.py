@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -6,7 +8,7 @@ from cbgraph import dehn
 from cbgraph.curves import CurveClass
 from cbgraph.geom import Drawing
 from cbgraph.kernel import cyclic_reduce, reverse_word
-from cbgraph.polygon import curve_from_chords
+from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves
 from cbgraph.position import Reduced
 from cbgraph.surface import standard_triangulation
 
@@ -215,3 +217,36 @@ def test_vertex_canonical_reduction():
             assert got == a
             hit = True
         assert hit
+
+
+def test_drawings_are_freed_by_reference_counting():
+    # A drawing holds no reference cycle, so a dead drawing, its bigon
+    # reduction and the drawings the curve operations build are freed
+    # without the cyclic collector.
+    from cbgraph import ops
+
+    tri = standard_triangulation(2)
+    a, b, a1, _ = handle_curves(tri)
+    conn = chain_connector(tri, 0)
+    c = ops.twist(ops.twist(b, a, 1), conn, -1)
+    d = Drawing(tri, [c, a1])
+    assert d.raw_count(0, 1) > abs(d.algebraic(0, 1))  # bigons to remove
+    del d
+    gc.collect()
+    gc.disable()
+    try:
+        drawing = Drawing(tri, [c, a1])
+        reduced = Reduced(drawing)
+        assert reduced.count(0, 1) < drawing.raw_count(0, 1)
+        refs = weakref.ref(drawing), weakref.ref(reduced)
+        del drawing, reduced
+        assert [r() for r in refs] == [None, None]
+        for call in (
+            lambda: ops.twist(c, conn, 1),
+            lambda: ops.intersect(c, a1),
+            lambda: ops.neighborhood_profile([c, a1]),
+        ):
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -35,6 +35,8 @@ def test_side_selector_validation():
     assert SEL_L.genus == 1 == SEL_R.genus
     assert SEL_L.region != SEL_R.region
     assert SEL_R.other().region == SEL_L.region
+    # The two sides share one cut complex.
+    assert SEL_R.complex is SEL_L.complex
 
 
 def test_project_disjoint_cases():
@@ -215,6 +217,14 @@ def test_surjdisc_witness():
     )
     cont_far = MarkedCB(TRI, [W, far])
     assert pj.surjdisc_witness(W, E, cont_far) is None
+
+
+def test_surjdisc_witness_on_the_right_side():
+    # The marking lies right of W, so only the second selector sees it.
+    basis_r = pj.TorusBasis(SEL_R)
+    m = basis_r.realize(min(pj.projection_slopes(SEL_R, E, basis_r)))
+    assert SEL_R.complex.region_containing(m) == SEL_R.region
+    assert pj.surjdisc_witness(W, E, MarkedCB(TRI, [W, m])) == m
 
 
 def test_surjdisc_preconditions():
