@@ -15,4 +15,8 @@
 #
 # After a cold acceptance pass (seed 101) they hold 2,143 entries and
 # 1.05 MB (`tracemalloc`), keys' curves included.
+#
+# Besides the memos, `ops.LAST_PAIR` holds the last curve pair drawn, its
+# drawing and its bigon reduction, which the pair operations share; it
+# is replaced, not grown, by the next pair.
 MEMO_ENTRIES = 4096

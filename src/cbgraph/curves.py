@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import eq
 
 from cbgraph import MEMO_ENTRIES
-from cbgraph.kernel import canonical_cyclic, cyclic_reduce, reverse_word
+from cbgraph.kernel import canonical_reduced, cyclic_reduce, reverse_word
 from cbgraph.surface import Triangulation, standard_triangulation
 
 MAX_VERTEX_CLOSURE = 20000  # words `vertex_canonical` may reach from one input
@@ -223,7 +223,7 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     flip, directions = _translate_tables(tri)
     n = len(tri.vertex_link)
     min_len = n // 2
-    seen = {canonical_cyclic(start, mate)}
+    seen = {canonical_reduced(start, mate)}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -239,7 +239,7 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
                         cand = cyclic_reduce(tuple(map(ord, swapped)), mate)
                         if len(cand) > m:
                             continue
-                        cand = canonical_cyclic(cand, mate)
+                        cand = canonical_reduced(cand, mate)
                         if cand in seen:
                             continue
                         if cand:

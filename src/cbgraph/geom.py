@@ -219,18 +219,17 @@ class Drawing:
         return tuple(strand.letters[k] for k in ks)
 
     def raw_count(self, ci: int, cj: int) -> int:
-        return sum(
-            1
-            for x in self.crossings
-            if {x.s1.curve, x.s2.curve} == {ci, cj}
-        )
+        """Drawn crossings between curves ci and cj (none when ci == cj).
+
+        `_build` crosses only curve 0 with curve 1, so every crossing
+        joins the two curves of a pair.
+        """
+        return len(self.crossings) if ci != cj else 0
 
     def algebraic(self, ci: int, cj: int) -> int:
         """Signed crossing count of curve ci over curve cj (isotopy invariant)."""
-        total = 0
-        for x in self.crossings:
-            if x.s1.curve == ci and x.s2.curve == cj:
-                total += x.sign
-            elif x.s1.curve == cj and x.s2.curve == ci:
-                total -= x.sign
-        return total
+        if ci == cj:
+            return 0
+        # Every crossing has curve 0 on s1 and curve 1 on s2.
+        total = sum(x.sign for x in self.crossings)
+        return total if ci == 0 else -total

@@ -106,11 +106,17 @@ def reverse_word(word, mate):
     return tuple(mate[x] for x in reversed(word))
 
 
+def canonical_reduced(word, mate):
+    """Minimal rotation over both traversal directions of a reduced word.
+
+    The word must already be cyclically reduced; `canonical_cyclic`
+    reduces it first.
+    """
+    a = min_rotation(word)
+    b = min_rotation(reverse_word(word, mate))
+    return a if a <= b else b
+
+
 def canonical_cyclic(word, mate):
     """Minimal rotation over both traversal directions, after reduction."""
-    w = cyclic_reduce(word, mate)
-    if not w:
-        return w
-    a = min_rotation(w)
-    b = min_rotation(reverse_word(w, mate))
-    return a if a <= b else b
+    return canonical_reduced(cyclic_reduce(word, mate), mate)

@@ -19,12 +19,32 @@ live elsewhere; after a cold acceptance pass (seed 101) the memos of
 this module, `projections` and `farey` hold 1,733 entries and 0.86 MB,
 the curves that only the keys still reference included.  The
 package's other memos, among them two that hold curves and bodies
-rather than ints and bools, are listed in `cbgraph/__init__.py`.  Left
-out on purpose:
+rather than ints and bools, are listed in `cbgraph/__init__.py`.
 
-- Drawings, and with them `Reduced`: a drawing of two long curves is
-  large, and memoising 1,024 drawings raised the peak RSS of the scale
-  benchmark from 27.3 to 34.7 MB.
+Drawings are shared through one record, `LAST_PAIR`: the last curve
+pair drawn, its `Drawing`, and its `Reduced` once an operation needs it
+(built lazily, then kept).  A call on another pair drops the record
+before it draws, so no more drawings are alive at once than without it.
+The operations whose answers do not depend on the drawing order also
+reuse a record drawn in the reversed order: `_intersect` and
+`band_sum`, which are symmetric in the pair, `_algebraic`, which reads
+the count of the reversed pair, and `twist`, which reads each crossing
+from its own curve's side through `Crossing.strand_data`.
+`neighborhood_profile` and `reduced_pair`, whose outputs follow the
+drawing order (`essential_flags`, surgery candidates), redraw it.
+There is one record and not a memo of drawings because a drawing of two
+long curves is large: memoising 1,024 drawings raised the peak RSS of
+the scale benchmark from 27.3 to 34.7 MB, while a pair's operations run
+one after another.  `Reduced` clears `alive` on the crossings of the
+shared drawing; the raw readers (`Drawing.raw_count`,
+`Drawing.algebraic` and the `strand_sequence` walk of `twist`) ignore
+`alive`, so they read the same drawing before and after its reduction.
+The record is shared by every caller in the process, so these
+operations must not run in several threads at once; nothing in the
+package starts a thread.
+
+Left out of the memos on purpose:
+
 - `twist`: 1,481 of the 2,261 calls of an acceptance pass are distinct,
   and the scale benchmark generates its inputs by twisting exactly the
   curves its timed pass twists, so a memo would time cache reads.
@@ -43,6 +63,54 @@ from cbgraph.kernel import reverse_word
 from cbgraph.position import Reduced
 
 
+class PairRecord:
+    """The last curve pair drawn: its drawing and, once asked for, its reduction."""
+
+    __slots__ = ("drawing", "_reduced")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.drawing = self._reduced = None
+
+    def draw(self, a: CurveClass, b: CurveClass, either_order: bool) -> tuple[int, int]:
+        """Hold a drawing of the pair; returns the drawing's indices of a and b.
+
+        A record of (a, b) is kept, and so is one of (b, a) when
+        `either_order`; otherwise the record is dropped and (a, b) drawn.
+        """
+        if self.drawing is not None:
+            x, y = self.drawing.curves
+            if x == a and y == b:
+                return 0, 1
+            if either_order and x == b and y == a:
+                return 1, 0
+        self.clear()  # free the old drawing before the new one is built
+        self.drawing = Drawing(a.tri, [a, b])
+        return 0, 1
+
+    @property
+    def reduced(self) -> Reduced:
+        if self._reduced is None:
+            try:
+                self._reduced = Reduced(self.drawing)
+            except BaseException:
+                # A reduction cut short has cleared `alive` on some crossings.
+                self.clear()
+                raise
+        return self._reduced
+
+
+LAST_PAIR = PairRecord()
+
+
+def reduced_pair(a: CurveClass, b: CurveClass) -> Reduced:
+    """Bigon reduction of the pair drawn in the order (a, b), from the record."""
+    LAST_PAIR.draw(a, b, either_order=False)
+    return LAST_PAIR.reduced
+
+
 def intersect(a: CurveClass, b: CurveClass) -> int:
     """Geometric intersection number of the classes on the closed surface.
 
@@ -57,12 +125,13 @@ def intersect(a: CurveClass, b: CurveClass) -> int:
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _intersect(a: CurveClass, b: CurveClass) -> int:
-    drawing = Drawing(a.tri, [a, b])
+    LAST_PAIR.draw(a, b, either_order=True)
+    drawing = LAST_PAIR.drawing
     raw = drawing.raw_count(0, 1)
     if raw == abs(drawing.algebraic(0, 1)):
         # |algebraic| <= minimal <= drawn, so the drawing is minimal.
         return raw
-    return Reduced(drawing).count(0, 1)
+    return LAST_PAIR.reduced.count(0, 1)
 
 
 def algebraic_intersect(a: CurveClass, b: CurveClass, orientations=(1, 1)) -> int:
@@ -85,7 +154,8 @@ def algebraic_intersect(a: CurveClass, b: CurveClass, orientations=(1, 1)) -> in
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _algebraic(a: CurveClass, b: CurveClass) -> int:
-    return Drawing(a.tri, [a, b]).algebraic(0, 1)
+    ia, ib = LAST_PAIR.draw(a, b, either_order=True)
+    return LAST_PAIR.drawing.algebraic(ia, ib)
 
 
 def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
@@ -95,21 +165,23 @@ def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
     if power == 0:
         return c
     tri = c.tri
-    drawing = Drawing(tri, [c, along])
+    ic, _ = LAST_PAIR.draw(c, along, either_order=True)
+    drawing = LAST_PAIR.drawing
     words = []
     for s in drawing.strands:
-        if s.curve != 0:
+        if s.curve != ic:
             continue
         # Splice a pass around `along` into the word after the chord of
-        # each crossing, in strand order; curve 0 is each crossing's s1.
+        # each crossing, in strand order, with the sign seen from c.
         letters = s.letters
         out, done = [], 0
         for x in drawing.strand_sequence(s):
-            out.extend(letters[done : x.k1 + 1])
-            done = x.k1 + 1
-            sd, kd = x.s2, x.k2
+            k, _, sd, sign = x.strand_data(s)
+            out.extend(letters[done : k + 1])
+            done = k + 1
+            kd = x.strand_data(sd)[0]
             rot = sd.letters[kd + 1 :] + sd.letters[: kd + 1]
-            if x.sign * power < 0:
+            if sign * power < 0:
                 rot = reverse_word(rot, tri.mate)
             out.extend(rot * abs(power))
         out.extend(letters[done:])
@@ -122,10 +194,12 @@ def band_sum(a: CurveClass, b: CurveClass) -> CurveClass:
     if not (a.is_connected and b.is_connected):
         raise ValueError("band_sum needs connected curves")
     tri = a.tri
-    reduced = Reduced(Drawing(tri, [a, b]))
-    survivors = reduced.crossings(0, 1)
+    LAST_PAIR.draw(a, b, either_order=True)
+    survivors = LAST_PAIR.reduced.crossings(0, 1)
     if len(survivors) != 1:
         raise ValueError("band_sum needs curves intersecting exactly once")
+    # The neighborhood of a ∪ b does not depend on the order of the two
+    # curves, so the word is read with curve 0 as a in either drawing.
     x = survivors[0]
     sa, sb = x.s1, x.s2
     ka, kb = x.k1, x.k2
@@ -216,7 +290,10 @@ def neighborhood_profile(curves) -> NeighborhoodProfile:
     if not curves:
         raise ValueError("empty curve set")
     tri = curves[0].tri
-    reduced = Reduced(Drawing(tri, curves))
+    if len(curves) == 2:
+        reduced = reduced_pair(*curves)
+    else:
+        reduced = Reduced(Drawing(tri, curves))
     strands = reduced.drawing.strands
 
     # Connectivity of N over strands through surviving crossings.

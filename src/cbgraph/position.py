@@ -153,12 +153,13 @@ class Reduced:
         return self._index[s][x]
 
     def crossings(self, ci: int, cj: int) -> list[Crossing]:
-        """Surviving crossings between curves ci and cj (ci may equal cj)."""
-        out = []
-        for x in self.drawing.crossings:
-            if x.alive and {x.s1.curve, x.s2.curve} == {ci, cj}:
-                out.append(x)
-        return out
+        """Surviving crossings between curves ci and cj (none when ci == cj).
+
+        Every drawn crossing joins curve 0 and curve 1.
+        """
+        if ci == cj:
+            return []
+        return [x for x in self.drawing.crossings if x.alive]
 
     def count(self, ci: int, cj: int) -> int:
         return len(self.crossings(ci, cj))

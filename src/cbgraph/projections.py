@@ -20,7 +20,6 @@ from cbgraph import MEMO_ENTRIES, cut, ops
 from cbgraph.curves import CurveClass
 from cbgraph.cut import CutComplex
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance
-from cbgraph.geom import Drawing
 from cbgraph.kernel import reverse_word
 from cbgraph.model import EmbeddedToriModel
 from cbgraph.position import Reduced
@@ -139,7 +138,7 @@ def _project(sel: SideSelector, b: CurveClass) -> frozenset[CurveClass]:
         return frozenset()
 
     tri = a.tri
-    reduced = Reduced(Drawing(tri, [a, b]))
+    reduced = ops.reduced_pair(a, b)
     sa, sb = _strand_of(reduced, 0), _strand_of(reduced, 1)
     out = set()
     for idx in range(len(reduced.seqs[sb])):
@@ -173,7 +172,7 @@ def innermost_surgery(a: CurveClass, b: CurveClass) -> dict:
     if ops.intersect(a, b) == 0:
         raise ValueError("surgery needs intersecting curves")
     tri = a.tri
-    reduced = Reduced(Drawing(tri, [a, b]))
+    reduced = ops.reduced_pair(a, b)
     sa, sb = _strand_of(reduced, 0), _strand_of(reduced, 1)
     seq_b = reduced.seqs[sb]
     n = len(seq_b)

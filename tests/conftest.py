@@ -23,7 +23,9 @@ MEMOS = (
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Start each test with empty memos, so that the work a test counts
-    does not depend on which tests ran before it."""
+    """Start each test with empty memos and no shared pair drawing, so
+    that the work a test counts does not depend on which tests ran
+    before it."""
     for memo in MEMOS:
         memo.cache_clear()
+    ops.LAST_PAIR.clear()

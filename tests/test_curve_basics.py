@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from cbgraph.kernel import canonical_cyclic, cyclic_reduce, min_rotation, reverse_word
+from cbgraph.kernel import (
+    canonical_cyclic,
+    canonical_reduced,
+    cyclic_reduce,
+    min_rotation,
+    reverse_word,
+)
 from cbgraph import curves
 from cbgraph.curves import CurveClass, trace_components, vertex_canonical, word_weights
 from cbgraph.polygon import curve_from_chords, partner_side
@@ -140,6 +146,16 @@ def test_canonical_cyclic_reversal_invariance():
         assert canonical_cyclic(w, MATE) == canonical_cyclic(
             reverse_word(w, MATE), MATE
         )
+
+
+def test_canonical_reduced_is_canonical_cyclic_on_reduced_words():
+    # `vertex_canonical` skips the second reduction of words it reduced.
+    rng = random.Random(13)
+    words = [_nested_word(rng) for _ in range(200)]
+    words += [tuple(rng.randrange(10) for _ in range(rng.randint(0, 12))) for _ in range(300)]
+    for w in words:
+        r = cyclic_reduce(w, MATE)
+        assert canonical_reduced(r, MATE) == canonical_cyclic(r, MATE) == canonical_cyclic(w, MATE)
 
 
 def _weights_on(tri, edges):

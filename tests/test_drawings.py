@@ -123,9 +123,15 @@ def test_drawing_algebraic_sign_conventions():
     a, b = _handles(tri)
     d = Drawing(tri, [a, b])
     assert d.raw_count(0, 1) >= 1
-    assert d.algebraic(0, 1) == -d.algebraic(1, 0)
+    assert d.algebraic(0, 1) == -d.algebraic(1, 0) != 0
     assert abs(d.algebraic(0, 1)) <= d.raw_count(0, 1)
     assert d.algebraic(0, 1) % 2 == d.raw_count(0, 1) % 2
+    # Every crossing joins the two curves: none is counted within one.
+    assert d.raw_count(1, 0) == d.raw_count(0, 1)
+    assert d.raw_count(0, 0) == d.raw_count(1, 1) == 0
+    assert d.algebraic(0, 0) == d.algebraic(1, 1) == 0
+    assert Reduced(d).crossings(0, 0) == []
+    assert Drawing(tri, [a]).raw_count(0, 0) == 0
 
 
 def test_arc_letters_concatenate_to_strand():
@@ -222,7 +228,7 @@ def test_vertex_canonical_reduction():
 def test_drawings_are_freed_by_reference_counting():
     # A drawing holds no reference cycle, so a dead drawing, its bigon
     # reduction and the drawings the curve operations build are freed
-    # without the cyclic collector.
+    # without the cyclic collector, the pair record's included.
     from cbgraph import ops
 
     tri = standard_triangulation(2)
@@ -248,5 +254,11 @@ def test_drawings_are_freed_by_reference_counting():
         ):
             call()
             assert gc.collect() == 0
+        # The pair record's drawing and reduction go as soon as another
+        # pair is drawn.
+        ops.neighborhood_profile([c, a1])
+        refs = weakref.ref(ops.LAST_PAIR.drawing), weakref.ref(ops.LAST_PAIR.reduced)
+        ops.twist(a1, conn, 1)
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
