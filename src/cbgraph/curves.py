@@ -33,22 +33,6 @@ from cbgraph.surface import Triangulation, standard_triangulation
 MAX_VERTEX_CLOSURE = 20000  # words `vertex_canonical` may reach from one input
 
 
-def corner_counts(w0: int, w1: int, w2: int) -> tuple[int, int, int]:
-    """Arc counts at the three corners of a triangle with side weights.
-
-    Corner k lies between sides k-1 and k; the matching conditions (even
-    sum, triangle inequalities) are exactly nonnegativity here.
-    """
-    total = w0 + w1 + w2
-    if total % 2:
-        raise ValueError("odd weight sum in a triangle")
-    w = (w0, w1, w2)
-    counts = tuple((w[k - 1] + w[k] - w[(k + 1) % 3]) // 2 for k in range(3))
-    if any(c < 0 for c in counts):
-        raise ValueError("triangle inequality violated by weights")
-    return counts
-
-
 @lru_cache(maxsize=None)
 def _arc_tables(tri: Triangulation):
     """Per letter 3t + s: the letters leaving t through sides s-1 and
@@ -66,14 +50,25 @@ class _Tracer:
 
     def __init__(self, tri: Triangulation, weights):
         self.tri = tri
-        self.w = list(weights)
-        if len(self.w) != tri.num_edges:
+        self.w = w = list(weights)
+        if len(w) != tri.num_edges:
             raise ValueError("weight vector has wrong length")
-        if any(x < 0 for x in self.w):
+        if any(x < 0 for x in w):
             raise ValueError("negative weight")
-        self.corners = [
-            corner_counts(self.w[a], self.w[b], self.w[c]) for a, b, c in tri.triangles
-        ]
+        # Arc counts at the corners of each triangle: corner k lies between
+        # sides k-1 and k and holds half the sum less the opposite weight.
+        # The matching conditions (even sum, triangle inequalities) are
+        # exactly nonnegativity here.
+        self.corners = corners = []
+        for a, b, c in tri.triangles:
+            x, y, z = w[a], w[b], w[c]
+            total = x + y + z
+            if total % 2:
+                raise ValueError("odd weight sum in a triangle")
+            half = total // 2
+            if half < x or half < y or half < z:
+                raise ValueError("triangle inequality violated by weights")
+            corners.append((half - y, half - z, half - x))
 
     def components(self) -> list[list[tuple[int, int]]]:
         """All traced components as cycles of (letter, position) crossings.

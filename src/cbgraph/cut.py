@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from cbgraph import MEMO_ENTRIES
-from cbgraph.curves import CurveClass, _Tracer, corner_counts
+from cbgraph.curves import CurveClass, _Tracer
 from cbgraph.surface import Triangulation
 
 CENTRAL = -1
@@ -51,12 +51,8 @@ class CutComplex:
         self.tri = tri
         self.system = system
         weights = system.weights if system else (0,) * tri.num_edges
-        self.corners = []
-        for t in range(tri.num_triangles):
-            e0, e1, e2 = tri.triangles[t]
-            self.corners.append(
-                corner_counts(weights[e0], weights[e1], weights[e2])
-            )
+        tracer = _Tracer(tri, weights)
+        self.corners = tracer.corners
         self.regions = _Regions()
         for t in range(tri.num_triangles):
             self.regions.add((t, CENTRAL))
@@ -108,7 +104,7 @@ class CutComplex:
         if system is not None:
             from cbgraph.kernel import canonical_cyclic
 
-            for cycle in _Tracer(tri, weights).components():
+            for cycle in tracer.components():
                 lam, pos = cycle[0]
                 sides = self._arc_cells(lam, pos)
                 pair = tuple(self.regions.find(c) for c in sides)

@@ -211,20 +211,33 @@ def once_intersectors(a: Slope, beta: ArcSlope, max_height: int) -> set[Slope]:
     }
 
 
+def mn_scan(limit: int) -> frozenset[tuple[int, int]]:
+    """Every (m, n) with |m| <= limit, n in (1, -1, 2, -2) and |m*n - 1| = 1.
+
+    One exhaustive pass: the predicate is evaluated on each of the
+    4 * (2 * limit + 1) pairs of that domain, 8,000,004 for limit 10**6.
+    `mn_constraint_solutions` and `mn_scan_has_large_solution` read their
+    answers off this set.
+    """
+    return frozenset(
+        (m, n)
+        for n in (1, -1, 2, -2)
+        for m in range(-limit, limit + 1)
+        if abs(m * n - 1) == 1
+    )
+
+
 def mn_constraint_solutions(scan: int = 0) -> set[tuple[int, int]]:
     """Integer pairs (m, n) with |m*n - 1| = 1, |m| >= 2 and n != 0.
 
     |m*n - 1| = 1 forces m*n in {0, 2}; with the side conditions only
     (2, 1) and (-2, -1) survive.  Pass scan > 0 to find the set by
-    exhaustive search over |m|, |n| <= scan instead.
+    exhaustive search over 2 <= |m| <= scan and n in (1, -1, 2, -2)
+    instead (`mn_scan`); |n| > 2 needs no scan, since with |m| >= 2 it
+    makes |m*n| >= 6 while a solution has |m*n| <= 2.
     """
     if scan:
-        return {
-            (m, n)
-            for m in range(-scan, scan + 1)
-            for n in (1, -1, 2, -2)  # |n| > 2 makes |m*n| >= 4 with |m| >= 2
-            if abs(m) >= 2 and abs(m * n - 1) == 1
-        }
+        return {(m, n) for m, n in mn_scan(scan) if abs(m) >= 2}
     return {(2, 1), (-2, -1)}
 
 
@@ -232,11 +245,6 @@ def mn_scan_has_large_solution(limit: int) -> bool:
     """Whether any pair with |m| >= 3 and |m*n - 1| = 1 exists, |m| <= limit.
 
     For |m| >= 3 a solution needs |m*n| <= 2, so per m only |n| <= 2 can
-    work; the scan over those pairs is exhaustive.
+    work; `mn_scan` over those pairs is exhaustive.
     """
-    for m in range(3, limit + 1):
-        for mm in (m, -m):
-            for n in (-2, -1, 1, 2):
-                if abs(mm * n - 1) == 1:
-                    return True
-    return False
+    return any(abs(m) >= 3 for m, _ in mn_scan(limit))

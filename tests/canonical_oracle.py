@@ -15,14 +15,32 @@ cancelled; the kept one must return a rotation of its result.
 `min_rotation` is Booth's linear-time least rotation (K. S. Booth,
 "Lexicographically least circular substrings", IPL 1980), a loop over
 the letters that the block-ranking `cbgraph.kernel.min_rotation`
-replaced; the two must return the same rotation.
+replaced; the two must return the same rotation.  `corner_counts` is
+the per-triangle corner rule that `cbgraph.curves._Tracer` now computes
+inline; the tracer's corner table and errors must match it.
 """
 
 from __future__ import annotations
 
-from cbgraph.curves import corner_counts, validate_word, word_weights
+from cbgraph.curves import validate_word, word_weights
 from cbgraph.kernel import canonical_cyclic, cyclic_reduce, reverse_word
 from cbgraph.surface import Triangulation
+
+
+def corner_counts(w0: int, w1: int, w2: int) -> tuple[int, int, int]:
+    """Arc counts at the three corners of a triangle with side weights.
+
+    Corner k lies between sides k-1 and k; the matching conditions (even
+    sum, triangle inequalities) are exactly nonnegativity here.
+    """
+    total = w0 + w1 + w2
+    if total % 2:
+        raise ValueError("odd weight sum in a triangle")
+    w = (w0, w1, w2)
+    counts = tuple((w[k - 1] + w[k] - w[(k + 1) % 3]) // 2 for k in range(3))
+    if any(c < 0 for c in counts):
+        raise ValueError("triangle inequality violated by weights")
+    return counts
 
 
 class StepTracer:

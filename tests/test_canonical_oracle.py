@@ -3,7 +3,8 @@
 For every input, `vertex_canonical` must return the oracle's word,
 `CurveClass.from_words` must store the words the old rule stored (or
 raise the same error), and the tracer must give the oracle's cycles on
-the class's weights.  Inputs are the generators, the raw unreduced words
+the class's weights and the oracle's corner table (or error) on any
+weight vector.  Inputs are the generators, the raw unreduced words
 that `ops.twist` and `ops.band_sum` hand to `from_words`, twisted
 multicurves, long twist ladder rungs and `hypothesis` twist words.
 `kernel.min_rotation` must return Booth's rotation on short words over
@@ -126,6 +127,52 @@ def test_multicurves():
                 _assert_same(t, words)
                 checked += 1
     assert checked == 24
+
+
+def _corner_outcome(table):
+    try:
+        return table()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _oracle_corners(tri, w):
+    return [oracle.corner_counts(w[a], w[b], w[c]) for a, b, c in tri.triangles]
+
+
+def test_tracer_corner_table():
+    # Nonnegative combinations of generator weights are normal coordinates;
+    # random even vectors mostly break a triangle inequality.
+    rng = random.Random(3650)
+    valid = 0
+    for tri in TRIS.values():
+        gens = [c.weights for c in _generators(tri)]
+        for _ in range(60):
+            ks = [rng.randrange(4) for _ in gens]
+            w = [sum(k * g[e] for k, g in zip(ks, gens)) for e in range(tri.num_edges)]
+            assert _Tracer(tri, w).corners == _oracle_corners(tri, w)
+            even = [2 * rng.randrange(5) for _ in range(tri.num_edges)]
+            got = _corner_outcome(lambda: _Tracer(tri, even).corners)
+            assert got == _corner_outcome(lambda: _oracle_corners(tri, even))
+            valid += got[0] != "ValueError"
+    assert valid > 0
+
+
+def test_tracer_errors_in_order():
+    # Each vector trips its rule and every later one; the first rule wins.
+    for tri in TRIS.values():
+        n = tri.num_edges
+        cases = [
+            ([-1] * (n + 1), "weight vector has wrong length"),
+            ([-1] + [0] * (n - 1), "negative weight"),
+            ([3] + [0] * (n - 1), "odd weight sum in a triangle"),
+            ([2] + [0] * (n - 1), "triangle inequality violated by weights"),
+        ]
+        for w, message in cases:
+            got = _corner_outcome(lambda: _Tracer(tri, w).corners)
+            assert got == ("ValueError", message)
+            if len(w) == n and min(w) >= 0:
+                assert _corner_outcome(lambda: _oracle_corners(tri, w)) == got
 
 
 def test_twist_ladder_rungs():

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from cbgraph import farey, suites
 from cbgraph.farey import (
     ArcSlope,
     Slope,
@@ -14,6 +15,7 @@ from cbgraph.farey import (
     intersect_ca,
     intersect_cc,
     mn_constraint_solutions,
+    mn_scan,
     mn_scan_has_large_solution,
     once_intersectors,
 )
@@ -211,3 +213,49 @@ def test_mn_constraint_solutions():
     assert not mn_scan_has_large_solution(10**6)
     m, n = 2, 1
     assert abs(m * n - 1) == 1
+
+
+def test_mn_readers_filter_the_scan(monkeypatch):
+    # The real scan has no |m| >= 3 pair; a planted one must be seen.
+    planted = frozenset({(0, 1), (1, 2), (2, 1), (3, -1)})
+    monkeypatch.setattr(farey, "mn_scan", lambda limit: planted)
+    assert mn_constraint_solutions(scan=10) == {(2, 1), (3, -1)}
+    assert mn_scan_has_large_solution(10)
+    monkeypatch.setattr(farey, "mn_scan", lambda limit: planted - {(3, -1)})
+    assert not mn_scan_has_large_solution(10)
+
+
+def test_census_reads_both_facts_from_one_scan(monkeypatch):
+    # A planted |m| >= 3 pair must fail the suite, and the failure report
+    # must come from the same single scan.
+    calls = []
+
+    def planted(limit):
+        calls.append(limit)
+        return frozenset({(0, 1), (1, 2), (2, 1), (-2, -1), (5, 1)})
+
+    monkeypatch.setattr(suites, "mn_scan", planted)
+    ok, counts, bad = suites.check_census_bounds(random.Random(7), suites.Recipe())
+    assert calls == [10**6]
+    assert not ok
+    assert bad == [("mn", [(-2, -1), (2, 1), (5, 1)])]
+    assert counts["mn_scan"] == 10**6
+
+
+def test_mn_scans_lose_nothing():
+    # The scans restrict n to (1, -1, 2, -2); brute force over every
+    # 1 <= |n| <= L must find no more.
+    for limit in range(1, 61):
+        span = range(-limit, limit + 1)
+        brute = {
+            (m, n)
+            for m in span
+            for n in span
+            if abs(m) >= 2 and n != 0 and abs(m * n - 1) == 1
+        }
+        assert mn_constraint_solutions(scan=limit) == brute
+        large = any(abs(m) >= 3 for m, _ in brute)
+        assert mn_scan_has_large_solution(limit) == large
+        domain = [(m, n) for m in span for n in (1, -1, 2, -2)]
+        assert len(domain) == 4 * (2 * limit + 1)
+        assert mn_scan(limit) == {(m, n) for m, n in domain if abs(m * n - 1) == 1}
