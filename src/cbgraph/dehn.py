@@ -7,6 +7,21 @@ side crossings of the vertex-linking curve.  The relator is C'(1/8)
 small cancellation (length 4g, pieces of length 1), so Dehn's greedy
 shortening decides triviality.
 
+Any order of replacements decides.  A replacement swaps a cyclic factor
+longer than half a relator for the inverse of the shorter rest, so it
+keeps the conjugacy class and shortens the word.  By Greendlinger's
+lemma (Lyndon–Schupp, Combinatorial Group Theory, Ch. V), every
+nonempty cyclically reduced word that is trivial in a C'(1/6) group has
+a cyclic factor longer than half a relator, so the shortening reaches
+the empty word from a trivial word whichever factor each step replaces,
+and never from a nontrivial one.
+
+A factor longer than half of some rotation r of the relator or its
+inverse starts with the first 2g + 1 letters of r, so `_pieces` maps
+those prefixes to the inverse of the rest of r.  The prefixes are
+distinct: two rotations that shared a prefix of two or more letters
+would have a piece of that length, and pieces have length 1.
+
 Letters are nonzero ints: +e / -e+... encoded as (e + 1) and -(e + 1)
 for side edge e, so inversion is negation.
 """
@@ -19,27 +34,28 @@ from cbgraph.kernel import cyclic_reduce, free_reduce
 from cbgraph.surface import Triangulation
 
 
-def side_letter(tri: Triangulation, lam: int) -> int | None:
-    """Generator letter for a directed crossing, or None for a diagonal.
+@lru_cache(maxsize=None)
+def _letters(tri: Triangulation) -> tuple[int, ...]:
+    """Generator letter of each directed crossing, 0 for a diagonal.
 
     Positive direction of side edge e is entering via its first listed
     incidence.
     """
-    e = tri.side_edge[lam]
-    if e >= 2 * tri.genus:
-        return None
-    t, s = tri.side_of(lam)
-    return (e + 1) if tri.sides[e][0] == (t, s) else -(e + 1)
+    out = []
+    for lam, e in enumerate(tri.side_edge):
+        if e >= 2 * tri.genus:
+            out.append(0)
+        else:
+            out.append((e + 1) if tri.sides[e][0] == tri.side_of(lam) else -(e + 1))
+    return tuple(out)
 
 
 def path_word(tri: Triangulation, lams) -> tuple[int, ...]:
     """Side-generator word of a path given by directed crossings."""
-    out = []
-    for lam in lams:
-        x = side_letter(tri, lam)
-        if x is not None:
-            out.append(x)
-    return free_reduce(out, _inverse(tri.genus))
+    letters = _letters(tri)
+    return free_reduce(
+        [x for x in map(letters.__getitem__, lams) if x], _inverse(tri.genus)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -61,33 +77,39 @@ def _relators(genus: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rots)
 
 
-def is_trivial(genus: int, word) -> bool:
-    """Whether a side-generator word is null-homotopic (Dehn's algorithm)."""
-    half = 2 * genus
+@lru_cache(maxsize=None)
+def _pieces(genus: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """First 2g + 1 letters of each relator rotation -> inverse of its rest."""
+    k = 2 * genus + 1
     rots = _relators(genus)
+    pieces = {rel[:k]: tuple(-x for x in reversed(rel[k:])) for rel in rots}
+    if len(pieces) != len(rots):
+        raise RuntimeError("relator rotations share a prefix longer than a piece")
+    return pieces
+
+
+def is_trivial(genus: int, word) -> bool:
+    """Whether a side-generator word is null-homotopic (Dehn's algorithm).
+
+    Each step replaces the first cyclic factor, by start position, that
+    is more than half a relator; see the module docstring for why the
+    order does not change the answer.
+    """
+    k = 2 * genus + 1
+    get = _pieces(genus).get
     inverse = _inverse(genus)
     w = cyclic_reduce(word, inverse)
     while w:
         n = len(w)
-        if n < half + 1:
+        if n < k:
             # Too short to contain more than half a relator: nontrivial.
             return False
-        replaced = False
-        # Look for a factor longer than half a relator and shorten.
-        for rel in rots:
-            piece = rel[: half + 1]
-            for i in range(n):
-                if tuple(w[(i + k) % n] for k in range(half + 1)) == piece:
-                    rest = tuple(-x for x in reversed(rel[half + 1 :]))
-                    w = cyclic_reduce(
-                        tuple(w[(i + half + 1 + k) % n] for k in range(n - half - 1))
-                        + rest,
-                        inverse,
-                    )
-                    replaced = True
-                    break
-            if replaced:
+        ww = w + w
+        for i in range(n):
+            rest = get(ww[i : i + k])
+            if rest is not None:
+                w = cyclic_reduce(ww[i + k : i + n] + rest, inverse)
                 break
-        if not replaced:
+        else:
             return False
     return True

@@ -49,7 +49,10 @@ Left out of the memos on purpose:
   and the scale benchmark generates its inputs by twisting exactly the
   curves its timed pass twists, so a memo would time cache reads.
 - `neighborhood_profile`, which returns a mutable record, and
-  `band_sum`, whose inputs do not repeat.
+  `band_sum`, whose inputs do not repeat.  The record builds its
+  `boundary_classes` when they are first read, not when it is made: the
+  punctured-torus test of two curves reads only connectivity, genus and
+  the boundary count, so it canonicalises no boundary circle.
 """
 
 from __future__ import annotations
@@ -214,12 +217,16 @@ def band_sum(a: CurveClass, b: CurveClass) -> CurveClass:
 class NeighborhoodProfile:
     """Filled regular neighborhood of a curve union.
 
-    `boundary_words` lists one directed-crossing word per boundary
-    circle of N; inessential circles (they bound disks in the
-    complement) are capped, and the rest become `boundary_classes`.
+    `FIELDS` names the public fields.  Each boundary circle of N is a
+    directed-crossing word, and `essential_flags` marks which are
+    essential, in the order `_ribbon_boundary_words` lists them;
+    inessential circles (they bound disks in the complement) are capped.
+    `boundary_classes` lists the classes of the essential circles,
+    sorted; it is built on first read and then kept.  A disconnected
+    union has no boundary data: those fields are None.
     """
 
-    __slots__ = (
+    FIELDS = (
         "connected",
         "genus",
         "boundary_components",
@@ -227,6 +234,24 @@ class NeighborhoodProfile:
         "essential_flags",
         "chi_uncapped",
     )
+    __slots__ = (
+        "connected",
+        "genus",
+        "boundary_components",
+        "essential_flags",
+        "chi_uncapped",
+        "_tri",
+        "_essential",
+        "_classes",
+    )
+
+    @property
+    def boundary_classes(self) -> list[CurveClass] | None:
+        if self._classes is None and self._essential is not None:
+            self._classes = sorted(
+                {CurveClass.from_word(self._tri, w) for w in self._essential}
+            )
+        return self._classes
 
     def __repr__(self):
         if not self.connected:
@@ -311,6 +336,8 @@ def neighborhood_profile(curves) -> NeighborhoodProfile:
     roots = {find(id(s)) for s in strands}
 
     prof = NeighborhoodProfile()
+    prof._tri = tri
+    prof._essential = prof._classes = None
     prof.connected = len(roots) == 1
     # N retracts to the 4-valent union graph: V = crossings, E = 2 * crossings,
     # plus annuli for crossing-free strands.
@@ -318,7 +345,6 @@ def neighborhood_profile(curves) -> NeighborhoodProfile:
     if not prof.connected:
         prof.genus = None
         prof.boundary_components = None
-        prof.boundary_classes = None
         prof.essential_flags = None
         return prof
 
@@ -332,9 +358,7 @@ def neighborhood_profile(curves) -> NeighborhoodProfile:
     b = len(essential)
     prof.genus = (2 - chi_filled - b) // 2
     prof.boundary_components = b
-    prof.boundary_classes = sorted(
-        {CurveClass.from_word(tri, w) for w in essential}
-    )
+    prof._essential = essential
     prof.essential_flags = tuple(flags)
     return prof
 

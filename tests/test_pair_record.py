@@ -31,7 +31,7 @@ def _generators(tri):
 
 
 def _profile(prof):
-    return tuple(getattr(prof, name) for name in ops.NeighborhoodProfile.__slots__)
+    return tuple(getattr(prof, name) for name in ops.NeighborhoodProfile.FIELDS)
 
 
 def _calls(a, b):
