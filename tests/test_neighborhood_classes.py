@@ -41,9 +41,8 @@ def _eager(curves):
     tri = curves[0].tri
     reduced = Reduced(Drawing(tri, curves))
     words = ops._ribbon_boundary_words(tri, reduced, reduced.drawing.strands)
-    essential = [
-        w for w in words if not dehn_oracle.is_trivial(tri.genus, dehn.path_word(tri, w))
-    ]
+    g = tri.genus
+    essential = [w for w in words if not dehn_oracle.is_trivial(g, dehn.path_word(tri, w))]
     return sorted({CurveClass.from_word(tri, w) for w in essential})
 
 
