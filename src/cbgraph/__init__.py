@@ -14,7 +14,15 @@
 #   are value-typed and never written after construction.
 #
 # After a cold acceptance pass (seed 101) they hold 2,143 entries and
-# 1.05 MB (`tracemalloc`), keys' curves included.
+# 1.05 MB (`tracemalloc`), keys' curves included.  `tests/conftest.py`
+# lists these nine in `MEMOS` and clears them before every test, and a
+# test fails if a memo of `MEMO_ENTRIES` entries is missing there.
+#
+# Per-process tables are unbounded `functools.lru_cache`s too, keyed by
+# genus or triangulation and never cleared: `surface.standard_triangulation`,
+# `suites._fixtures`, `oracles._levels`, the letter and relator tables of
+# `dehn`, the arc tables of `curves` and `farey._dist_to_infinity`;
+# `kernel._blocks_at` keeps up to 256 compiled patterns.
 #
 # Besides the memos, `ops.LAST_PAIR` holds the last curve pair drawn, its
 # drawing and its bigon reduction, which the pair operations share; it

@@ -16,8 +16,9 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from cbgraph import MEMO_ENTRIES
-from cbgraph.curves import json_record
+from cbgraph import MEMO_ENTRIES, cut, ops
+from cbgraph.curves import CurveClass, json_record
+from cbgraph.surface import standard_triangulation
 
 MAX_SCAN_GENUS = 6
 MAX_CHAIN_HEIGHT = 12
@@ -66,6 +67,9 @@ class CBType:
 
     @property
     def is_handlebody(self) -> bool:
+        """A handlebody: no interior boundary.  These are the paper's
+        vertices of greatest height, 2g - 1, where every maximal chain
+        of minimal compressions ends."""
         return not self.interior_genera
 
     def to_json(self) -> dict:
@@ -177,15 +181,11 @@ def _refines(src: tuple[int, ...], dst: tuple[int, ...]) -> bool:
     return False
 
 
-def enumerate_types(g: int, include_trivial: bool = True) -> list[CBType]:
+def enumerate_types(g: int) -> list[CBType]:
     """All compression-body types with exterior genus g, sorted."""
-    out = []
-    for total in range(0, g + 1):
-        for part in _partitions(total):
-            t = CBType(g, part)
-            if include_trivial or not t.is_trivial:
-                out.append(t)
-    return sorted(out)
+    return sorted(
+        CBType(g, part) for total in range(0, g + 1) for part in _partitions(total)
+    )
 
 
 def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -221,16 +221,6 @@ def purely_separating(t: CBType) -> bool:
     return sum(t.interior_genera) == t.exterior_genus
 
 
-def nonsep_system_exists(t: CBType) -> bool:
-    """Whether t can be compressed along only non-separating curves.
-
-    Equivalent, at the type level, to having a non-separating meridian:
-    the interior genera must sum to less than the exterior genus (or the
-    type is trivial, compressed along nothing at all).
-    """
-    return t.is_trivial or not purely_separating(t)
-
-
 def composable_pairs(gmax: int) -> Iterator[tuple[CBType, int, CBType]]:
     """All (c, component genus, d) triples gluable at exterior genus <= gmax."""
     for g in range(1, gmax + 1):
@@ -263,8 +253,6 @@ def _placement(tri, ordered: tuple, a) -> tuple[bool, bool, bool]:
     standard-form repair (inserting a punctured-torus boundary around a)
     applies.  Memoised per process on the ordered system and a.
     """
-    from cbgraph import cut
-
     union = cut.disjoint_union(ordered + (a,))
     cc = cut.CutComplex(tri, union)
     rp, rm = cc.sides_of(a)
@@ -290,8 +278,6 @@ class MarkedCB:
     __slots__ = ("tri", "system", "derived_type", "small_base")
 
     def __init__(self, tri, system, small_base=None):
-        from cbgraph import cut, ops
-
         self.tri = tri
         curves = sorted(set(system))
         for c in curves:
@@ -375,9 +361,6 @@ class MarkedCB:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "MarkedCB":
-        from cbgraph.curves import CurveClass
-        from cbgraph.surface import standard_triangulation
-
         data = json_record(data, "body", "type", "system")
         kind = CBType.from_json(data["type"])
         tri = standard_triangulation(kind.exterior_genus)
@@ -429,8 +412,6 @@ def meridian_of_small(a, c) -> bool:
     Class Groups).  So a lies in T exactly when it is alpha or pairs
     nonzero with it.
     """
-    from cbgraph import cut, ops
-
     if not a.is_connected:
         raise ValueError("meridian test needs a connected base curve")
     if c == a:

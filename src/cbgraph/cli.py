@@ -27,7 +27,7 @@ from cbgraph.cb import (
     enumerate_types,
     height,
 )
-from cbgraph.curves import CurveClass
+from cbgraph.curves import CurveClass, json_record
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance, intersect_cc
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.suites import SUITES, Recipe, report_json, run_suite
@@ -197,7 +197,7 @@ def cmd_cb(opts) -> int:
 
 
 def cmd_complex_build(opts) -> int:
-    data = _load_json(opts.recipe)
+    data = json_record(_load_json(opts.recipe), "recipe")
     genus = data.get("genus", 2)
     tri = standard_triangulation(genus)
     provenance = {
@@ -205,10 +205,11 @@ def cmd_complex_build(opts) -> int:
         "seed": data.get("seed", 0),
     }
     if opts.kind == "cb":
-        bodies = [
-            MarkedCB(tri, [curve_from_spec(tri, s) for s in body["system"]])
-            for body in data["bodies"]
+        systems = [
+            json_record(body, "body", "system")["system"]
+            for body in json_record(data, "recipe", "bodies")["bodies"]
         ]
+        bodies = [MarkedCB(tri, [curve_from_spec(tri, s) for s in x]) for x in systems]
         frag = complexes.build_cb_fragment(bodies, provenance=provenance)
     else:
         curves = _recipe_curves(tri, data)
@@ -275,7 +276,7 @@ def cmd_complex_analyze(opts) -> int:
                 continue
             out[check] = complexes.verify_prop_intersection(frag)
         else:
-            raise SystemExit(f"unknown check: {check}")
+            raise ValueError(f"unknown check: {check}")
     _emit(out)
     return 0
 

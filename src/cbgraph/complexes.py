@@ -11,13 +11,11 @@ computed exactly by branch and bound (fragments stay small).
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 from cbgraph import ops
 from cbgraph.cb import Containment, MarkedCB, contains
-from cbgraph.curves import CurveClass
-from cbgraph.surface import standard_triangulation
+from cbgraph.curves import CurveClass, json_record
 
 MAX_EXACT_VERTICES = 64
 
@@ -65,8 +63,7 @@ class ComplexFragment:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "ComplexFragment":
-        if isinstance(data, str):
-            data = json.loads(data)
+        data = json_record(data, "fragment", "kind", "vertices", "edges", "simplices")
         if data["kind"] == "cb":
             vertices = [MarkedCB.from_json(v) for v in data["vertices"]]
         else:
@@ -156,22 +153,6 @@ def _as_graph(g) -> tuple[int, frozenset]:
         return len(g.vertices), g.edges
     n, edges = g
     return n, frozenset(tuple(sorted(e)) for e in edges)
-
-
-def anti_connected(g) -> bool:
-    """Connectivity of the complement graph."""
-    n, edges = _as_graph(g)
-    if n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        cur = stack.pop()
-        for j in range(n):
-            if j not in seen and j != cur and tuple(sorted((cur, j))) not in edges:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
 
 
 def clique_number(g) -> int:
@@ -360,7 +341,12 @@ def height_coloring_is_proper(f: ComplexFragment) -> bool:
 
 
 def is_comparability(f: ComplexFragment) -> bool:
-    """Whether orienting edges by height gives a transitive orientation."""
+    """Whether orienting edges by height gives a transitive orientation.
+
+    The paper's CB(S) joins two bodies when one contains the other, so
+    it is the comparability graph of containment; containment raises
+    the height, and a fragment of CB(S) must pass.
+    """
     n = len(f.vertices)
     heights = [v.height for v in f.vertices]
     for i, j in f.edges:

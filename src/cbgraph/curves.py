@@ -347,10 +347,6 @@ class CurveClass:
         return self._weights
 
     @property
-    def component_count(self) -> int:
-        return len(self.words)
-
-    @property
     def is_connected(self) -> bool:
         return len(self.words) == 1
 
@@ -359,13 +355,6 @@ class CurveClass:
         if len(self.words) != 1:
             raise ValueError("multicurve has no single word")
         return self.words[0]
-
-    @property
-    def edge_words(self) -> tuple[tuple[int, ...], ...]:
-        """Component words as the edges crossed, forgetting directions."""
-        return tuple(
-            tuple(self.tri.side_edge[x] for x in w) for w in self.words
-        )
 
     @property
     def is_separating(self) -> bool:

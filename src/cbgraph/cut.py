@@ -17,10 +17,12 @@ intersection with a curve from `nonseparating_in_region` (see
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 
-from cbgraph import MEMO_ENTRIES
+from cbgraph import MEMO_ENTRIES, ops
 from cbgraph.curves import CurveClass, _Tracer
+from cbgraph.kernel import canonical_cyclic, reverse_word
 from cbgraph.surface import Triangulation
 
 CENTRAL = -1
@@ -102,8 +104,6 @@ class CutComplex:
         self.component_words = []
         self.component_anchors = []
         if system is not None:
-            from cbgraph.kernel import canonical_cyclic
-
             for cycle in tracer.components():
                 lam, pos = cycle[0]
                 sides = self._arc_cells(lam, pos)
@@ -190,8 +190,6 @@ class CutComplex:
         c_point = None
         system_points = set()
         for cycle in _Tracer(self.tri, union.weights).components():
-            from cbgraph.kernel import canonical_cyclic
-
             word = canonical_cyclic(tuple(x for x, _ in cycle), self.tri.mate)
             if word == c_word:
                 c_point = cycle[0]
@@ -214,8 +212,6 @@ class CutComplex:
         gluing with homologically nontrivial loop closes up into a
         simple curve (the shared tree prefix cancels on reduction).
         """
-        from collections import deque
-
         tri = self.tri
         root = self._cells_of[region][0]
         adj = {}
@@ -243,8 +239,6 @@ class CutComplex:
                 path[nxt] = path[cur] + (letter,)
                 tree.add(gi)
                 queue.append(nxt)
-        from cbgraph.kernel import reverse_word
-
         for gi, c1, c2, e, sign, fwd in locals_:
             if gi in tree:
                 continue
@@ -256,10 +250,9 @@ class CutComplex:
             return CurveClass.from_word(tri, word)
         raise ValueError("region carries no nonseparating curve")
 
+
 def disjoint_union(system) -> CurveClass | None:
     """The multicurve union of pairwise disjoint classes (None if empty)."""
-    from cbgraph import ops
-
     curves = sorted(set(system))
     if not curves:
         return None
@@ -298,8 +291,6 @@ def dual_curve(a: CurveClass, avoid=()) -> CurveClass:
     pairing pins the intersection number with a at one.  Fails when the
     two sides of a cannot be joined in the complement.
     """
-    from collections import deque
-
     tri = a.tri
     if not a.is_connected:
         raise ValueError("dual_curve needs a connected curve")

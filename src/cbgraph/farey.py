@@ -63,10 +63,6 @@ class Slope:
         # Arbitrary total order, used only for deterministic output.
         return (self.q, self.p) < (other.q, other.p)
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.q == 0
-
 
 class ArcSlope(Slope):
     """The p/q-arc: the unique properly embedded arc disjoint from the
@@ -96,11 +92,6 @@ def intersect_aa(a: ArcSlope, b: ArcSlope) -> int:
     a crossing for a trip around the puncture.
     """
     return max(_det(a.p, a.q, b.p, b.q) - 1, 0)
-
-
-def farey_adjacent(a: Slope, b: Slope) -> bool:
-    """Whether a and b span an edge of the Farey graph."""
-    return intersect_cc(a, b) == 1
 
 
 @lru_cache(maxsize=None)
@@ -155,15 +146,6 @@ def farey_distance(a: Slope, b: Slope) -> int:
     bq = m[2] * b.p + m[3] * b.q
     img = Slope(bp, bq)
     return _dist_to_infinity(img.p, img.q)
-
-
-def apply_sl2(m: tuple[int, int, int, int], s: Slope) -> Slope:
-    """Projective action of an integer matrix [[a, b], [c, d]] on a slope."""
-    a, b, c, d = m
-    if a * d - b * c not in (1, -1):
-        raise ValueError("matrix must have determinant +-1")
-    cls = type(s)
-    return cls(a * s.p + b * s.q, c * s.p + d * s.q)
 
 
 def enumerate_slopes(max_height: int) -> set[Slope]:

@@ -17,21 +17,14 @@ from cbgraph import ops
 from cbgraph.curves import CurveClass
 from cbgraph.farey import Slope
 from cbgraph.polygon import curve_from_chords
-from cbgraph.surface import Triangulation, standard_triangulation
+from cbgraph.surface import standard_triangulation
 
 
 class EmbeddedToriModel:
     """Slope-to-curve realization inside one embedded punctured torus."""
 
-    def __init__(
-        self,
-        tri: Triangulation | None = None,
-        alpha: CurveClass | None = None,
-        beta: CurveClass | None = None,
-    ):
-        if alpha is not None:
-            tri = alpha.tri
-        self.tri = tri or standard_triangulation(2)
+    def __init__(self, alpha: CurveClass | None = None, beta: CurveClass | None = None):
+        self.tri = alpha.tri if alpha is not None else standard_triangulation(2)
         self.alpha = alpha or curve_from_chords(self.tri, [(0, "1/2")])
         self.beta = beta or curve_from_chords(self.tri, [(1, "1/2")])
         if ops.intersect(self.alpha, self.beta) != 1:

@@ -137,22 +137,16 @@ def _intersect(a: CurveClass, b: CurveClass) -> int:
     return LAST_PAIR.reduced.count(0, 1)
 
 
-def algebraic_intersect(a: CurveClass, b: CurveClass, orientations=(1, 1)) -> int:
-    """Signed intersection count for the traced orientations.
-
-    `orientations` flips the default (traced) orientation of a and b.
-    """
+def algebraic_intersect(a: CurveClass, b: CurveClass) -> int:
+    """Signed intersection count for the traced orientations."""
     if not (a.is_connected and b.is_connected):
         raise ValueError("algebraic_intersect needs connected curves")
-    oa, ob = orientations
-    if abs(oa) != 1 or abs(ob) != 1:
-        raise ValueError("orientations must be +1 or -1")
     if a == b:
         return 0
     # Swapping the pair negates the count of the traced orientations.
     if b < a:
-        return -oa * ob * _algebraic(b, a)
-    return oa * ob * _algebraic(a, b)
+        return -_algebraic(b, a)
+    return _algebraic(a, b)
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
@@ -398,6 +392,8 @@ def _common_punctured_torus(curves: tuple[CurveClass, ...]) -> bool:
         return False
     if len(curves) == 2:
         return True
+    # The one import cycle of the package: `cut.disjoint_union` calls
+    # `intersect`, so `cut` imports this module at its top.
     from cbgraph.cut import CutComplex
 
     boundary = prof.boundary_classes[0]

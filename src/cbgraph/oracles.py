@@ -2,16 +2,20 @@
 
 These deliberately avoid the formulas under test: torus intersection
 numbers are obtained by counting lattice lines crossed on the unit-square
-model, Farey distances by breadth-first search over bounded-height slopes,
-and compression-body heights by breadth-first search over the move graph.
+model, and compression-body heights by breadth-first search over the
+move graph (its levels are built once per genus).  The Farey-distance
+oracle, a breadth-first search over bounded-height slopes that no suite
+runs, lives with the tests in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 
 from cbgraph.cb import CBType, enumerate_types, minimal_moves, trivial_type
-from cbgraph.farey import ArcSlope, Slope, enumerate_slopes
+from cbgraph.farey import ArcSlope, Slope
+
 
 def _count_strict(lo_num: int, hi_num: int, den: int) -> int:
     """Integers k with lo_num/den < k < hi_num/den, endpoints non-integer."""
@@ -77,82 +81,17 @@ def lattice_aa(a: ArcSlope, b: ArcSlope) -> int:
     return count
 
 
-_adjacency_cache: dict[int, dict[Slope, list[Slope]]] = {}
-_bfs_cache: dict[tuple[Slope, int], dict[Slope, int]] = {}
-
-
-def _adjacency(max_height: int) -> dict[Slope, list[Slope]]:
-    adj = _adjacency_cache.get(max_height)
-    if adj is None:
-        universe = enumerate_slopes(max_height)
-        adj = {s: [] for s in universe}
-        for s in universe:
-            for t in _neighbors_in(s, max_height):
-                if t in adj:
-                    adj[s].append(t)
-        _adjacency_cache[max_height] = adj
-    return adj
-
-
-def _neighbors_in(s: Slope, max_height: int):
-    # All r/q2 with |p*q2 - q*r| == 1 and bounded height, found by solving
-    # the determinant equation one denominator at a time.
-    p, q = s.p, s.q
-    if q == 0:
-        for n in range(-max_height, max_height + 1):
-            yield Slope(n, 1)
-        return
-    if q == 1:
-        yield Slope(1, 0)
-    for q2 in range(1, max_height + 1):
-        for sign in (1, -1):
-            num = p * q2 - sign
-            if num % q == 0:
-                r = num // q
-                if abs(r) <= max_height:
-                    yield Slope(r, q2)
-
-
-def bfs_farey_distance(a: Slope, b: Slope, max_height: int = 64) -> int:
-    """Graph distance via BFS over the slopes of bounded height."""
-    if a == b:
-        return 0
-    key = (a, max_height)
-    dist = _bfs_cache.get(key)
-    if dist is None:
-        adj = _adjacency(max_height)
-        if a not in adj:
-            raise ValueError(f"{a} outside height bound {max_height}")
-        dist = {a: 0}
-        queue = deque([a])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
-        _bfs_cache[key] = dist
-    if b not in dist:
-        raise RuntimeError(f"no path from {a} to {b} within height {max_height}")
-    return dist[b]
-
-
-_level_cache: dict[int, dict[CBType, int]] = {}
-
-
+@lru_cache(maxsize=None)
 def _levels(g: int) -> dict[CBType, int]:
-    levels = _level_cache.get(g)
-    if levels is None:
-        start = trivial_type(g)
-        levels = {start: 0}
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for nxt in minimal_moves(cur):
-                if nxt not in levels:
-                    levels[nxt] = levels[cur] + 1
-                    queue.append(nxt)
-        _level_cache[g] = levels
+    start = trivial_type(g)
+    levels = {start: 0}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nxt in minimal_moves(cur):
+            if nxt not in levels:
+                levels[nxt] = levels[cur] + 1
+                queue.append(nxt)
     return levels
 
 

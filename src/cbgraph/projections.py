@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from cbgraph import MEMO_ENTRIES, cut, ops
+from cbgraph.cb import Containment, contains, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.cut import CutComplex
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance
@@ -231,7 +232,13 @@ def projection_slopes(sel: SideSelector, b: CurveClass, basis=None) -> set[Slope
 
 
 def projection_diameter_torus(sel: SideSelector, b: CurveClass) -> int:
-    """Exact Farey diameter of the projection in a genus-1 side."""
+    """Exact Farey diameter of the projection in a genus-1 side.
+
+    It names the paper's diameter of the subsurface projection of b to
+    a genus-one side, measured in that side's Farey graph (the curve
+    graph of a punctured torus); `diam_witness` looks for a slope at
+    distance two or more from the same projected slopes.
+    """
     slopes = projection_slopes(sel, b)
     if len(slopes) < 2:
         return 0
@@ -263,8 +270,6 @@ def surjdisc_witness(a: CurveClass, b: CurveClass, container) -> CurveClass | No
     the search is that returning None refutes it, so only a certified
     non-containment makes the query meaningless.
     """
-    from cbgraph.cb import Containment, contains, small_cb
-
     if not (a.is_connected and a.is_separating):
         raise ValueError("the base curve must be connected and separating")
     if contains(small_cb(a), container) is not Containment.TRUE:

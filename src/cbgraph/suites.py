@@ -12,11 +12,14 @@ import json
 import random
 import time
 from datetime import datetime, timezone
+from functools import lru_cache
 
 from cbgraph import complexes, ops, oracles, projections as pj
 from cbgraph.cb import (
+    CBType,
     Containment,
     MarkedCB,
+    all_minimal_sequences,
     classify_short,
     composable_pairs,
     contains,
@@ -26,7 +29,7 @@ from cbgraph.cb import (
     meridian_of_small,
     small_cb,
 )
-from cbgraph.cb import all_minimal_sequences
+from cbgraph.curves import json_record
 from cbgraph.farey import (
     ArcSlope,
     Slope,
@@ -53,6 +56,8 @@ class Recipe:
     FIELDS = ("checks", "seed", "genus", "max_word", "out")
 
     def __init__(self, checks=None, seed=7, genus=2, max_word=3, out=None):
+        if checks is not None and not isinstance(checks, list):
+            raise ValueError(f"recipe checks must be a list of suite names, not {checks!r}")
         self.checks = list(checks) if checks is not None else list(SUITES)
         self.seed = seed
         self.genus = genus
@@ -65,13 +70,7 @@ class Recipe:
     @classmethod
     def from_file(cls, path, **overrides):
         with open(path, "rb") as fh:
-            raw = fh.read()
-        if str(path).endswith(".toml"):
-            import tomllib
-
-            data = tomllib.loads(raw.decode())
-        else:
-            data = json.loads(raw.decode())
+            data = json_record(fh.read().decode(), "recipe")
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**{k: data[k] for k in cls.FIELDS if k in data})
 
@@ -79,18 +78,10 @@ class Recipe:
         return {k: getattr(self, k) for k in self.FIELDS}
 
 
-_fixture_cache: dict[int, tuple] = {}
-
-
+@lru_cache(maxsize=None)
 def _fixtures(genus: int = 2):
-    fix = _fixture_cache.get(genus)
-    if fix is None:
-        tri = standard_triangulation(genus)
-        handles = handle_curves(tri)
-        conn = chain_connector(tri, 0)
-        fix = (tri, handles, conn)
-        _fixture_cache[genus] = fix
-    return fix
+    tri = standard_triangulation(genus)
+    return tri, handle_curves(tri), chain_connector(tri, 0)
 
 
 def _random_twist_word(rng, gens, length):
@@ -206,8 +197,6 @@ def check_short_classification(rng, recipe):
         for h in (1, 2):
             if got[f"height{h}"] != oracles.scan_types_by_height(g, h):
                 bad.append((g, h))
-    from cbgraph.cb import CBType
-
     nontrivial = {
         (t, height(t)) for t in enumerate_types(2) if not t.is_trivial
     }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from functools import lru_cache
 from pathlib import Path
 
 _ASSET_DIR = Path(__file__).parent / "assets"
@@ -83,8 +84,9 @@ class Triangulation:
         self.side_edge = tuple(side_edge)
 
         self.vertex_link = self._compute_vertex_link()
+        payload = {"genus": genus, "triangles": [list(t) for t in self.triangles]}
         self.checksum = hashlib.sha256(
-            json.dumps(self._payload(), sort_keys=True).encode()
+            json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()[:16]
 
     @property
@@ -94,9 +96,6 @@ class Triangulation:
     @property
     def num_triangles(self) -> int:
         return 4 * self.genus - 2
-
-    def edge_of(self, tri: int, slot: int) -> int:
-        return self.triangles[tri][slot]
 
     def opposite(self, tri: int, slot: int) -> tuple[int, int]:
         """The other (triangle, slot) incidence of the same edge."""
@@ -128,14 +127,6 @@ class Triangulation:
             raise RuntimeError("polygon identification does not give one vertex")
         return tuple(word)
 
-    def _payload(self) -> dict:
-        return {"genus": self.genus, "triangles": [list(t) for t in self.triangles]}
-
-    def to_json(self) -> dict:
-        data = self._payload()
-        data["checksum"] = self.checksum
-        return data
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Triangulation) and self.checksum == other.checksum
 
@@ -146,24 +137,17 @@ class Triangulation:
         return f"Triangulation(genus={self.genus}, checksum={self.checksum})"
 
 
-_cache: dict[int, Triangulation] = {}
-
-
+@lru_cache(maxsize=None)
 def standard_triangulation(genus: int) -> Triangulation:
     """The shipped triangulation for this genus, checked against assets."""
-    tri = _cache.get(genus)
-    if tri is None:
-        tri = Triangulation(genus)
-        asset = _asset_path(genus)
-        if asset.exists():
-            data = json.loads(asset.read_text())
-            if data["checksum"] != tri.checksum or data["triangles"] != [
-                list(t) for t in tri.triangles
-            ]:
-                raise RuntimeError(
-                    f"asset {asset} disagrees with the built triangulation"
-                )
-        _cache[genus] = tri
+    tri = Triangulation(genus)
+    asset = _asset_path(genus)
+    if asset.exists():
+        data = json.loads(asset.read_text())
+        if data["checksum"] != tri.checksum or data["triangles"] != [
+            list(t) for t in tri.triangles
+        ]:
+            raise RuntimeError(f"asset {asset} disagrees with the built triangulation")
     return tri
 
 
@@ -172,14 +156,3 @@ def _asset_path(genus: int) -> Path:
     base = Path(root) if root else _ASSET_DIR
     return base / f"triangulation_g{genus}.json"
 
-
-def write_assets(genera=(2, 3), directory: Path | None = None) -> list[Path]:
-    """Regenerate the versioned triangulation assets."""
-    base = directory or _ASSET_DIR
-    base.mkdir(parents=True, exist_ok=True)
-    out = []
-    for g in genera:
-        path = base / f"triangulation_g{g}.json"
-        path.write_text(json.dumps(Triangulation(g).to_json(), indent=1) + "\n")
-        out.append(path)
-    return out

@@ -62,12 +62,12 @@ class StepTracer:
         # Follow the arc through triangle t from the point at index pos on
         # side `slot` (indices count from the slot's start corner).
         n = self.corners[t]
-        w_here = self.w[self.tri.edge_of(t, slot)]
+        w_here = self.w[self.tri.triangles[t][slot]]
         if pos < n[slot]:
             # Arc at the slot's start corner, joining side slot-1.
             out = (slot - 1) % 3
             a = pos + 1
-            return out, self.w[self.tri.edge_of(t, out)] - a
+            return out, self.w[self.tri.triangles[t][out]] - a
         # Arc at the end corner, joining side slot+1.
         out = (slot + 1) % 3
         a = w_here - pos
@@ -91,7 +91,7 @@ class StepTracer:
                 cycle = []
                 t, slot, pos = t0, s0, p
                 while True:
-                    ce = tri.edge_of(t, slot)
+                    ce = tri.triangles[t][slot]
                     cpos = self._canonical_pos(t, slot, pos)
                     if (ce, cpos) in seen:
                         break
@@ -100,13 +100,13 @@ class StepTracer:
                     # Pass through triangle t, then cross the exit edge.
                     out_slot, out_pos = self._across(t, slot, pos)
                     t2, s2 = tri.opposite(t, out_slot)
-                    pos2 = self.w[tri.edge_of(t, out_slot)] - 1 - out_pos
+                    pos2 = self.w[tri.triangles[t][out_slot]] - 1 - out_pos
                     t, slot, pos = t2, s2, pos2
                 out.append(cycle)
         return out
 
     def _canonical_pos(self, t: int, slot: int, pos: int) -> int:
-        e = self.tri.edge_of(t, slot)
+        e = self.tri.triangles[t][slot]
         if self.tri.sides[e][0] == (t, slot):
             return pos
         return self.w[e] - 1 - pos

@@ -1,8 +1,73 @@
-"""Re-export of the brute-force slope oracles shared with the suite runner."""
+"""Brute-force slope oracles for the tests.
 
-from cbgraph.oracles import (  # noqa: F401
-    bfs_farey_distance,
-    lattice_aa,
-    lattice_ca,
-    lattice_cc,
-)
+The lattice-counting intersection oracles are re-exported from
+`cbgraph.oracles`, which the suite runner shares.  The Farey-distance
+oracle lives here: a breadth-first search over the slopes of bounded
+height, against which `farey.farey_distance` is checked.  No suite runs
+it, so it is not part of the package.
+"""
+
+from collections import deque
+
+from cbgraph.farey import Slope, enumerate_slopes
+from cbgraph.oracles import lattice_aa, lattice_ca, lattice_cc  # noqa: F401
+
+
+_adjacency_cache: dict[int, dict[Slope, list[Slope]]] = {}
+_bfs_cache: dict[tuple[Slope, int], dict[Slope, int]] = {}
+
+
+def _adjacency(max_height: int) -> dict[Slope, list[Slope]]:
+    adj = _adjacency_cache.get(max_height)
+    if adj is None:
+        universe = enumerate_slopes(max_height)
+        adj = {s: [] for s in universe}
+        for s in universe:
+            for t in _neighbors_in(s, max_height):
+                if t in adj:
+                    adj[s].append(t)
+        _adjacency_cache[max_height] = adj
+    return adj
+
+
+def _neighbors_in(s: Slope, max_height: int):
+    # All r/q2 with |p*q2 - q*r| == 1 and bounded height, found by solving
+    # the determinant equation one denominator at a time.
+    p, q = s.p, s.q
+    if q == 0:
+        for n in range(-max_height, max_height + 1):
+            yield Slope(n, 1)
+        return
+    if q == 1:
+        yield Slope(1, 0)
+    for q2 in range(1, max_height + 1):
+        for sign in (1, -1):
+            num = p * q2 - sign
+            if num % q == 0:
+                r = num // q
+                if abs(r) <= max_height:
+                    yield Slope(r, q2)
+
+
+def bfs_farey_distance(a: Slope, b: Slope, max_height: int = 64) -> int:
+    """Graph distance via BFS over the slopes of bounded height."""
+    if a == b:
+        return 0
+    key = (a, max_height)
+    dist = _bfs_cache.get(key)
+    if dist is None:
+        adj = _adjacency(max_height)
+        if a not in adj:
+            raise ValueError(f"{a} outside height bound {max_height}")
+        dist = {a: 0}
+        queue = deque([a])
+        while queue:
+            cur = queue.popleft()
+            for nxt in adj[cur]:
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
+        _bfs_cache[key] = dist
+    if b not in dist:
+        raise RuntimeError(f"no path from {a} to {b} within height {max_height}")
+    return dist[b]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cbgraph import cli, curves, geom, ops, suites
+from cbgraph import cli, complexes, curves, geom, ops, suites
 from cbgraph.cb import CBType, MarkedCB, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.polygon import chain_connector, handle_curves
@@ -309,6 +309,60 @@ def test_malformed_type_and_body_records_exit_2(capsys, tmp_path):
     code, error = _run_error(capsys, ["cb", "contains", "--c", str(body), "--d", str(d)])
     assert code == 2
     assert error == {"type": "ValueError", "message": "body record lacks the key 'system'"}
+
+
+def test_fragment_without_kind_exits_2(capsys, tmp_path):
+    record = complexes.build_tc_fragment([A, C]).to_json()
+    del record["kind"]
+    (tmp_path / "fragment.json").write_text(json.dumps(record))
+    code, error = _run_error(capsys, ["complex", "analyze", "--in", str(tmp_path)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "fragment record lacks the key 'kind'"}
+
+
+def test_unknown_analyze_check_exits_2(capsys, tmp_path):
+    record = complexes.build_tc_fragment([A, C]).to_json()
+    (tmp_path / "fragment.json").write_text(json.dumps(record))
+    argv = ["complex", "analyze", "--in", str(tmp_path), "--checks", "chromatic,bogus"]
+    code, error = _run_error(capsys, argv)
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "unknown check: bogus"}
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ({"genus": 2}, "recipe record lacks the key 'bodies'"),
+        ({"genus": 2, "bodies": [{}]}, "body record lacks the key 'system'"),
+    ],
+)
+def test_cb_recipe_without_bodies_or_system_exits_2(capsys, tmp_path, recipe, message):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    argv = ["complex", "build", "--kind", "cb", "--recipe", str(path)]
+    code, error = _run_error(capsys, argv + ["--out", str(tmp_path / "frag")])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "frag").exists()
+
+
+def test_run_recipe_list_exits_2(capsys, tmp_path):
+    recipe = tmp_path / "list.json"
+    recipe.write_text(json.dumps(["farey-oracle"]))
+    code, error = _run_error(capsys, ["run", "--recipe", str(recipe)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "recipe record is a JSON list, not an object"}
+
+
+def test_run_recipe_checks_string_exits_2(capsys, tmp_path):
+    recipe = tmp_path / "string.json"
+    recipe.write_text(json.dumps({"checks": "farey-oracle"}))
+    code, error = _run_error(capsys, ["run", "--recipe", str(recipe)])
+    assert code == 2
+    assert error == {
+        "type": "ValueError",
+        "message": "recipe checks must be a list of suite names, not 'farey-oracle'",
+    }
 
 
 def test_wrong_checksum_exits_with_typed_error(capsys, tmp_path):

@@ -7,7 +7,6 @@ from cbgraph import complexes, ops
 from cbgraph.cb import MarkedCB, small_cb
 from cbgraph.complexes import (
     ComplexFragment,
-    anti_connected,
     build_cb_fragment,
     build_schmutz_fragment,
     build_tc_fragment,
@@ -79,6 +78,17 @@ def test_chromatic_matches_bruteforce_on_random_graphs():
 
 
 def test_anti_connected():
+    # A graph is anti-connected (its complement is connected) exactly
+    # when no split of its vertices into two nonempty parts is a join.
+    def anti_connected(g):
+        n, edges = g
+        frag = ComplexFragment("tc", range(n), edges)
+        return not any(
+            is_join(frag, part, [v for v in range(n) if v not in part])
+            for k in range(1, n)
+            for part in combinations(range(n), k)
+        )
+
     assert anti_connected((1, set()))
     assert anti_connected((4, set()))
     k3 = (3, {(0, 1), (0, 2), (1, 2)})

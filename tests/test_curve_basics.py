@@ -174,9 +174,10 @@ def test_author_handle_curves_genus2():
     c = curve_from_chords(tri, [(4, "1/2")])
     assert c.weights == _weights_on(tri, [2, 7, 8])
     for x in (a, b, c):
-        assert x.component_count == 1
+        assert len(x.words) == 1
         assert not x.is_separating
-        assert sorted(x.edge_words[0]) == [e for e, n in enumerate(x.weights) for _ in range(n)]
+        edges = [tri.side_edge[letter] for letter in x.words[0]]
+        assert sorted(edges) == [e for e, n in enumerate(x.weights) for _ in range(n)]
 
 
 def test_trace_round_trip():
@@ -192,7 +193,7 @@ def test_multicurve_from_disjoint_words():
     a = curve_from_chords(tri, [(0, "1/2")])
     c = curve_from_chords(tri, [(4, "1/2")])
     m = CurveClass.from_words(tri, [a.word, c.word])
-    assert m.component_count == 2
+    assert len(m.words) == 2
     assert m.weights == tuple(x + y for x, y in zip(a.weights, c.weights))
     assert sorted(m.components()) == sorted([a, c])
 

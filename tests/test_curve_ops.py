@@ -47,8 +47,6 @@ def test_algebraic_bounded_by_geometric():
         geo = ops.intersect(x, y)
         assert abs(alg) <= geo
         assert (geo - alg) % 2 == 0
-        assert ops.algebraic_intersect(x, y, (1, -1)) == -alg
-        assert ops.algebraic_intersect(x, y, (-1, -1)) == alg
 
 
 def test_twist_round_trip_and_identity():

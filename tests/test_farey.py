@@ -7,9 +7,7 @@ from cbgraph import farey, suites
 from cbgraph.farey import (
     ArcSlope,
     Slope,
-    apply_sl2,
     enumerate_slopes,
-    farey_adjacent,
     farey_distance,
     intersect_aa,
     intersect_ca,
@@ -29,7 +27,7 @@ def test_slope_normalization():
     assert Slope(-2, 0) == Slope(1, 0)
     assert repr(Slope(-3, 7)) == "-3/7"
     assert Slope.parse("-3/7") == Slope(-3, 7)
-    assert Slope.parse("1/0").is_infinity
+    assert Slope.parse("1/0").q == 0
     with pytest.raises(ValueError):
         Slope.parse("2/4")
     with pytest.raises(ValueError):
@@ -88,9 +86,9 @@ def test_intersect_cc_symmetric_zero_diagonal():
 
 
 def test_farey_adjacent_examples():
-    assert farey_adjacent(Slope(0, 1), Slope(1, 0))
-    assert farey_adjacent(Slope(0, 1), Slope(1, 2))
-    assert not farey_adjacent(Slope(1, 0), Slope(1, 2))
+    assert intersect_cc(Slope(0, 1), Slope(1, 0)) == 1
+    assert intersect_cc(Slope(0, 1), Slope(1, 2)) == 1
+    assert intersect_cc(Slope(1, 0), Slope(1, 2)) != 1
 
 
 def test_farey_graph_connected_at_desk_scale():
@@ -130,6 +128,15 @@ def test_farey_distance_metric_axioms():
         assert d[a, b] >= 1
     for a, b, c in combinations(sample, 3):
         assert d[a, c] <= d[a, b] + d[b, c]
+
+
+def apply_sl2(m: tuple[int, int, int, int], s: Slope) -> Slope:
+    """Projective action of an integer matrix [[a, b], [c, d]] on a slope."""
+    a, b, c, d = m
+    if a * d - b * c not in (1, -1):
+        raise ValueError("matrix must have determinant +-1")
+    cls = type(s)
+    return cls(a * s.p + b * s.q, c * s.p + d * s.q)
 
 
 def _random_sl2_word(rng, length):

@@ -11,7 +11,9 @@ behind them are also checked to be symmetric (geometric) and
 antisymmetric (algebraic) under swapping the pair.
 """
 
+import importlib
 import itertools
+import pkgutil
 import random
 
 import pytest
@@ -19,7 +21,8 @@ from conftest import MEMOS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbgraph import cb, cut, ops
+import cbgraph
+from cbgraph import MEMO_ENTRIES, cb, cut, ops
 from cbgraph import projections as pj
 from cbgraph.curves import CurveClass, _from_weights
 from cbgraph.farey import Slope, enumerate_slopes
@@ -27,7 +30,6 @@ from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
 
 TRIS = {g: standard_triangulation(g) for g in (2, 3, 4)}
-ORIENTATIONS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def _clear():
@@ -54,10 +56,12 @@ def _pool(rng, tri, size):
 
 def _pair_answers(a, b):
     """Every memoised answer about a pair, in both orders."""
-    out = [ops.intersect(a, b), ops.intersect(b, a)]
-    for o in ORIENTATIONS:
-        out += [ops.algebraic_intersect(a, b, o), ops.algebraic_intersect(b, a, o)]
-    return out
+    return [
+        ops.intersect(a, b),
+        ops.intersect(b, a),
+        ops.algebraic_intersect(a, b),
+        ops.algebraic_intersect(b, a),
+    ]
 
 
 def test_pair_answers_equal_cold_answers():
@@ -268,3 +272,35 @@ def test_from_weights_raises_every_time():
         with pytest.raises(ValueError, match="round trip failed"):
             CurveClass.from_weights(tri, summed)
     assert _from_weights.cache_info().currsize == held
+
+
+def _bounded_memos(module):
+    """The `lru_cache`s of `MEMO_ENTRIES` entries defined in a module,
+    at its top level or in its classes."""
+    owners = [module] + [
+        c for c in vars(module).values()
+        if isinstance(c, type) and c.__module__ == module.__name__
+    ]
+    for owner in owners:
+        for obj in vars(owner).values():
+            fn = getattr(obj, "__func__", obj)  # unwrap class- and staticmethods
+            params = getattr(fn, "cache_parameters", None)
+            if (
+                params is not None
+                and fn.__module__ == module.__name__
+                and params()["maxsize"] == MEMO_ENTRIES
+            ):
+                yield fn
+
+
+def test_conftest_lists_every_bounded_memo():
+    # A memo missing from `MEMOS` would keep its entries from one test
+    # to the next, so the work a test counts would depend on test order.
+    def names(memos):
+        return sorted(f"{fn.__module__}.{fn.__qualname__}" for fn in memos)
+
+    found = []
+    for info in pkgutil.iter_modules(cbgraph.__path__):
+        found += _bounded_memos(importlib.import_module(f"cbgraph.{info.name}"))
+    assert names(found) == names(set(MEMOS)) == names(MEMOS)
+    assert set(found) == set(MEMOS)
