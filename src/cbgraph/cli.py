@@ -49,7 +49,7 @@ def _load_curve(path) -> CurveClass:
 
 def _load_curves(path) -> list[CurveClass]:
     data = _load_json(path)
-    if isinstance(data, dict):
+    if not isinstance(data, list):
         data = [data]
     return [CurveClass.from_json(d) for d in data]
 
@@ -62,6 +62,18 @@ def _type_arg(text) -> CBType:
     if os.path.exists(text):
         return CBType.from_json(_load_json(text))
     return CBType.from_json(text)
+
+
+def _field(record, what, key, kind, default):
+    """record[key], or default when it is absent or null; a ValueError
+    unless the value is of type `kind` (int or list)."""
+    value = record.get(key)
+    if value is None:
+        value = default
+    if type(value) is not kind:
+        article = "an" if kind is int else "a"
+        raise ValueError(f"{what} {key} must be {article} {kind.__name__}, not {value!r}")
+    return value
 
 
 def _spec_index(spec, key, count) -> int:
@@ -115,13 +127,14 @@ def curve_from_spec(tri, spec) -> CurveClass:
 
 
 def _recipe_curves(tri, data) -> list[CurveClass]:
-    curves = [curve_from_spec(tri, s) for s in data.get("curves", [])]
+    curves = [curve_from_spec(tri, s) for s in _field(data, "recipe", "curves", list, [])]
     orb = data.get("orbit")
     if orb:
-        base = [curve_from_spec(tri, s) for s in orb["base"]]
-        twists = [curve_from_spec(tri, s) for s in orb["twists"]]
-        found = ops.orbit(base, twists, orb.get("max_word", 1))
-        limit = orb.get("limit")
+        orb = json_record(orb, "orbit", "base", "twists")
+        base = [curve_from_spec(tri, s) for s in _field(orb, "orbit", "base", list, None)]
+        twists = [curve_from_spec(tri, s) for s in _field(orb, "orbit", "twists", list, None)]
+        found = ops.orbit(base, twists, _field(orb, "orbit", "max_word", int, 1))
+        limit = _field(orb, "orbit", "limit", int, 0)
         curves.extend(found[:limit] if limit else found)
     seen, out = set(), []
     for c in curves:
@@ -198,24 +211,24 @@ def cmd_cb(opts) -> int:
 
 def cmd_complex_build(opts) -> int:
     data = json_record(_load_json(opts.recipe), "recipe")
-    genus = data.get("genus", 2)
-    tri = standard_triangulation(genus)
+    tri = standard_triangulation(_field(data, "recipe", "genus", int, 2))
     provenance = {
         "recipe": os.path.basename(opts.recipe),
         "seed": data.get("seed", 0),
     }
     if opts.kind == "cb":
-        systems = [
-            json_record(body, "body", "system")["system"]
-            for body in json_record(data, "recipe", "bodies")["bodies"]
-        ]
-        bodies = [MarkedCB(tri, [curve_from_spec(tri, s) for s in x]) for x in systems]
+        bodies = []
+        for body in _field(json_record(data, "recipe", "bodies"), "recipe", "bodies", list, None):
+            system = _field(json_record(body, "body", "system"), "body", "system", list, None)
+            bodies.append(MarkedCB(tri, [curve_from_spec(tri, s) for s in system]))
         frag = complexes.build_cb_fragment(bodies, provenance=provenance)
     else:
         curves = _recipe_curves(tri, data)
         if opts.kind == "tc":
             frag = complexes.build_tc_fragment(
-                curves, max_dim=data.get("max_dim", 3), provenance=provenance
+                curves,
+                max_dim=_field(data, "recipe", "max_dim", int, 3),
+                provenance=provenance,
             )
         else:
             frag = complexes.build_schmutz_fragment(curves, provenance=provenance)
@@ -300,17 +313,11 @@ def cmd_suites(opts) -> int:
 
 
 def cmd_run(opts) -> int:
-    overrides = {"seed": opts.seed, "out": opts.out}
-    if opts.suite:
-        overrides["checks"] = opts.suite
+    overrides = {"checks": opts.suite, "seed": opts.seed, "out": opts.out}
     if opts.recipe:
         recipe = Recipe.from_file(opts.recipe, **overrides)
     else:
-        recipe = Recipe(
-            checks=opts.suite or None,
-            seed=opts.seed if opts.seed is not None else 7,
-            out=opts.out,
-        )
+        recipe = Recipe(**{k: v for k, v in overrides.items() if v is not None})
     report = run_suite(recipe)
     if recipe.out:
         os.makedirs(recipe.out, exist_ok=True)

@@ -281,7 +281,7 @@ def _cut_profile(tri: Triangulation, system) -> tuple:
     return tuple(CutComplex(tri, disjoint_union(system)).profile())
 
 
-def dual_curve(a: CurveClass, avoid=()) -> CurveClass:
+def dual_curve(a: CurveClass, avoid) -> CurveClass:
     """A curve crossing a exactly once and missing every curve in avoid.
 
     Found as a shortest cell path through the complement of the whole

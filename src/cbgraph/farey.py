@@ -198,8 +198,8 @@ def mn_scan(limit: int) -> frozenset[tuple[int, int]]:
 
     One exhaustive pass: the predicate is evaluated on each of the
     4 * (2 * limit + 1) pairs of that domain, 8,000,004 for limit 10**6.
-    `mn_constraint_solutions` and `mn_scan_has_large_solution` read their
-    answers off this set.
+    `mn_scan_has_large_solution` and the census suite read their answers
+    off this set.
     """
     return frozenset(
         (m, n)
@@ -209,17 +209,15 @@ def mn_scan(limit: int) -> frozenset[tuple[int, int]]:
     )
 
 
-def mn_constraint_solutions(scan: int = 0) -> set[tuple[int, int]]:
+def mn_constraint_solutions() -> set[tuple[int, int]]:
     """Integer pairs (m, n) with |m*n - 1| = 1, |m| >= 2 and n != 0.
 
     |m*n - 1| = 1 forces m*n in {0, 2}; with the side conditions only
-    (2, 1) and (-2, -1) survive.  Pass scan > 0 to find the set by
-    exhaustive search over 2 <= |m| <= scan and n in (1, -1, 2, -2)
-    instead (`mn_scan`); |n| > 2 needs no scan, since with |m| >= 2 it
-    makes |m*n| >= 6 while a solution has |m*n| <= 2.
+    (2, 1) and (-2, -1) survive.  The census suite checks the same set
+    by exhaustive search over 2 <= |m| <= 10**6 and n in (1, -1, 2, -2)
+    (`mn_scan`); |n| > 2 needs no scan, since with |m| >= 2 it makes
+    |m*n| >= 6 while a solution has |m*n| <= 2.
     """
-    if scan:
-        return {(m, n) for m, n in mn_scan(scan) if abs(m) >= 2}
     return {(2, 1), (-2, -1)}
 
 

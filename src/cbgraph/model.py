@@ -1,14 +1,14 @@
 """An embedded once-punctured torus realizing torus slopes as curves.
 
-The model fixes the dual handle curves alpha (slope 1/0) and beta
-(slope 0/1) on the standard triangulation; their band sum w bounds the
-punctured torus containing both.  An arbitrary slope p/q is realized by
-a word in the two Dehn twists, found by running the Euclidean algorithm
-on (p, q) against the twists' SL(2,Z) slope actions.  The two twist
-matrices are calibrated once against the model's own orientation
-convention (twist(beta, alpha, 1) is declared to be the 1/1-curve), so
-downstream slope images are consistent by construction and validated
-against the torus intersection formula in the tests.
+The model is given two curves alpha (slope 1/0) and beta (slope 0/1)
+that meet once; their band sum bounds the punctured torus containing
+both.  An arbitrary slope p/q is realized by a word in the two Dehn
+twists, found by running the Euclidean algorithm on (p, q) against the
+twists' SL(2,Z) slope actions.  The two twist matrices are calibrated
+once against the model's own orientation convention (twist(beta, alpha,
+1) is declared to be the 1/1-curve), so downstream slope images are
+consistent by construction and validated against the torus intersection
+formula in the tests.
 """
 
 from __future__ import annotations
@@ -16,20 +16,16 @@ from __future__ import annotations
 from cbgraph import ops
 from cbgraph.curves import CurveClass
 from cbgraph.farey import Slope
-from cbgraph.polygon import curve_from_chords
-from cbgraph.surface import standard_triangulation
 
 
 class EmbeddedToriModel:
     """Slope-to-curve realization inside one embedded punctured torus."""
 
-    def __init__(self, alpha: CurveClass | None = None, beta: CurveClass | None = None):
-        self.tri = alpha.tri if alpha is not None else standard_triangulation(2)
-        self.alpha = alpha or curve_from_chords(self.tri, [(0, "1/2")])
-        self.beta = beta or curve_from_chords(self.tri, [(1, "1/2")])
-        if ops.intersect(self.alpha, self.beta) != 1:
+    def __init__(self, alpha: CurveClass, beta: CurveClass):
+        self.alpha = alpha
+        self.beta = beta
+        if ops.intersect(alpha, beta) != 1:
             raise RuntimeError("model handle curves must intersect once")
-        self.w = ops.band_sum(self.alpha, self.beta)
         self._images = {
             Slope(1, 0): self.alpha,
             Slope(0, 1): self.beta,

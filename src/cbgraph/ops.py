@@ -362,9 +362,15 @@ def common_punctured_torus(curves) -> bool:
 
     Three or more curves are decided through pair data: two distinct
     essential curves in a punctured torus always cross, two crossing
-    curves fill the torus they share, so the filled neighborhood of the
-    first pair is the only candidate, and each remaining curve lies in
-    it exactly when it misses the boundary and sits on the torus side.
+    curves fill the torus they share, so the filled neighborhood T of
+    the first pair a, b is the only candidate.  Every pair crosses, so
+    each remaining curve c lies in T exactly when it misses the
+    boundary: a curve disjoint from the boundary can be isotoped into T
+    or into the far side, and everything on the far side misses a,
+    which c crosses; in T it is not peripheral, being nonseparating.
+    Conversely a common punctured torus contains the filled
+    neighborhood of a and b, so its boundary is parallel to that of T,
+    and every curve misses it.
     """
     curves = sorted(set(curves))
     if not curves:
@@ -392,19 +398,8 @@ def _common_punctured_torus(curves: tuple[CurveClass, ...]) -> bool:
         return False
     if len(curves) == 2:
         return True
-    # The one import cycle of the package: `cut.disjoint_union` calls
-    # `intersect`, so `cut` imports this module at its top.
-    from cbgraph.cut import CutComplex
-
     boundary = prof.boundary_classes[0]
-    cut = CutComplex(curves[0].tri, boundary)
-    torus_region = cut.region_containing(curves[0])
-    for c in curves[2:]:
-        if intersect(c, boundary) != 0:
-            return False
-        if cut.region_containing(c) != torus_region:
-            return False
-    return True
+    return all(intersect(c, boundary) == 0 for c in curves[2:])
 
 
 def orbit(base, twists, max_word: int):

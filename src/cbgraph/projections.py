@@ -250,9 +250,8 @@ def projection_diameter_torus(sel: SideSelector, b: CurveClass) -> int:
     )
 
 
-def diam_witness(sel: SideSelector, b: CurveClass, basis=None) -> Slope:
+def diam_witness(sel: SideSelector, b: CurveClass, basis: TorusBasis) -> Slope:
     """First slope by height at Farey distance >= 2 from the projection."""
-    basis = basis or TorusBasis(sel)
     slopes = projection_slopes(sel, b, basis)
     for h in range(1, MAX_WITNESS_HEIGHT + 1):
         for c in sorted(enumerate_slopes(h)):

@@ -46,6 +46,10 @@ from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
 
 
+# The seed of a run that names none.
+DEFAULT_SEED = 7
+
+
 class SuiteSkip(Exception):
     """Raised by a check whose guard preconditions are not met."""
 
@@ -55,7 +59,7 @@ class Recipe:
 
     FIELDS = ("checks", "seed", "genus", "max_word", "out")
 
-    def __init__(self, checks=None, seed=7, genus=2, max_word=3, out=None):
+    def __init__(self, checks=None, seed=DEFAULT_SEED, genus=2, max_word=3, out=None):
         if checks is not None and not isinstance(checks, list):
             raise ValueError(f"recipe checks must be a list of suite names, not {checks!r}")
         self.checks = list(checks) if checks is not None else list(SUITES)
@@ -79,7 +83,7 @@ class Recipe:
 
 
 @lru_cache(maxsize=None)
-def _fixtures(genus: int = 2):
+def _fixtures(genus: int):
     tri = standard_triangulation(genus)
     return tri, handle_curves(tri), chain_connector(tri, 0)
 
@@ -548,7 +552,7 @@ SUITES = {
 }
 
 
-def run_check(name: str, seed: int = 7, recipe: Recipe | None = None) -> dict:
+def run_check(name: str, seed: int = DEFAULT_SEED, recipe: Recipe | None = None) -> dict:
     """Run one named check with a fresh seeded generator."""
     claim, fn = SUITES[name]
     recipe = recipe or Recipe(checks=[name], seed=seed)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from functools import lru_cache
 from pathlib import Path
 
@@ -141,7 +140,7 @@ class Triangulation:
 def standard_triangulation(genus: int) -> Triangulation:
     """The shipped triangulation for this genus, checked against assets."""
     tri = Triangulation(genus)
-    asset = _asset_path(genus)
+    asset = _ASSET_DIR / f"triangulation_g{genus}.json"
     if asset.exists():
         data = json.loads(asset.read_text())
         if data["checksum"] != tri.checksum or data["triangles"] != [
@@ -149,10 +148,3 @@ def standard_triangulation(genus: int) -> Triangulation:
         ]:
             raise RuntimeError(f"asset {asset} disagrees with the built triangulation")
     return tri
-
-
-def _asset_path(genus: int) -> Path:
-    root = os.environ.get("CBGRAPH_ASSETS")
-    base = Path(root) if root else _ASSET_DIR
-    return base / f"triangulation_g{genus}.json"
-

@@ -365,6 +365,52 @@ def test_run_recipe_checks_string_exits_2(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        (
+            {"genus": 2, "orbit": {"twists": [{"handle": 0}]}},
+            "orbit record lacks the key 'base'",
+        ),
+        (
+            {"genus": 2, "orbit": {"base": [{"handle": 0}], "twists": [{"handle": 1}], "max_word": "x"}},
+            "orbit max_word must be an int, not 'x'",
+        ),
+        ({"genus": 2, "curves": [{"handle": 0}], "max_dim": "x"}, "recipe max_dim must be an int, not 'x'"),
+        ({"genus": "two", "curves": [{"handle": 0}]}, "recipe genus must be an int, not 'two'"),
+    ],
+)
+def test_tc_recipe_field_of_wrong_type_exits_2(capsys, tmp_path, recipe, message):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    argv = ["complex", "build", "--kind", "tc", "--recipe", str(path)]
+    code, error = _run_error(capsys, argv + ["--out", str(tmp_path / "frag")])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "frag").exists()
+
+
+def test_cb_recipe_bodies_not_a_list_exits_2(capsys, tmp_path):
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"genus": 2, "bodies": 5}))
+    argv = ["complex", "build", "--kind", "cb", "--recipe", str(path)]
+    code, error = _run_error(capsys, argv + ["--out", str(tmp_path / "frag")])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "recipe bodies must be a list, not 5"}
+    assert not (tmp_path / "frag").exists()
+
+
+def test_orbit_base_number_exits_2(capsys, tmp_path):
+    base = tmp_path / "base.json"
+    base.write_text("5")
+    twists = _write_curve(tmp_path / "twists.json", A)
+    argv = ["curve", "orbit", "--base", str(base), "--twists", twists, "--max-word", "1"]
+    code, error = _run_error(capsys, argv + ["--out", str(tmp_path / "orbit")])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "curve record is a JSON int, not an object"}
+    assert not (tmp_path / "orbit").exists()
+
+
 def test_wrong_checksum_exits_with_typed_error(capsys, tmp_path):
     bad = tmp_path / "a.json"
     bad.write_text(json.dumps(dict(A.to_json(), checksum="0" * 16)))

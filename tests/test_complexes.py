@@ -141,7 +141,7 @@ def test_cb_fragment_rejects_trivial_vertex():
 
 
 def test_tc_fragment_from_model_is_complete():
-    model = EmbeddedToriModel()
+    model = EmbeddedToriModel(A, B)
     curves = [model.image(s) for s in sorted(enumerate_slopes(2))]
     frag = build_tc_fragment(curves, max_dim=3)
     n = len(curves)

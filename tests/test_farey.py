@@ -216,7 +216,7 @@ def test_once_intersectors_rejects_degenerate_normalization():
 
 def test_mn_constraint_solutions():
     assert mn_constraint_solutions() == {(2, 1), (-2, -1)}
-    assert mn_constraint_solutions(scan=100) == {(2, 1), (-2, -1)}
+    assert {(m, n) for m, n in mn_scan(100) if abs(m) >= 2} == {(2, 1), (-2, -1)}
     assert not mn_scan_has_large_solution(10**6)
     m, n = 2, 1
     assert abs(m * n - 1) == 1
@@ -226,7 +226,6 @@ def test_mn_readers_filter_the_scan(monkeypatch):
     # The real scan has no |m| >= 3 pair; a planted one must be seen.
     planted = frozenset({(0, 1), (1, 2), (2, 1), (3, -1)})
     monkeypatch.setattr(farey, "mn_scan", lambda limit: planted)
-    assert mn_constraint_solutions(scan=10) == {(2, 1), (3, -1)}
     assert mn_scan_has_large_solution(10)
     monkeypatch.setattr(farey, "mn_scan", lambda limit: planted - {(3, -1)})
     assert not mn_scan_has_large_solution(10)
@@ -260,7 +259,7 @@ def test_mn_scans_lose_nothing():
             for n in span
             if abs(m) >= 2 and n != 0 and abs(m * n - 1) == 1
         }
-        assert mn_constraint_solutions(scan=limit) == brute
+        assert {(m, n) for m, n in mn_scan(limit) if abs(m) >= 2} == brute
         large = any(abs(m) >= 3 for m, _ in brute)
         assert mn_scan_has_large_solution(limit) == large
         domain = [(m, n) for m in span for n in (1, -1, 2, -2)]

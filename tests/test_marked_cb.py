@@ -17,7 +17,7 @@ W = ops.band_sum(A, B)
 
 def test_dual_curve_meets_once_and_avoids():
     for c in (A, B, C, D):
-        d = cut.dual_curve(c)
+        d = cut.dual_curve(c, [])
         assert ops.intersect(c, d) == 1
     wcd = ops.band_sum(C, D)
     d = cut.dual_curve(A, [C, wcd])
@@ -25,7 +25,7 @@ def test_dual_curve_meets_once_and_avoids():
     assert ops.intersect(C, d) == 0
     assert ops.intersect(wcd, d) == 0
     with pytest.raises(ValueError):
-        cut.dual_curve(W)
+        cut.dual_curve(W, [])
 
 
 def test_small_body_heights():

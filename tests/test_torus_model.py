@@ -3,14 +3,17 @@ import pytest
 from cbgraph import ops
 from cbgraph.farey import Slope, enumerate_slopes, intersect_cc
 from cbgraph.model import EmbeddedToriModel
+from cbgraph.polygon import handle_curves
+from cbgraph.surface import standard_triangulation
 
-MODEL = EmbeddedToriModel()
+MODEL = EmbeddedToriModel(*handle_curves(standard_triangulation(2))[:2])
+# The boundary of the model's punctured torus.
+W = ops.band_sum(MODEL.alpha, MODEL.beta)
 SLOPES = sorted(enumerate_slopes(3))
 
 
 def test_model_base_curves():
     assert ops.intersect(MODEL.alpha, MODEL.beta) == 1
-    assert MODEL.w == ops.band_sum(MODEL.alpha, MODEL.beta)
     assert MODEL.image(Slope(1, 0)) == MODEL.alpha
     assert MODEL.image(Slope(0, 1)) == MODEL.beta
 
@@ -24,7 +27,7 @@ def test_images_are_distinct_nonseparating_and_in_the_torus():
         assert c.is_connected
         assert not c.is_separating
         # Inside the punctured torus: disjoint from its boundary.
-        assert ops.intersect(c, MODEL.w) == 0
+        assert ops.intersect(c, W) == 0
 
 
 def test_images_realize_farey_intersections():

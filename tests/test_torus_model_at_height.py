@@ -19,8 +19,12 @@ from cbgraph.polygon import handle_curves
 from cbgraph.surface import standard_triangulation
 
 MAX_HEIGHT = 40
-_MIDDLE = handle_curves(standard_triangulation(3))[2:4]
-MODELS = {2: EmbeddedToriModel(), 3: EmbeddedToriModel(alpha=_MIDDLE[0], beta=_MIDDLE[1])}
+MODELS = {
+    2: EmbeddedToriModel(*handle_curves(standard_triangulation(2))[:2]),
+    3: EmbeddedToriModel(*handle_curves(standard_triangulation(3))[2:4]),
+}
+# The boundary of each model's punctured torus.
+BOUNDARY = {g: ops.band_sum(m.alpha, m.beta) for g, m in MODELS.items()}
 TALL = sorted(enumerate_slopes(MAX_HEIGHT) - enumerate_slopes(3))
 
 
@@ -31,7 +35,7 @@ def test_tall_slope_images_meet_in_farey_points(genus, s, t):
     a, b = model.image(s), model.image(t)
     for c in (a, b):
         assert c.is_connected and not c.is_separating
-        assert ops.intersect(c, model.w) == 0
+        assert ops.intersect(c, BOUNDARY[genus]) == 0
     want = intersect_cc(s, t)
     assert ops.intersect(a, b) == want
     assert abs(ops.algebraic_intersect(a, b)) == want
