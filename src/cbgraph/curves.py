@@ -9,25 +9,43 @@ reduced words are canonical up to rotation and reversal (reversal maps
 each letter to its mate) for isotopy in the punctured surface.  Isotopy
 in the closed surface additionally allows pushes across the vertex,
 which swap a run parallel to the vertex link for the complementary run;
-`vertex_canonical` exhausts those, so word equality is isotopy.  Each
-letter occurs once in the vertex link, so each direction of the link is
-a successor table on the letters, and the runs parallel to it are found
+`vertex_canonical` exhausts those, so word equality is isotopy.
+
+`vertex_canonical` runs on words encoded as `str`, one code point per
+letter (`kernel.encode`); letters are below 3 * num_triangles, far
+inside the code point range 0..0x10FFFF.  Reversal, reduction, the
+least rotation and the letter counts per edge are string operations on
+`str.translate` tables, and the answer is decoded once.  Each letter
+occurs once in the vertex link, so each direction of the link is a
+successor table on the letters, and the runs parallel to it are found
 by one `str.translate` of the encoded word per direction.
+
 The letter counts per edge are exactly the normal coordinates, and
 tracing those coordinates through the triangles recovers the components,
 which doubles as an embeddedness check.  The traced cycles are matched
 to the canonical words by substring tests on the encoded words, so each
-word is canonicalised once.
+word is canonicalised once.  A curve built from normal coordinates
+(`from_weights`, and so `from_json`) is traced once to find its words;
+when its canonical words sum to the same coordinates, which they do
+unless a push across the vertex changed them, the round trip matches
+them against that trace instead of tracing the same weights again.
 """
 
 from __future__ import annotations
 
 import json
 from functools import lru_cache
-from operator import eq
+from operator import eq, itemgetter
+from typing import NamedTuple
 
 from cbgraph import MEMO_ENTRIES
-from cbgraph.kernel import canonical_reduced, cyclic_reduce, reverse_word
+from cbgraph.kernel import (
+    canonical_text,
+    cyclic_reduce_text,
+    decode,
+    encode,
+    reverse_word,
+)
 from cbgraph.surface import Triangulation, standard_triangulation
 
 MAX_VERTEX_CLOSURE = 20000  # words `vertex_canonical` may reach from one input
@@ -120,7 +138,7 @@ class _Tracer:
 def trace_components(tri: Triangulation, weights) -> list[tuple[int, ...]]:
     """Component words of the multicurve with these normal coordinates."""
     cycles = _Tracer(tri, weights).components()
-    return [tuple(x for x, _ in cycle) for cycle in cycles]
+    return [tuple(map(itemgetter(0), cycle)) for cycle in cycles]
 
 
 def _check_letters(tri: Triangulation, word) -> None:
@@ -146,32 +164,37 @@ def validate_word(tri: Triangulation, word) -> None:
             raise ValueError("word has a backtrack")
 
 
-@lru_cache(maxsize=None)
-def _translate_tables(tri: Triangulation):
-    """Tables for words encoded one character per letter.
+class _Tables(NamedTuple):
+    """`str.translate` tables for words encoded one code point per letter."""
 
-    `str.translate` tables: each letter to its mate, and per direction
-    of the vertex link, each letter to its successor along the link,
-    given with that direction's letters doubled as a string.
-    """
-    mate = tri.mate
+    flip: str  # each letter to its mate
+    edge: str  # each letter to the edge it crosses
+    edges: str  # every edge, in order
+    # Per direction of the vertex link: each letter to its successor
+    # along the link, and that direction's letters doubled as a string.
+    directions: tuple[tuple[str, str], ...]
+
+
+@lru_cache(maxsize=None)
+def _translate_tables(tri: Triangulation) -> _Tables:
     directions = []
-    for cycle in (tri.vertex_link, reverse_word(tri.vertex_link, mate)):
+    for cycle in (tri.vertex_link, reverse_word(tri.vertex_link, tri.mate)):
         succ = [0] * len(cycle)
         for x, y in zip(cycle, cycle[1:] + cycle[:1]):
             succ[x] = y
-        text = "".join(map(chr, cycle))
-        directions.append(("".join(map(chr, succ)), text + text))
-    return "".join(map(chr, mate)), tuple(directions)
+        text = encode(cycle)
+        directions.append((encode(succ), text + text))
+    return _Tables(
+        encode(tri.mate), encode(tri.side_edge), encode(range(tri.num_edges)), tuple(directions)
+    )
 
 
-def _same_cycle(text: str, word, flip: str) -> bool:
-    """Whether `word` is the cyclic word `text` up to rotation and reversal."""
-    if len(text) != len(word):
+def _same_cycle(text: str, other: str, flip: str) -> bool:
+    """Whether two encoded cyclic words agree up to rotation and reversal."""
+    if len(text) != len(other):
         return False
-    t = "".join(map(chr, word))
-    r = t[::-1].translate(flip)
-    return text in t + t or text in r + r
+    r = other[::-1].translate(flip)
+    return text in other + other or text in r + r
 
 
 def _parallel_runs(text: str, succ: str, n: int, min_len: int):
@@ -203,45 +226,44 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     words are discarded.  The empty word comes back exactly for
     null-isotopic inputs (such as the vertex link itself).
 
-    The link holds each of the 3 * num_triangles letters exactly once
-    (one per corner), so each direction of it is a successor table on
-    the letters: w[i..i+k-1] runs parallel to it exactly when each of
-    w[i..i+k-2] is followed by its successor.  Translating the encoded
-    word by that table and comparing it with the word rotated by one
-    marks those letters in a byte vector, so runs of at least min_len
-    letters are the cyclic stretches of min_len - 1 marks there.
+    The closure runs on encoded words and keeps them as strings; the
+    answer is decoded once.  The link holds each of the 3 * num_triangles
+    letters exactly once (one per corner), so each direction of it is a
+    successor table on the letters: w[i..i+k-1] runs parallel to it
+    exactly when each of w[i..i+k-2] is followed by its successor.
+    Translating the encoded word by that table and comparing it with the
+    word rotated by one marks those letters in a byte vector, so runs of
+    at least min_len letters are the cyclic stretches of min_len - 1
+    marks there.
     """
-    mate = tri.mate
-    start = cyclic_reduce(tuple(word), mate)
+    tables = _translate_tables(tri)
+    flip = tables.flip
+    start = cyclic_reduce_text(encode(word), flip)
     if not start:
         return ()
-    flip, directions = _translate_tables(tri)
     n = len(tri.vertex_link)
     min_len = n // 2
-    seen = {canonical_reduced(start, mate)}
+    seen = {canonical_text(start, flip)}
     frontier = list(seen)
     while frontier:
         nxt = []
-        for w in frontier:
-            m = len(w)
-            text = "".join(map(chr, w))
-            for succ, dbl in directions:
+        for text in frontier:
+            m = len(text)
+            for succ, dbl in tables.directions:
                 for i, k in _parallel_runs(text, succ, n, min_len):
                     anchored = text[i:] + text[:i]
                     j = dbl.find(text[i])
                     for kk in range(min_len, k + 1):
                         swapped = dbl[j + kk : j + n][::-1].translate(flip) + anchored[kk:]
-                        cand = cyclic_reduce(tuple(map(ord, swapped)), mate)
+                        cand = cyclic_reduce_text(swapped, flip)
                         if len(cand) > m:
                             continue
-                        cand = canonical_reduced(cand, mate)
+                        cand = canonical_text(cand, flip)
                         if cand in seen:
                             continue
                         if cand:
-                            traced = trace_components(tri, word_weights(tri, [cand]))
-                            if len(traced) != 1 or not _same_cycle(
-                                "".join(map(chr, cand)), traced[0], flip
-                            ):
+                            traced = trace_components(tri, _text_weights(tables, [cand]))
+                            if len(traced) != 1 or not _same_cycle(cand, encode(traced[0]), flip):
                                 continue
                         seen.add(cand)
                         nxt.append(cand)
@@ -251,18 +273,20 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
                 f"vertex reduction closure exceeded MAX_VERTEX_CLOSURE = {MAX_VERTEX_CLOSURE}:"
                 f" {len(seen)} words reached from an input word of length {len(word)}"
             )
-    best = min(len(w) for w in seen)
+    best = min(map(len, seen))
     if best == 0:
         return ()
-    return min(w for w in seen if len(w) == best)
+    return decode(min(w for w in seen if len(w) == best))
+
+
+def _text_weights(tables: _Tables, texts) -> tuple[int, ...]:
+    """Normal coordinates of encoded words: the count of each edge."""
+    crossed = "".join(texts).translate(tables.edge)
+    return tuple(map(crossed.count, tables.edges))
 
 
 def word_weights(tri: Triangulation, words) -> tuple[int, ...]:
-    w = [0] * tri.num_edges
-    for word in words:
-        for x in word:
-            w[tri.side_edge[x]] += 1
-    return tuple(w)
+    return _text_weights(_translate_tables(tri), map(encode, words))
 
 
 def json_record(data, what: str, *keys) -> dict:
@@ -320,27 +344,7 @@ class CurveClass:
         its closure in `vertex_canonical` holds the full-link swap, the
         empty word, so it is rejected as the trivial loop.
         """
-        reduced = []
-        for word in words:
-            _check_letters(tri, word)
-            w = vertex_canonical(tri, word)
-            if not w:
-                raise ValueError("a component reduces to the trivial loop")
-            validate_word(tri, w)
-            reduced.append(w)
-        flip = _translate_tables(tri)[0]
-        traced = trace_components(tri, word_weights(tri, reduced))
-        unmatched = ["".join(map(chr, w)) for w in reduced]
-        for t in traced:
-            hit = next((r for r in unmatched if _same_cycle(r, t, flip)), None)
-            if hit is None:
-                break
-            unmatched.remove(hit)
-        if unmatched or len(traced) != len(reduced):
-            raise ValueError(
-                "words are not an embedded multicurve (round trip failed)"
-            )
-        return cls(tri, tuple(sorted(reduced)))
+        return _build(tri, words)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -396,10 +400,47 @@ class CurveClass:
     @classmethod
     def from_json(cls, data: dict | str) -> "CurveClass":
         data = json_record(data, "curve", "genus", "weights")
-        tri = standard_triangulation(data["genus"])
+        genus, weights = data["genus"], data["weights"]
+        if type(genus) is not int:
+            raise ValueError(f"curve genus must be an int, not {genus!r}")
+        tri = standard_triangulation(genus)
         if "checksum" in data and data["checksum"] != tri.checksum:
             raise ValueError("curve was saved against a different triangulation")
-        return cls.from_weights(tri, data["weights"])
+        if not isinstance(weights, (list, tuple)):
+            raise ValueError(f"curve weights must be a list, not {weights!r}")
+        return cls.from_weights(tri, weights)
+
+
+def _build(tri: Triangulation, words, weights=None) -> CurveClass:
+    """`CurveClass.from_words`; with `weights`, `words` are its trace.
+
+    Tracing is a function of the weights, so when the canonical words
+    sum to `weights` the round trip matches them against `words` and
+    does not trace again; a vertex push that changed the weights makes
+    the round trip trace the new ones.
+    """
+    reduced = []
+    for word in words:
+        _check_letters(tri, word)
+        w = vertex_canonical(tri, word)
+        if not w:
+            raise ValueError("a component reduces to the trivial loop")
+        validate_word(tri, w)
+        reduced.append(w)
+    tables = _translate_tables(tri)
+    unmatched = list(map(encode, reduced))
+    summed = _text_weights(tables, unmatched)
+    traced = words if summed == weights else trace_components(tri, summed)
+    for t in map(encode, traced):
+        hit = next((r for r in unmatched if _same_cycle(r, t, tables.flip)), None)
+        if hit is None:
+            break
+        unmatched.remove(hit)
+    if unmatched or len(traced) != len(reduced):
+        raise ValueError(
+            "words are not an embedded multicurve (round trip failed)"
+        )
+    return CurveClass(tri, tuple(sorted(reduced)))
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
@@ -407,4 +448,4 @@ def _from_weights(tri: Triangulation, weights: tuple[int, ...]) -> CurveClass:
     words = trace_components(tri, weights)
     if not words:
         raise ValueError("zero weights: empty multicurve is not essential")
-    return CurveClass.from_words(tri, words)
+    return _build(tri, words, weights)

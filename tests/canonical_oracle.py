@@ -1,20 +1,25 @@
-"""The letter-by-offset canonicaliser, the step tracer and Booth's least
-rotation, kept as oracles.
+"""The letter-by-offset canonicaliser, the tuple closure, the step
+tracer and Booth's least rotation, kept as oracles.
 
 `vertex_canonical` here is the closure search that
 `cbgraph.curves.vertex_canonical` replaced: it compares every word
 position with every offset into the vertex link, where the kept code
 marks the letters followed by their successor along the link with one
-`str.translate` per direction.  `StepTracer` is the normal
-arc tracer that calls a method per step, where the kept one reads
+`str.translate` per direction.  `tuple_vertex_canonical` is the closure
+that the string closure replaced: it reduced and canonicalised every
+candidate as a tuple of letters.  It is kept as it was; its helpers are
+renamed `_tuple_tables`, `_same_tuple_cycle` and `count_weights` (the
+per-letter edge count that `word_weights` replaced), and it calls the
+flat tracer as `flat_trace_components`.  `StepTracer` is the normal arc
+tracer that calls a method per step, where the kept one reads
 per-letter tables.  `parent_words` is the class-building rule that
 canonicalised every traced word a second time.  Tests require the kept
-code to give the same words, cycles and classes.  `rescanning_cyclic_reduce`
-is the word reduction that repeated whole passes until nothing
-cancelled; the kept one must return a rotation of its result.
-`min_rotation` is Booth's linear-time least rotation (K. S. Booth,
-"Lexicographically least circular substrings", IPL 1980), a loop over
-the letters that the block-ranking `cbgraph.kernel.min_rotation`
+code to give the same words, weights, cycles and classes.
+`rescanning_cyclic_reduce` is the word reduction that repeated whole
+passes until nothing cancelled; the kept one must return a rotation of
+its result.  `min_rotation` is Booth's linear-time least rotation (K. S.
+Booth, "Lexicographically least circular substrings", IPL 1980), a loop
+over the letters that the block-ranking `cbgraph.kernel.min_rotation`
 replaced; the two must return the same rotation.  `corner_counts` is
 the per-triangle corner rule that `cbgraph.curves._Tracer` now computes
 inline; the tracer's corner table and errors must match it.
@@ -22,8 +27,11 @@ inline; the tracer's corner table and errors must match it.
 
 from __future__ import annotations
 
-from cbgraph.curves import validate_word, word_weights
-from cbgraph.kernel import canonical_cyclic, cyclic_reduce, reverse_word
+from functools import lru_cache
+
+from cbgraph.curves import MAX_VERTEX_CLOSURE, _parallel_runs, validate_word, word_weights
+from cbgraph.curves import trace_components as flat_trace_components
+from cbgraph.kernel import canonical_cyclic, canonical_reduced, cyclic_reduce, reverse_word
 from cbgraph.surface import Triangulation
 
 
@@ -180,6 +188,110 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     if best == 0:
         return ()
     return min(w for w in seen if len(w) == best)
+
+
+@lru_cache(maxsize=None)
+def _tuple_tables(tri: Triangulation):
+    """Tables for words encoded one character per letter.
+
+    `str.translate` tables: each letter to its mate, and per direction
+    of the vertex link, each letter to its successor along the link,
+    given with that direction's letters doubled as a string.
+    """
+    mate = tri.mate
+    directions = []
+    for cycle in (tri.vertex_link, reverse_word(tri.vertex_link, mate)):
+        succ = [0] * len(cycle)
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            succ[x] = y
+        text = "".join(map(chr, cycle))
+        directions.append(("".join(map(chr, succ)), text + text))
+    return "".join(map(chr, mate)), tuple(directions)
+
+
+def _same_tuple_cycle(text: str, word, flip: str) -> bool:
+    """Whether `word` is the cyclic word `text` up to rotation and reversal."""
+    if len(text) != len(word):
+        return False
+    t = "".join(map(chr, word))
+    r = t[::-1].translate(flip)
+    return text in t + t or text in r + r
+
+
+def tuple_vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
+    """Shortest canonical dual word of a component under closed isotopy.
+
+    Cyclic reduction is canonical only in the punctured surface; an
+    isotopy across the vertex replaces a run parallel to the vertex
+    link by the complementary run of the link.  Runs covering at least
+    half the link never lengthen the word under this swap, so the
+    closure under those moves is finite; the lexicographically smallest
+    of its shortest words is the canonical representative.  A swap is
+    only an isotopy when no other strand of the curve separates the run
+    from the vertex, so swapped words that fail to retrace as normal
+    words are discarded.  The empty word comes back exactly for
+    null-isotopic inputs (such as the vertex link itself).
+
+    The link holds each of the 3 * num_triangles letters exactly once
+    (one per corner), so each direction of it is a successor table on
+    the letters: w[i..i+k-1] runs parallel to it exactly when each of
+    w[i..i+k-2] is followed by its successor.  Translating the encoded
+    word by that table and comparing it with the word rotated by one
+    marks those letters in a byte vector, so runs of at least min_len
+    letters are the cyclic stretches of min_len - 1 marks there.
+    """
+    mate = tri.mate
+    start = cyclic_reduce(tuple(word), mate)
+    if not start:
+        return ()
+    flip, directions = _tuple_tables(tri)
+    n = len(tri.vertex_link)
+    min_len = n // 2
+    seen = {canonical_reduced(start, mate)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            m = len(w)
+            text = "".join(map(chr, w))
+            for succ, dbl in directions:
+                for i, k in _parallel_runs(text, succ, n, min_len):
+                    anchored = text[i:] + text[:i]
+                    j = dbl.find(text[i])
+                    for kk in range(min_len, k + 1):
+                        swapped = dbl[j + kk : j + n][::-1].translate(flip) + anchored[kk:]
+                        cand = cyclic_reduce(tuple(map(ord, swapped)), mate)
+                        if len(cand) > m:
+                            continue
+                        cand = canonical_reduced(cand, mate)
+                        if cand in seen:
+                            continue
+                        if cand:
+                            traced = flat_trace_components(tri, count_weights(tri, [cand]))
+                            if len(traced) != 1 or not _same_tuple_cycle(
+                                "".join(map(chr, cand)), traced[0], flip
+                            ):
+                                continue
+                        seen.add(cand)
+                        nxt.append(cand)
+        frontier = nxt
+        if len(seen) > MAX_VERTEX_CLOSURE:
+            raise RuntimeError(
+                f"vertex reduction closure exceeded MAX_VERTEX_CLOSURE = {MAX_VERTEX_CLOSURE}:"
+                f" {len(seen)} words reached from an input word of length {len(word)}"
+            )
+    best = min(len(w) for w in seen)
+    if best == 0:
+        return ()
+    return min(w for w in seen if len(w) == best)
+
+
+def count_weights(tri: Triangulation, words) -> tuple[int, ...]:
+    w = [0] * tri.num_edges
+    for word in words:
+        for x in word:
+            w[tri.side_edge[x]] += 1
+    return tuple(w)
 
 
 def parent_words(tri: Triangulation, words) -> tuple[tuple[int, ...], ...]:

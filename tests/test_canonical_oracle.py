@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbgraph import kernel, ops
-from cbgraph.curves import CurveClass, _Tracer, vertex_canonical
-from cbgraph.kernel import reverse_word
+from cbgraph.curves import CurveClass, _Tracer, vertex_canonical, word_weights
+from cbgraph.kernel import decode, reverse_word
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
 
@@ -61,8 +61,11 @@ def _outcome(build, tri, words):
 
 
 def _assert_same(tri, words):
+    assert word_weights(tri, words) == oracle.count_weights(tri, words)
     for w in words:
-        assert vertex_canonical(tri, w) == oracle.vertex_canonical(tri, w)
+        got = vertex_canonical(tri, w)
+        assert got == oracle.vertex_canonical(tri, w)
+        assert got == oracle.tuple_vertex_canonical(tri, w)
     got = _outcome(lambda t, ws: CurveClass.from_words(t, ws).words, tri, words)
     assert got == _outcome(oracle.parent_words, tri, words)
     if got[0] != "ValueError":
@@ -238,17 +241,9 @@ def test_min_rotation_on_powers_with_one_defect():
         assert kernel.min_rotation(w) == oracle.min_rotation(w)
 
 
-def test_min_rotation_on_scale_ladder_inputs(monkeypatch):
-    # Every word canonicalised while the scale workload's genus-2 and
-    # genus-3 twist ladders are built, up to 5,484 letters.
-    inputs = []
-    kept = kernel.min_rotation
-
-    def record(word):
-        inputs.append(tuple(word))
-        return kept(word)
-
-    monkeypatch.setattr(kernel, "min_rotation", record)
+def _scale_ladders():
+    """Build the scale workload's genus-2 and genus-3 twist ladders, up
+    to 5,484 letters."""
     for g, k, most in ((2, 0, 5000), (3, 1, 2500)):
         tri = TRIS[g]
         hs = handle_curves(tri)
@@ -258,6 +253,31 @@ def test_min_rotation_on_scale_ladder_inputs(monkeypatch):
             d, p = ((hs[2 * k], 1), (conn, -1))[n % 2]
             c = ops.twist(c, d, p)
             n += 1
+
+
+def test_string_closure_on_scale_ladder_rungs():
+    # The raw twist words the rungs are built from, against the tuple
+    # closure only: the letter-by-offset one is quadratic in the length.
+    with _raw_words() as calls:
+        _scale_ladders()
+    assert max(len(words[0]) for _, words in calls) > 5000
+    for tri, words in calls:
+        for w in words:
+            assert vertex_canonical(tri, w) == oracle.tuple_vertex_canonical(tri, w)
+
+
+def test_min_rotation_on_scale_ladder_inputs(monkeypatch):
+    # Every word the closure canonicalises while the scale ladders are
+    # built; it rotates encoded words, so those are recorded.
+    inputs = []
+    kept = kernel.min_rotation_text
+
+    def record(text):
+        inputs.append(text)
+        return kept(text)
+
+    monkeypatch.setattr(kernel, "min_rotation_text", record)
+    _scale_ladders()
     assert max(map(len, inputs)) == 5484
-    for w in inputs:
-        assert kept(w) == oracle.min_rotation(w)
+    for text in inputs:
+        assert decode(kept(text)) == oracle.min_rotation(decode(text))

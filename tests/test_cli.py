@@ -292,6 +292,23 @@ def test_curve_record_without_weights_exits_2(capsys, tmp_path):
     assert error == {"type": "ValueError", "message": "curve record lacks the key 'weights'"}
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("genus", "two", "curve genus must be an int, not 'two'"),
+        ("genus", 2.0, "curve genus must be an int, not 2.0"),
+        ("weights", 5, "curve weights must be a list, not 5"),
+        ("weights", None, "curve weights must be a list, not None"),
+    ],
+)
+def test_curve_record_field_of_wrong_type_exits_2(capsys, tmp_path, field, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(A.to_json(), **{field: value})))
+    code, error = _run_error(capsys, ["curve", "separating", "--a", str(bad)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": message}
+
+
 def test_malformed_type_and_body_records_exit_2(capsys, tmp_path):
     code, error = _run_error(capsys, ["cb", "height", "--type", '{"g": 3}'])
     assert code == 2

@@ -7,12 +7,15 @@ from cbgraph.kernel import (
     canonical_cyclic,
     canonical_reduced,
     cyclic_reduce,
+    cyclic_reduce_text,
+    decode,
+    encode,
     min_rotation,
     reverse_word,
 )
-from cbgraph import curves
+from cbgraph import curves, ops
 from cbgraph.curves import CurveClass, trace_components, vertex_canonical, word_weights
-from cbgraph.polygon import curve_from_chords, partner_side
+from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves, partner_side
 from cbgraph.surface import Triangulation, standard_triangulation
 from canonical_oracle import rescanning_cyclic_reduce
 
@@ -124,6 +127,25 @@ def test_cyclic_reduce_is_a_rotation_of_the_rescanning_oracle():
         assert got == want or any(
             got == want[i:] + want[:i] for i in range(1, len(want))
         ), w
+
+
+def test_encoded_words_round_trip():
+    for w in ((), (0,), (5, 0, 9), (0xD7FF, 0xD800, 0xDFFF, 0xE000, 0x10FFFF)):
+        text = encode(w)
+        assert len(text) == len(w)
+        assert list(map(ord, text)) == list(w)
+        assert decode(text) == w
+
+
+def test_cyclic_reduce_text_is_cyclic_reduce():
+    # Reduced words skip the stack pass; the others must not.
+    rng = random.Random(17)
+    flip = encode(MATE)
+    words = [_nested_word(rng) for _ in range(200)]
+    words += [tuple(rng.randrange(10) for _ in range(rng.randint(0, 12))) for _ in range(300)]
+    words += [cyclic_reduce(w, MATE) for w in words]
+    for w in words:
+        assert decode(cyclic_reduce_text(encode(w), flip)) == cyclic_reduce(w, MATE)
 
 
 def test_min_rotation_matches_bruteforce():
@@ -274,3 +296,63 @@ def test_partner_side():
     assert partner_side(2) == 0
     assert partner_side(1) == 3
     assert partner_side(5) == 7
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """The weights of every `_Tracer.components` call, in order."""
+    seen = []
+    kept = curves._Tracer.components
+
+    def probe(self):
+        seen.append(tuple(self.w))
+        return kept(self)
+
+    monkeypatch.setattr(curves._Tracer, "components", probe)
+    return seen
+
+
+def test_from_weights_reuses_the_trace_of_kept_weights(traces):
+    # Vertex-minimal weights are traced once, besides the swaps their
+    # closure checks; the generators' closures check none.
+    for genus in (2, 3, 4):
+        tri = standard_triangulation(genus)
+        gens = handle_curves(tri) + [chain_connector(tri, k) for k in range(genus - 1)]
+        twisted = [ops.twist(ops.twist(g, gens[-1], 1), gens[1], -1) for g in gens]
+        for c in gens + twisted:
+            curves._from_weights.cache_clear()
+            traces.clear()
+            assert CurveClass.from_weights(tri, c.weights) == c
+            made = list(traces)
+            traces.clear()
+            vertex_canonical(tri, c.word)
+            assert made == [c.weights] + traces
+            if c in gens:
+                assert made == [c.weights]
+
+
+def test_from_weights_retraces_pushed_weights(traces):
+    # A normal curve isotopic to a_0 across the vertex: its trace, the
+    # closure's check of the pushed word, and the round trip of the
+    # weights the push gave.
+    tri = standard_triangulation(2)
+    a = handle_curves(tri)[0]
+    pushed = (1, 0, 2, 2, 1, 2, 2, 2, 2)
+    traces.clear()
+    assert CurveClass.from_weights(tri, pushed) == a
+    assert traces == [pushed, a.weights, a.weights]
+
+
+def test_round_trip_fails_on_the_reused_trace(traces):
+    # The summed weights of tests/test_memos.py: the canonical words sum
+    # to the input weights, so the round trip matches them against the
+    # input trace, which runs two other cycles, and fails without
+    # tracing the input again.
+    tri = standard_triangulation(2)
+    a = CurveClass.from_weights(tri, (3, 3, 4, 2, 2, 1, 4, 0, 2))
+    b = CurveClass.from_weights(tri, (4, 0, 2, 4, 4, 8, 8, 6, 4))
+    summed = tuple(x + y for x, y in zip(a.weights, b.weights))
+    traces.clear()
+    with pytest.raises(ValueError, match="round trip failed"):
+        CurveClass.from_weights(tri, summed)
+    assert traces.count(summed) == 1
