@@ -1,16 +1,19 @@
-"""The indexed canonicaliser and flat tracer against the code they replaced.
+"""The string closure and flat tracer against the code they replaced.
 
-For every input, `vertex_canonical` must return the oracle's word,
-`CurveClass.from_words` must store the words the old rule stored (or
-raise the same error), and the tracer must give the oracle's cycles on
-the class's weights and the oracle's corner table (or error) on any
-weight vector.  Inputs are the generators, the raw unreduced words
-that `ops.twist` and `ops.band_sum` hand to `from_words`, twisted
-multicurves, long twist ladder rungs and `hypothesis` twist words.
+For every input, `vertex_canonical` must return the words of both kept
+closures, the letter-by-offset one and the tuple one, `word_weights`
+must count as the per-letter loop did, `CurveClass.from_words` must
+store the words the old rule stored (or raise the same error), and the
+tracer must give the oracle's cycles on the class's weights and the
+oracle's corner table (or error) on any weight vector.  Inputs are the
+generators, the raw unreduced words that `ops.twist` and
+`ops.band_sum` hand to `from_words`, twisted multicurves, long twist
+ladder rungs and `hypothesis` twist words; the raw words of the scale
+ladders, up to 5,484 letters, are compared with the tuple closure.
 `kernel.min_rotation` must return Booth's rotation on short words over
 few letters, on random words, on the P^k Q words where cutting at
-single least letters would go quadratic, and on every word it is given
-while the scale ladders are built.
+single least letters would go quadratic, and on every encoded word
+`kernel.min_rotation_text` is given while the scale ladders are built.
 """
 
 import contextlib
