@@ -13,8 +13,9 @@
 #   `CurveClass.from_weights`, which holds a shared `CurveClass`: both
 #   are value-typed and never written after construction.
 #
-# After a cold acceptance pass (seed 101) they hold 2,143 entries and
-# 1.05 MB (`tracemalloc`), keys' curves included.  `tests/conftest.py`
+# After a cold acceptance pass (seed 101) they hold 2,115 entries and
+# 1.50 MB (`tracemalloc`), keys' curves and the traces they keep
+# (`CurveClass.trace`) included.  `tests/conftest.py`
 # lists these nine in `MEMOS` and clears them before every test, and a
 # test fails if a memo of `MEMO_ENTRIES` entries is missing there.
 #

@@ -20,7 +20,6 @@ from cbgraph import MEMO_ENTRIES, cut, ops
 from cbgraph.curves import CurveClass, json_record
 from cbgraph.surface import standard_triangulation
 
-MAX_SCAN_GENUS = 6
 MAX_CHAIN_HEIGHT = 12
 
 
@@ -78,7 +77,12 @@ class CBType:
     @classmethod
     def from_json(cls, data: dict | str) -> "CBType":
         data = json_record(data, "type", "g", "interior")
-        return cls(data["g"], data["interior"])
+        g, interior = data["g"], data["interior"]
+        if type(g) is not int:
+            raise ValueError(f"type g must be an int, not {g!r}")
+        if type(interior) is not list or any(type(x) is not int for x in interior):
+            raise ValueError(f"type interior must be a list of ints, not {interior!r}")
+        return cls(g, interior)
 
 
 def trivial_type(g: int) -> CBType:

@@ -29,11 +29,16 @@ word is canonicalised once.  A curve built from normal coordinates
 when its canonical words sum to the same coordinates, which they do
 unless a push across the vertex changed them, the round trip matches
 them against that trace instead of tracing the same weights again.
+
+The class keeps the trace of its own coordinates, matched to its words,
+as `CurveClass.trace`, and drawing (`geom`) and cutting (`cut`) read it:
+a curve is traced once, when it is built.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from functools import lru_cache
 from operator import eq, itemgetter
 from typing import NamedTuple
@@ -139,6 +144,12 @@ def trace_components(tri: Triangulation, weights) -> list[tuple[int, ...]]:
     """Component words of the multicurve with these normal coordinates."""
     cycles = _Tracer(tri, weights).components()
     return [tuple(map(itemgetter(0), cycle)) for cycle in cycles]
+
+
+def _trace(tri: Triangulation, weights) -> list[tuple[str, array]]:
+    """Traced cycles as (encoded letters, positions) pairs."""
+    cycles = _Tracer(tri, weights).components()
+    return [(encode(map(itemgetter(0), c)), array("I", map(itemgetter(1), c))) for c in cycles]
 
 
 def _check_letters(tri: Triangulation, word) -> None:
@@ -305,15 +316,22 @@ def json_record(data, what: str, *keys) -> dict:
 
 
 class CurveClass:
-    """An essential simple closed multicurve up to isotopy."""
+    """An essential simple closed multicurve up to isotopy.
 
-    __slots__ = ("tri", "words", "_weights")
+    `trace` is the normal trace of `weights` in traced order, per cycle
+    (letters by `kernel.encode`, positions in the shared frame of
+    `_Tracer.components` as an `array("I")`, the word of `words` it
+    runs).  Equality, hashing, order and JSON ignore it.
+    """
 
-    def __init__(self, tri: Triangulation, words: tuple[tuple[int, ...], ...]):
+    __slots__ = ("tri", "words", "_weights", "trace")
+
+    def __init__(self, tri: Triangulation, words: tuple[tuple[int, ...], ...], trace):
         # Internal: use the constructors below, which validate.
         self.tri = tri
         self.words = words
         self._weights = word_weights(tri, words)
+        self.trace = trace
 
     @classmethod
     def from_weights(cls, tri: Triangulation, weights) -> "CurveClass":
@@ -372,7 +390,19 @@ class CurveClass:
         return all(w % 2 == 0 for w in self._weights)
 
     def components(self) -> list["CurveClass"]:
-        return [CurveClass(self.tri, (w,)) for w in self.words]
+        """The components in traced order, each with its own trace: the
+        same letters from the same least point, its positions ranked
+        among its own points on each edge."""
+        edge = _translate_tables(self.tri).edge
+        out = []
+        for text, pos, word in self.trace:
+            points = list(zip(text.translate(edge), pos))
+            rank, start = {}, {}
+            for i, point in enumerate(sorted(points)):
+                rank[point] = i - start.setdefault(point[0], i)
+            own = array("I", map(rank.__getitem__, points))
+            out.append(CurveClass(self.tri, (word,), ((text, own, word),)))
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -411,13 +441,14 @@ class CurveClass:
         return cls.from_weights(tri, weights)
 
 
-def _build(tri: Triangulation, words, weights=None) -> CurveClass:
-    """`CurveClass.from_words`; with `weights`, `words` are its trace.
+def _build(tri: Triangulation, words, weights=None, cycles=None) -> CurveClass:
+    """`CurveClass.from_words`; `cycles` are the `_trace` of `weights`.
 
     Tracing is a function of the weights, so when the canonical words
-    sum to `weights` the round trip matches them against `words` and
-    does not trace again; a vertex push that changed the weights makes
-    the round trip trace the new ones.
+    sum to `weights` the round trip matches them against `cycles` and
+    does not trace again; otherwise (raw words, or a vertex push that
+    changed the weights) it traces the summed weights.  The class keeps
+    the cycles matched, each with its word, as its `trace`.
     """
     reduced = []
     for word in words:
@@ -428,24 +459,25 @@ def _build(tri: Triangulation, words, weights=None) -> CurveClass:
         validate_word(tri, w)
         reduced.append(w)
     tables = _translate_tables(tri)
-    unmatched = list(map(encode, reduced))
-    summed = _text_weights(tables, unmatched)
-    traced = words if summed == weights else trace_components(tri, summed)
-    for t in map(encode, traced):
-        hit = next((r for r in unmatched if _same_cycle(r, t, tables.flip)), None)
+    unmatched = [(encode(w), w) for w in reduced]
+    summed = _text_weights(tables, [r for r, _ in unmatched])
+    if summed != weights:
+        cycles = _trace(tri, summed)
+    trace = []
+    for t, pos in cycles:
+        hit = next((u for u in unmatched if _same_cycle(u[0], t, tables.flip)), None)
         if hit is None:
             break
         unmatched.remove(hit)
-    if unmatched or len(traced) != len(reduced):
-        raise ValueError(
-            "words are not an embedded multicurve (round trip failed)"
-        )
-    return CurveClass(tri, tuple(sorted(reduced)))
+        trace.append((t, pos, hit[1]))
+    if unmatched or len(cycles) != len(reduced):
+        raise ValueError("words are not an embedded multicurve (round trip failed)")
+    return CurveClass(tri, tuple(sorted(reduced)), tuple(trace))
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _from_weights(tri: Triangulation, weights: tuple[int, ...]) -> CurveClass:
-    words = trace_components(tri, weights)
-    if not words:
+    cycles = _trace(tri, weights)
+    if not cycles:
         raise ValueError("zero weights: empty multicurve is not essential")
-    return _build(tri, words, weights)
+    return _build(tri, [decode(t) for t, _ in cycles], weights, cycles)

@@ -17,12 +17,12 @@ intersection with a curve from `nonseparating_in_region` (see
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache
 
 from cbgraph import MEMO_ENTRIES, ops
 from cbgraph.curves import CurveClass, _Tracer
-from cbgraph.kernel import canonical_cyclic, reverse_word
+from cbgraph.kernel import reverse_word
 from cbgraph.surface import Triangulation
 
 CENTRAL = -1
@@ -53,8 +53,7 @@ class CutComplex:
         self.tri = tri
         self.system = system
         weights = system.weights if system else (0,) * tri.num_edges
-        tracer = _Tracer(tri, weights)
-        self.corners = tracer.corners
+        self.corners = _Tracer(tri, weights).corners
         self.regions = _Regions()
         for t in range(tri.num_triangles):
             self.regions.add((t, CENTRAL))
@@ -74,13 +73,10 @@ class CutComplex:
                 self.gluings.append((c1, c2, e, t2, s2))
 
         cells_of = {}
-        glue_count = {}
         for cell in self.regions.parent:
             cells_of.setdefault(self.regions.find(cell), []).append(cell)
-        for c1, _, _, _, _ in self.gluings:
-            r = self.regions.find(c1)
-            glue_count[r] = glue_count.get(r, 0) + 1
-        self.chi = {r: len(cs) - glue_count.get(r, 0) for r, cs in cells_of.items()}
+        glue_count = Counter(self.regions.find(c1) for c1, *_ in self.gluings)
+        self.chi = {r: len(cs) - glue_count[r] for r, cs in cells_of.items()}
         self._cells_of = cells_of
 
         # All triangle corners are the one vertex of the triangulation;
@@ -97,23 +93,16 @@ class CutComplex:
         self.vertex_region = vertex_cells.pop()
         self.chi[self.vertex_region] += 1
 
-        # Boundary circles: each traced component contributes one circle
-        # to the region on each of its sides.
+        # Boundary circles: each component of the system's trace
+        # contributes one circle to the region on each of its sides.
         self.boundary = {r: 0 for r in self.chi}
         self.component_sides = []
-        self.component_words = []
-        self.component_anchors = []
-        if system is not None:
-            for cycle in tracer.components():
-                lam, pos = cycle[0]
-                sides = self._arc_cells(lam, pos)
-                pair = tuple(self.regions.find(c) for c in sides)
-                self.component_sides.append(pair)
-                word = tuple(x for x, _ in cycle)
-                self.component_words.append(canonical_cyclic(word, tri.mate))
-                self.component_anchors.append((lam, pos))
-                for r in pair:
-                    self.boundary[r] += 1
+        self._trace = system.trace if system else ()
+        for text, pos, _ in self._trace:
+            pair = tuple(map(self.regions.find, self._arc_cells(ord(text[0]), pos[0])))
+            self.component_sides.append(pair)
+            for r in pair:
+                self.boundary[r] += 1
 
     def _interval_cell(self, t, slot, i, w):
         n = self.corners[t]
@@ -142,11 +131,11 @@ class CutComplex:
         return outer, inner
 
     def component_index(self, c: CurveClass) -> int:
-        """Index of the traced system component isotopic to the curve c."""
+        """Index in the system's trace of the component isotopic to c."""
         if not c.is_connected:
             raise ValueError("component lookup needs a connected curve")
         try:
-            return self.component_words.index(c.words[0])
+            return [word for _, _, word in self._trace].index(c.words[0])
         except ValueError:
             raise ValueError("curve is not a component of the system") from None
 
@@ -179,30 +168,20 @@ class CutComplex:
             raise ValueError("region lookup needs a connected curve")
         if self.system is None:
             return self.regions.find((0, CENTRAL))
-        comps = self.system.components() if not self.system.is_connected else [
-            self.system
-        ]
+        comps = [self.system] if self.system.is_connected else self.system.components()
         if any(c == x for x in comps):
             raise ValueError("curve is a component of the system itself")
-        union = disjoint_union(comps + [c])
-        weights = self.system.weights
-        c_word = c.words[0]
-        c_point = None
-        system_points = set()
-        for cycle in _Tracer(self.tri, union.weights).components():
-            word = canonical_cyclic(tuple(x for x, _ in cycle), self.tri.mate)
-            if word == c_word:
-                c_point = cycle[0]
-            else:
-                for lam, pos in cycle:
-                    system_points.add((self.tri.side_edge[lam], pos))
-        if c_point is None:
+        trace = disjoint_union(comps + [c]).trace
+        anchor = next(((ord(t[0]), p[0]) for t, p, w in trace if w == c.words[0]), None)
+        if anchor is None:
             raise RuntimeError("curve not found in the joint trace")
-        lam, pos = c_point
+        # A traced cycle starts at its least point in (edge, position)
+        # order, so the points below c's first one on its edge are all
+        # system points: as many as its position.
+        lam, below = anchor
         e = self.tri.side_edge[lam]
-        below = sum(1 for (e2, p2) in system_points if e2 == e and p2 < pos)
         t1, s1 = self.tri.sides[e][0]
-        cell = self._interval_cell(t1, s1, below, weights[e])
+        cell = self._interval_cell(t1, s1, below, self.system.weights[e])
         return self.regions.find(cell)
 
     def nonseparating_in_region(self, region) -> CurveClass:
@@ -296,8 +275,8 @@ def dual_curve(a: CurveClass, avoid) -> CurveClass:
         raise ValueError("dual_curve needs a connected curve")
     union = disjoint_union([a, *avoid])
     cc = CutComplex(tri, union)
-    lam, pos = cc.component_anchors[cc.component_index(a)]
-    outer, inner = cc._arc_cells(lam, pos)
+    text, pos, _ = cc._trace[cc.component_index(a)]
+    outer, inner = cc._arc_cells(ord(text[0]), pos[0])
 
     adj = {}
     for c1, c2, e, t2, s2 in cc.gluings:

@@ -4,6 +4,8 @@ Each curve is drawn in normal position: its crossing points on every
 triangulation edge get distinct integer indices (the two curves stacked
 in blocks per edge, components in traced order), and every passage
 through a triangle is a chord between two of those boundary points.
+The letters and indices come from the trace each `CurveClass` keeps
+(`CurveClass.trace`), so drawing traces no curve.
 Reading the three sides of a triangle counterclockwise turns every
 point into an integer position on a circle, and all the drawing needs
 is combinatorial in those positions:
@@ -33,7 +35,8 @@ from __future__ import annotations
 
 from itertools import count, repeat
 
-from cbgraph.curves import _arc_tables, _Tracer
+from cbgraph.curves import _arc_tables
+from cbgraph.kernel import decode
 from cbgraph.surface import Triangulation
 
 # Crossings a drawing may hold.  Measured with `tracemalloc` on
@@ -115,9 +118,9 @@ class Drawing:
 
         self.strands = []
         for ci, c in enumerate(self.curves):
-            for mi, cycle in enumerate(_Tracer(tri, c.weights).components()):
-                letters = [lam for lam, _ in cycle]
-                keys = [offsets[ci][tri.side_edge[lam]] + pos for lam, pos in cycle]
+            for mi, (text, pos, _) in enumerate(c.trace):
+                letters = decode(text)
+                keys = [offsets[ci][tri.side_edge[lam]] + p for lam, p in zip(letters, pos)]
                 self.strands.append(Strand(ci, mi, letters, keys))
 
         # Side `slot` of a triangle holds the positions slot*width + r,
@@ -204,19 +207,9 @@ class Drawing:
         """
         kx, px, _, _ = x.strand_data(strand)
         ky, py, _, _ = y.strand_data(strand)
-        n = len(strand)
-        if kx == ky and (x is y or px < py):
-            if x is y:
-                return strand.letters[kx + 1 :] + strand.letters[: kx + 1]
-            return ()
-        ks = []
-        k = (kx + 1) % n
-        while True:
-            ks.append(k)
-            if k == ky:
-                break
-            k = (k + 1) % n
-        return tuple(strand.letters[k] for k in ks)
+        if (kx, px) < (ky, py):
+            return strand.letters[kx + 1 : ky + 1]
+        return strand.letters[kx + 1 :] + strand.letters[: ky + 1]
 
     def raw_count(self, ci: int, cj: int) -> int:
         """Drawn crossings between curves ci and cj (none when ci == cj).

@@ -16,8 +16,9 @@ test of a curve set.  They key on the curves (value-typed and hashable)
 and hold only ints and bools.  A key keeps its curves alive.  Measured
 with `tracemalloc`, an entry costs about 150 bytes on top of curves that
 live elsewhere; after a cold acceptance pass (seed 101) the memos of
-this module, `projections` and `farey` hold 1,733 entries and 0.86 MB,
-the curves that only the keys still reference included.  The
+this module, `projections` and `farey` hold 1,726 entries and 1.18 MB,
+the curves that only the keys still reference included, each with the
+trace it keeps (`CurveClass.trace`).  The
 package's other memos, among them two that hold curves and bodies
 rather than ints and bools, are listed in `cbgraph/__init__.py`.
 

@@ -72,7 +72,7 @@ def _assert_same(tri, words):
     got = _outcome(lambda t, ws: CurveClass.from_words(t, ws).words, tri, words)
     assert got == _outcome(oracle.parent_words, tri, words)
     if got[0] != "ValueError":
-        weights = CurveClass(tri, got).weights
+        weights = word_weights(tri, got)
         expected = oracle.StepTracer(tri, weights).components()
         assert _Tracer(tri, weights).components() == expected
 

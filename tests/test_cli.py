@@ -328,6 +328,22 @@ def test_malformed_type_and_body_records_exit_2(capsys, tmp_path):
     assert error == {"type": "ValueError", "message": "body record lacks the key 'system'"}
 
 
+@pytest.mark.parametrize(
+    "command, record, message",
+    [
+        ("height", {"g": "x", "interior": []}, "type g must be an int, not 'x'"),
+        ("height", {"g": 2, "interior": 5}, "type interior must be a list of ints, not 5"),
+        ("height", {"g": 2.5, "interior": []}, "type g must be an int, not 2.5"),
+        ("height", {"g": True, "interior": []}, "type g must be an int, not True"),
+        ("chains", {"g": 2, "interior": [1.5]}, "type interior must be a list of ints, not [1.5]"),
+    ],
+)
+def test_type_record_field_of_wrong_type_exits_2(capsys, command, record, message):
+    code, error = _run_error(capsys, ["cb", command, "--type", json.dumps(record)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": message}
+
+
 def test_fragment_without_kind_exits_2(capsys, tmp_path):
     record = complexes.build_tc_fragment([A, C]).to_json()
     del record["kind"]

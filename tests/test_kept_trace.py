@@ -1,0 +1,78 @@
+"""The trace a `CurveClass` keeps is the trace of its own weights.
+
+`geom.Drawing` and `cut.CutComplex` read `CurveClass.trace` instead of
+tracing the curve again, so for a class built by any route the kept
+trace must be `_Tracer(tri, c.weights).components()` in traced order,
+written compactly (encoded letters, `array("I")` positions), each cycle
+paired with the word of `c.words` it runs.  The routes checked:
+`from_weights`, `from_json`, `from_words` on the raw words of `twist`
+and `band_sum`, multicurves built from words and from weights, and the
+classes `components()` returns.
+"""
+
+from array import array
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cbgraph import curves, ops
+from cbgraph.curves import CurveClass, _Tracer
+from cbgraph.kernel import canonical_cyclic, decode
+from cbgraph.polygon import chain_connector, handle_curves
+from cbgraph.surface import standard_triangulation
+
+TRIS = {g: standard_triangulation(g) for g in (2, 3, 4)}
+
+
+def _assert_kept(c):
+    expected = [
+        (tuple(x for x, _ in cycle), tuple(p for _, p in cycle))
+        for cycle in _Tracer(c.tri, c.weights).components()
+    ]
+    for text, pos, _ in c.trace:
+        assert type(text) is str and type(pos) is array and pos.typecode == "I"
+    assert [(decode(text), tuple(pos)) for text, pos, _ in c.trace] == expected
+    matched = [word for _, _, word in c.trace]
+    assert sorted(matched) == list(c.words)
+    for (letters, _), word in zip(expected, matched):
+        assert any(word is w for w in c.words)
+        assert canonical_cyclic(letters, c.tri.mate) == word
+
+
+def _rebuilt(c):
+    """c by `from_weights` and by `from_json`, each built afresh."""
+    curves._from_weights.cache_clear()
+    by_weights = CurveClass.from_weights(c.tri, c.weights)
+    curves._from_weights.cache_clear()
+    by_json = CurveClass.from_json(c.to_json())
+    assert by_weights == by_json == c
+    return [by_weights, by_json]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(genus=st.sampled_from((2, 3, 4)), data=st.data())
+def test_kept_trace_is_the_trace_of_the_weights(genus, data):
+    tri = TRIS[genus]
+    handles = handle_curves(tri)
+    gens = handles + [chain_connector(tri, k) for k in range(genus - 1)]
+    pick = st.integers(0, len(gens) - 1)
+    word = data.draw(
+        st.lists(st.tuples(pick, st.sampled_from((1, -1))), max_size=4), label="word"
+    )
+
+    def push(c):
+        for i, p in word:
+            c = ops.twist(c, gens[i], p)
+        return c
+
+    a, b = push(handles[0]), push(handles[1])
+    disjoint = [a] + [push(handles[2 * k]) for k in range(1, genus)]
+    multi = CurveClass.from_words(tri, [c.word for c in disjoint])
+    summed = [sum(col) for col in zip(*(c.weights for c in disjoint))]
+    built = [a, b, ops.band_sum(a, b), multi, CurveClass.from_weights(tri, summed)]
+    built += multi.components()
+    for c in list(built):
+        built += _rebuilt(c)
+    for c in built:
+        _assert_kept(c)
+    assert sorted(multi.components()) == sorted(disjoint)

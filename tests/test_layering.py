@@ -1,8 +1,10 @@
-"""Imports of `cbgraph` run one way, at module top.
+"""Imports of `cbgraph` run one way, at module top, and curves are
+traced in one place.
 
 No module imports inside a function, and `ops`, which the cutting and
 compression-body layers build on, imports none of `cut`, `cb` or
-`projections`.
+`projections`.  Only `curves` traces normal coordinates: the drawing and
+cutting layers read the trace a `CurveClass` keeps.
 """
 
 import ast
@@ -16,6 +18,19 @@ ABOVE_OPS = {"cut", "cb", "projections"}
 
 def _tree(name):
     return ast.parse((SRC / name).read_text(), filename=name)
+
+
+def _imported_names(name):
+    return {
+        a.name
+        for node in ast.walk(_tree(name))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+
+
+def _makes_tracer(node):
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "_Tracer"
 
 
 def test_no_import_inside_a_function():
@@ -44,3 +59,32 @@ def test_ops_imports_nothing_above_it():
             if module == "cbgraph":
                 found |= {f"cbgraph.{a.name}" for a in node.names}
     assert not {f"cbgraph.{m}" for m in ABOVE_OPS} & found, sorted(found)
+
+
+def test_only_curves_traces():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "curves.py":
+            continue
+        nodes = list(ast.walk(_tree(path.name)))
+        # Names bound to a `_Tracer(...)`, such as `tracer` or `self.tracer`.
+        tracers = {
+            ast.unparse(target)
+            for node in nodes
+            if isinstance(node, ast.Assign) and _makes_tracer(node.value)
+            for target in node.targets
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in nodes
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "components"
+            and (_makes_tracer(node.func.value) or ast.unparse(node.func.value) in tracers)
+        ]
+    assert not found, found
+
+
+def test_drawing_and_cutting_read_the_kept_trace():
+    assert "_Tracer" not in _imported_names("geom.py")
+    assert "canonical_cyclic" not in _imported_names("cut.py")
