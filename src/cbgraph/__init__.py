@@ -22,8 +22,8 @@
 # Per-process tables are unbounded `functools.lru_cache`s too, keyed by
 # genus or triangulation and never cleared: `surface.standard_triangulation`,
 # `suites._fixtures`, `oracles._levels`, the letter and relator tables of
-# `dehn`, the arc tables of `curves` and `farey._dist_to_infinity`;
-# `kernel._blocks_at` keeps up to 256 compiled patterns.
+# `dehn` and the arc tables of `curves`; `kernel._blocks_at` keeps up to
+# 256 compiled patterns.
 #
 # Besides the memos, `ops.LAST_PAIR` holds the last curve pair drawn, its
 # drawing and its bigon reduction, which the pair operations share; it

@@ -27,7 +27,7 @@ from cbgraph.cb import (
     enumerate_types,
     height,
 )
-from cbgraph.curves import CurveClass, json_record
+from cbgraph.curves import CurveClass, json_record, read_file
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance, intersect_cc
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.suites import SUITES, Recipe, report_json, run_suite
@@ -39,8 +39,7 @@ def _emit(obj) -> None:
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    return json.loads(read_file(path))
 
 
 def _load_curve(path) -> CurveClass:

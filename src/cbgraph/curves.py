@@ -160,14 +160,24 @@ def _check_letters(tri: Triangulation, word) -> None:
 
 
 def validate_word(tri: Triangulation, word) -> None:
-    """Check that a cyclic letter sequence is a valid reduced dual path."""
+    """Check that a cyclic letter sequence is a valid reduced dual path.
+
+    After entering triangle t via letter a, the next crossing b must exit
+    t through a different slot: b's mate sits in t and is not a.  Both
+    tests run on the whole encoded word (`str.translate`, then `map(eq)`
+    in C); the per-letter loop runs only to name the first error.
+    """
     if not word:
         raise ValueError("empty word")
     _check_letters(tri, word)
+    tables = _translate_tables(tri)
+    text = encode(word)
+    exits = (text[1:] + text[:1]).translate(tables.flip)
+    triangle = tables.triangle
+    if text.translate(triangle) == exits.translate(triangle) and not any(map(eq, text, exits)):
+        return
     mate = tri.mate
     for a, b in zip(word, word[1:] + word[:1]):
-        # After entering triangle t via letter a, the next crossing must
-        # exit t through a different slot: b's mate sits in t.
         mb = mate[b]
         if mb // 3 != a // 3:
             raise ValueError("consecutive letters do not share a triangle")
@@ -179,6 +189,7 @@ class _Tables(NamedTuple):
     """`str.translate` tables for words encoded one code point per letter."""
 
     flip: str  # each letter to its mate
+    triangle: str  # each letter to the triangle it enters
     edge: str  # each letter to the edge it crosses
     edges: str  # every edge, in order
     # Per direction of the vertex link: each letter to its successor
@@ -196,7 +207,11 @@ def _translate_tables(tri: Triangulation) -> _Tables:
         text = encode(cycle)
         directions.append((encode(succ), text + text))
     return _Tables(
-        encode(tri.mate), encode(tri.side_edge), encode(range(tri.num_edges)), tuple(directions)
+        encode(tri.mate),
+        encode([x // 3 for x in range(3 * tri.num_triangles)]),
+        encode(tri.side_edge),
+        encode(range(tri.num_edges)),
+        tuple(directions),
     )
 
 
@@ -298,6 +313,20 @@ def _text_weights(tables: _Tables, texts) -> tuple[int, ...]:
 
 def word_weights(tri: Triangulation, words) -> tuple[int, ...]:
     return _text_weights(_translate_tables(tri), map(encode, words))
+
+
+def read_file(path) -> str:
+    """The UTF-8 text of the file at `path`.
+
+    A path that cannot be opened or read (missing, a directory, no
+    permission) raises ValueError naming it, as bytes that are not UTF-8 do.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    return data.decode()
 
 
 def json_record(data, what: str, *keys) -> dict:

@@ -3,15 +3,14 @@
 Curves and properly embedded arcs in a once-punctured torus are labelled by
 extended rationals p/q.  Everything here is integer arithmetic: intersection
 numbers are determinants, Farey adjacency is determinant one, and distances
-are computed by a parent-descent recursion that is validated against BFS in
-the test suite.
+are read off the continued fraction of a slope by one pass of the Euclidean
+algorithm, checked in the test suite against a parent descent and BFS.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterator
 
 from cbgraph import MEMO_ENTRIES
 
@@ -94,53 +93,49 @@ def intersect_aa(a: ArcSlope, b: ArcSlope) -> int:
     return max(_det(a.p, a.q, b.p, b.q) - 1, 0)
 
 
-@lru_cache(maxsize=None)
 def _dist_to_infinity(p: int, q: int) -> int:
-    # Distance from p/q to 1/0 by descending through Stern-Brocot parents:
-    # some geodesic to infinity never increases the denominator.
+    """Distance from p/q (q >= 0) to 1/0 in the Farey graph.
+
+    Let p/q = [a0; a1, ..., an] with convergents c_k, and E_k the distance
+    from c_k to 1/0: E_-1 = 0 (c_-1 = 1/0) and E_0 = 1 (an integer).  Some
+    geodesic to 1/0 never increases the denominator, so a slope with q >= 2
+    is one step further than the nearer of its two Stern-Brocot parents
+    (its Farey neighbours of smaller denominator).  The parents of
+    x_m = [a0; ..., a_(k-1), m] are c_(k-1) and x_(m-1), with
+    x_0 = c_(k-2).  Consecutive convergents are Farey neighbours, so
+    E_(k-1) and E_(k-2) differ by at most one, and x_1 is at distance
+    1 + min(E_(k-1), E_(k-2)) >= E_(k-1); every x_m with m >= 2 is then
+    at 1 + E_(k-1).  So E_k = 1 + E_(k-1) when a_k >= 2 and
+    E_k = 1 + min(E_(k-1), E_(k-2)) when a_k = 1, and the distance is E_n
+    (Beardon, Hockman and Short, "Geodesic continued fractions", Michigan
+    Math. J. 61, 2012).
+    """
     if q == 0:
         return 0
-    if q == 1:
-        return 1
-    best = None
-    for r, s in _parents(p, q):
-        d = _dist_to_infinity(r, s)
-        if best is None or d < best:
-            best = d
-    assert best is not None
-    return best + 1
-
-
-def _parents(p: int, q: int) -> Iterator[tuple[int, int]]:
-    # The two Farey neighbors of p/q with strictly smaller denominator.
-    # r/s is a neighbor iff |p*s - q*r| == 1; for 0 < s < q there are
-    # exactly two, one for each sign.
-    for sign in (1, -1):
-        # Solve p*s - q*r = sign with 0 < s < q.
-        s = pow(p % q, -1, q) * (sign % q) % q
-        if s == 0:
-            s = q
-        r = (p * s - sign) // q
-        if 0 < s < q:
-            yield r, s
+    before, dist = 0, 1
+    p, q = q, p % q
+    while q:
+        a, r = divmod(p, q)
+        before, dist = dist, 1 + (dist if a >= 2 else min(dist, before))
+        p, q = q, r
+    return dist
 
 
 def farey_distance(a: Slope, b: Slope) -> int:
     """Graph distance between two slopes in the Farey graph."""
     if a == b:
         return 0
-    # Move a to 1/0 by an integer matrix of determinant one, then descend.
+    # Move a to 1/0 by an integer matrix of determinant one, then measure
+    # the image of b.
     p, q = a.p, a.q
     if q == 0:
         m = (1, 0, 0, 1)
     else:
-        # r, s with p*s - q*r = 1; the matrix [[s, -r], [-q, p]] sends p/q
-        # to 1/0 and acts on the Farey graph as a graph automorphism.
-        s = pow(p % q, -1, q) if q > 1 else 0
-        if q == 1:
-            s, r = 0, -1
-        else:
-            r = (p * s - 1) // q
+        # r, s with p*s - q*r = 1 (s = 0 and r = -1 when q = 1); the matrix
+        # [[s, -r], [-q, p]] sends p/q to 1/0 and acts on the Farey graph
+        # as a graph automorphism.
+        s = pow(p, -1, q)
+        r = (p * s - 1) // q
         m = (s, -r, -q, p)
     bp = m[0] * b.p + m[1] * b.q
     bq = m[2] * b.p + m[3] * b.q
@@ -196,16 +191,19 @@ def once_intersectors(a: Slope, beta: ArcSlope, max_height: int) -> set[Slope]:
 def mn_scan(limit: int) -> frozenset[tuple[int, int]]:
     """Every (m, n) with |m| <= limit, n in (1, -1, 2, -2) and |m*n - 1| = 1.
 
-    One exhaustive pass: the predicate is evaluated on each of the
-    4 * (2 * limit + 1) pairs of that domain, 8,000,004 for limit 10**6.
-    `mn_scan_has_large_solution` and the census suite read their answers
-    off this set.
+    One exhaustive pass over the 4 * (2 * limit + 1) pairs of that domain,
+    8,000,004 for limit 10**6.  For each n the values m*n - 1 over every m
+    form the range below; `set.intersection` with an argument that is not
+    a set iterates it in C and looks each value up in {1, -1}, so every
+    value is made and tested, without a bytecode step per pair.  m is
+    recovered as (v + 1) // n.  `mn_scan_has_large_solution` and the
+    census suite read their answers off this set.
     """
+    units = frozenset((1, -1))
     return frozenset(
-        (m, n)
+        ((v + 1) // n, n)
         for n in (1, -1, 2, -2)
-        for m in range(-limit, limit + 1)
-        if abs(m * n - 1) == 1
+        for v in units.intersection(range(-limit * n - 1, limit * n + n - 1, n))
     )
 
 
@@ -214,9 +212,10 @@ def mn_constraint_solutions() -> set[tuple[int, int]]:
 
     |m*n - 1| = 1 forces m*n in {0, 2}; with the side conditions only
     (2, 1) and (-2, -1) survive.  The census suite checks the same set
-    by exhaustive search over 2 <= |m| <= 10**6 and n in (1, -1, 2, -2)
-    (`mn_scan`); |n| > 2 needs no scan, since with |m| >= 2 it makes
-    |m*n| >= 6 while a solution has |m*n| <= 2.
+    by exhaustive search over 2 <= |m| <= 10**6 and n in (1, -1, 2, -2):
+    `mn_scan` tests m*n - 1 for every one of those pairs.  |n| > 2 needs
+    no scan, since with |m| >= 2 it makes |m*n| >= 6 while a solution
+    has |m*n| <= 2.
     """
     return {(2, 1), (-2, -1)}
 

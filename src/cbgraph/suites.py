@@ -29,7 +29,7 @@ from cbgraph.cb import (
     meridian_of_small,
     small_cb,
 )
-from cbgraph.curves import json_record
+from cbgraph.curves import json_record, read_file
 from cbgraph.farey import (
     ArcSlope,
     Slope,
@@ -73,8 +73,7 @@ class Recipe:
 
     @classmethod
     def from_file(cls, path, **overrides):
-        with open(path, "rb") as fh:
-            data = json_record(fh.read().decode(), "recipe")
+        data = json_record(read_file(path), "recipe")
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**{k: data[k] for k in cls.FIELDS if k in data})
 

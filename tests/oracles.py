@@ -2,12 +2,15 @@
 
 The lattice-counting intersection oracles are re-exported from
 `cbgraph.oracles`, which the suite runner shares.  The Farey-distance
-oracle lives here: a breadth-first search over the slopes of bounded
-height, against which `farey.farey_distance` is checked.  No suite runs
-it, so it is not part of the package.
+oracles live here: a breadth-first search over the slopes of bounded
+height and a descent through Stern-Brocot parents, against which
+`farey.farey_distance` is checked; and the census scan as a generator
+that tests one pair per step, against which `farey.mn_scan` is checked.
+No suite runs them, so they are not part of the package.
 """
 
 from collections import deque
+from functools import lru_cache
 
 from cbgraph.farey import Slope, enumerate_slopes
 from cbgraph.oracles import lattice_aa, lattice_ca, lattice_cc  # noqa: F401
@@ -71,3 +74,44 @@ def bfs_farey_distance(a: Slope, b: Slope, max_height: int = 64) -> int:
     if b not in dist:
         raise RuntimeError(f"no path from {a} to {b} within height {max_height}")
     return dist[b]
+
+
+@lru_cache(maxsize=None)
+def descent_dist_to_infinity(p: int, q: int) -> int:
+    """Distance from p/q to 1/0 by descending through Stern-Brocot parents:
+    some geodesic to infinity never increases the denominator."""
+    if q == 0:
+        return 0
+    if q == 1:
+        return 1
+    best = None
+    for r, s in _parents(p, q):
+        d = descent_dist_to_infinity(r, s)
+        if best is None or d < best:
+            best = d
+    assert best is not None
+    return best + 1
+
+
+def _parents(p: int, q: int):
+    # The two Farey neighbors of p/q with strictly smaller denominator.
+    # r/s is a neighbor iff |p*s - q*r| == 1; for 0 < s < q there are
+    # exactly two, one for each sign.
+    for sign in (1, -1):
+        # Solve p*s - q*r = sign with 0 < s < q.
+        s = pow(p % q, -1, q) * (sign % q) % q
+        if s == 0:
+            s = q
+        r = (p * s - sign) // q
+        if 0 < s < q:
+            yield r, s
+
+
+def generator_mn_scan(limit: int) -> frozenset[tuple[int, int]]:
+    """`farey.mn_scan` as one generator step per pair of the domain."""
+    return frozenset(
+        (m, n)
+        for n in (1, -1, 2, -2)
+        for m in range(-limit, limit + 1)
+        if abs(m * n - 1) == 1
+    )

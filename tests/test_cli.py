@@ -42,6 +42,10 @@ def test_farey_commands(capsys):
     code, out = _run(capsys, ["farey", "census", "--max-height", "1"])
     assert code == 0
     assert out.splitlines() == census
+    # Moving 1/2 to 1/0 takes 1000/1 to -1000/1999 = [-1; 2, 999], about
+    # a thousand Stern-Brocot parents deep.
+    argv = ["farey", "dist", "--a", "1/2", "--b", "1000/1"]
+    assert _run_json(capsys, argv) == {"distance": 3}
 
 
 def test_curve_commands(capsys, tmp_path):
@@ -258,6 +262,53 @@ def _run_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     return code, json.loads(captured.err)["error"]
+
+
+UNREADABLE = [("missing.json", "No such file or directory"), ("", "Is a directory")]
+
+
+@pytest.mark.parametrize("name, reason", UNREADABLE)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "separating", "--a", "{path}"],
+        ["curve", "i", "--a", "{curve}", "--b", "{path}"],
+        ["project", "--sep", "{path}", "--side", "left", "--curve", "{curve}"],
+        ["complex", "build", "--kind", "tc", "--recipe", "{path}", "--out", "{out}"],
+        ["run", "--recipe", "{path}"],
+    ],
+)
+def test_unreadable_file_argument_exits_2(capsys, tmp_path, argv, name, reason):
+    # A missing file, or the directory tmp_path itself.
+    path = tmp_path / name
+    curve = _write_curve(tmp_path / "a.json", A)
+    out = tmp_path / "frag"
+    code = cli.main([a.format(path=path, curve=curve, out=out) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": {"type": "ValueError", "message": f"cannot read {path}: {reason}"}
+    }
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("is_dir, reason", [(False, "No such file or directory"), (True, "Is a directory")])
+def test_unreadable_fragment_exits_2(capsys, tmp_path, is_dir, reason):
+    # `complex analyze --in` reads fragment.json inside the directory.
+    fragment = tmp_path / "fragment.json"
+    if is_dir:
+        fragment.mkdir()
+    code, error = _run_error(capsys, ["complex", "analyze", "--in", str(tmp_path)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": f"cannot read {fragment}: {reason}"}
+
+
+def test_type_argument_naming_a_directory_exits_2(capsys, tmp_path):
+    code, error = _run_error(capsys, ["cb", "height", "--type", str(tmp_path)])
+    assert code == 2
+    assert error == {"type": "ValueError", "message": f"cannot read {tmp_path}: Is a directory"}
 
 
 def test_run_rejects_unknown_suite(capsys):

@@ -17,7 +17,14 @@ from cbgraph.farey import (
     mn_scan_has_large_solution,
     once_intersectors,
 )
-from oracles import bfs_farey_distance, lattice_aa, lattice_ca, lattice_cc
+from oracles import (
+    bfs_farey_distance,
+    descent_dist_to_infinity,
+    generator_mn_scan,
+    lattice_aa,
+    lattice_ca,
+    lattice_cc,
+)
 
 
 def test_slope_normalization():
@@ -114,6 +121,38 @@ def test_farey_distance_matches_bfs():
         for b in slopes:
             if not b < a:
                 assert farey_distance(a, b) == bfs_farey_distance(a, b), (a, b)
+
+
+def test_farey_distance_matches_descent_to_height_60():
+    # Every slope of height <= 60 against the parent descent, those of
+    # denominator <= 8 against BFS too; then BFS from slopes other than
+    # 1/0, which `farey_distance` first moves to 1/0.
+    infinity = Slope(1, 0)
+    bfs_checked = 0
+    for s in sorted(enumerate_slopes(60)):
+        d = farey_distance(infinity, s)
+        assert d == descent_dist_to_infinity(s.p, s.q), s
+        if s.q <= 8:
+            assert d == bfs_farey_distance(infinity, s), s
+            bfs_checked += 1
+    assert bfs_checked > 500
+    for a in (Slope(0, 1), Slope(3, 7), Slope(-5, 2)):
+        for s in sorted(enumerate_slopes(12)):
+            assert farey_distance(a, s) == farey_distance(s, a) == bfs_farey_distance(a, s), (a, s)
+
+
+def test_farey_distance_at_large_height():
+    # Partial quotients that sum far past the recursion limit of a descent.
+    assert farey_distance(Slope(1, 2), Slope(1000, 1)) == 3
+    assert farey_distance(Slope(1, 0), Slope(10**6, 2 * 10**6 + 1)) == 3  # [0; 2, 10**6]
+    assert farey_distance(Slope(1, 0), Slope(10**300 + 1, 10**300)) == 2  # [1; 10**300]
+    # A run of partial quotients 1: the ratio of Fibonacci numbers.
+    fib = [1, 1]
+    while len(fib) < 62:
+        fib.append(fib[-1] + fib[-2])
+    assert farey_distance(Slope(1, 0), Slope(fib[-1], fib[-2])) == descent_dist_to_infinity(
+        fib[-1], fib[-2]
+    )
 
 
 def test_farey_distance_metric_axioms():
@@ -220,6 +259,15 @@ def test_mn_constraint_solutions():
     assert not mn_scan_has_large_solution(10**6)
     m, n = 2, 1
     assert abs(m * n - 1) == 1
+
+
+def test_mn_scan_matches_generator_oracle():
+    for limit in list(range(1, 61)) + [10**5]:
+        assert mn_scan(limit) == generator_mn_scan(limit), limit
+
+
+def test_mn_scan_census_limit():
+    assert mn_scan(10**6) == {(0, 1), (0, -1), (0, 2), (0, -2), (1, 2), (2, 1), (-1, -2), (-2, -1)}
 
 
 def test_mn_readers_filter_the_scan(monkeypatch):
