@@ -160,24 +160,14 @@ def _check_letters(tri: Triangulation, word) -> None:
 
 
 def validate_word(tri: Triangulation, word) -> None:
-    """Check that a cyclic letter sequence is a valid reduced dual path.
-
-    After entering triangle t via letter a, the next crossing b must exit
-    t through a different slot: b's mate sits in t and is not a.  Both
-    tests run on the whole encoded word (`str.translate`, then `map(eq)`
-    in C); the per-letter loop runs only to name the first error.
-    """
+    """Check that a cyclic letter sequence is a valid reduced dual path."""
     if not word:
         raise ValueError("empty word")
     _check_letters(tri, word)
-    tables = _translate_tables(tri)
-    text = encode(word)
-    exits = (text[1:] + text[:1]).translate(tables.flip)
-    triangle = tables.triangle
-    if text.translate(triangle) == exits.translate(triangle) and not any(map(eq, text, exits)):
-        return
     mate = tri.mate
     for a, b in zip(word, word[1:] + word[:1]):
+        # After entering triangle t via letter a, the next crossing must
+        # exit t through a different slot: b's mate sits in t.
         mb = mate[b]
         if mb // 3 != a // 3:
             raise ValueError("consecutive letters do not share a triangle")
@@ -189,7 +179,6 @@ class _Tables(NamedTuple):
     """`str.translate` tables for words encoded one code point per letter."""
 
     flip: str  # each letter to its mate
-    triangle: str  # each letter to the triangle it enters
     edge: str  # each letter to the edge it crosses
     edges: str  # every edge, in order
     # Per direction of the vertex link: each letter to its successor
@@ -207,11 +196,7 @@ def _translate_tables(tri: Triangulation) -> _Tables:
         text = encode(cycle)
         directions.append((encode(succ), text + text))
     return _Tables(
-        encode(tri.mate),
-        encode([x // 3 for x in range(3 * tri.num_triangles)]),
-        encode(tri.side_edge),
-        encode(range(tri.num_edges)),
-        tuple(directions),
+        encode(tri.mate), encode(tri.side_edge), encode(range(tri.num_edges)), tuple(directions)
     )
 
 

@@ -4,9 +4,8 @@ The lattice-counting intersection oracles are re-exported from
 `cbgraph.oracles`, which the suite runner shares.  The Farey-distance
 oracles live here: a breadth-first search over the slopes of bounded
 height and a descent through Stern-Brocot parents, against which
-`farey.farey_distance` is checked; and the census scan as a generator
-that tests one pair per step, against which `farey.mn_scan` is checked.
-No suite runs them, so they are not part of the package.
+`farey.farey_distance` is checked.  No suite runs them, so they are not
+part of the package.
 """
 
 from collections import deque
@@ -106,12 +105,3 @@ def _parents(p: int, q: int):
         if 0 < s < q:
             yield r, s
 
-
-def generator_mn_scan(limit: int) -> frozenset[tuple[int, int]]:
-    """`farey.mn_scan` as one generator step per pair of the domain."""
-    return frozenset(
-        (m, n)
-        for n in (1, -1, 2, -2)
-        for m in range(-limit, limit + 1)
-        if abs(m * n - 1) == 1
-    )

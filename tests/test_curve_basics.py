@@ -284,58 +284,6 @@ def test_validate_word_messages():
             curves.validate_word(tri, word)
 
 
-def _loop_validate_word(tri, word):
-    # The per-letter check alone, as `validate_word` ran it before its
-    # whole-word string test.
-    mate = tri.mate
-    for a, b in zip(word, word[1:] + word[:1]):
-        mb = mate[b]
-        if mb // 3 != a // 3:
-            raise ValueError("consecutive letters do not share a triangle")
-        if mb == a:
-            raise ValueError("word has a backtrack")
-
-
-def _error(check, tri, word):
-    try:
-        check(tri, word)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def test_validate_word_planted_errors_match_loop():
-    # Plant a lone backtrack, a stray letter, or both in either order at
-    # sampled positions: the string test must refuse exactly the words
-    # the loop refuses, with the loop's first message.
-    rng = random.Random(5)
-    seen = set()
-    for genus in (2, 3):
-        tri = standard_triangulation(genus)
-        a, b = handle_curves(tri)[:2]
-        conn = chain_connector(tri, 0)
-        top = 3 * tri.num_triangles
-        for c in (a, conn, ops.twist(a, conn, 2), ops.twist(ops.twist(a, b, 3), conn, -2)):
-            word = c.word
-            assert _error(curves.validate_word, tri, word) is None
-            n = len(word)
-            for i, k in itertools.permutations(rng.sample(range(n), min(n, 5)), 2):
-                # Entering via word[i] and leaving by the third slot of that
-                # triangle and straight back is a backtrack and nothing else.
-                x, exit_ = word[i], tri.mate[word[(i + 1) % n]]
-                z = next(y for y in range(3 * (x // 3), 3 * (x // 3) + 3) if y not in (x, exit_))
-                back = word[: i + 1] + (tri.mate[z], z) + word[i + 1 :]
-                stray = rng.randrange(top)
-                both = list(back)
-                both[k if k <= i else k + 2] = stray
-                for planted in (back, word[:k] + (stray,) + word[k + 1 :], tuple(both)):
-                    expected = _error(_loop_validate_word, tri, planted)
-                    assert _error(curves.validate_word, tri, planted) == expected, (planted, i, k)
-                    seen.add(expected)
-                assert _error(curves.validate_word, tri, back) == "word has a backtrack"
-    assert seen >= {"consecutive letters do not share a triangle", "word has a backtrack"}
-
-
 def test_curve_json_round_trip():
     tri = standard_triangulation(2)
     for spec in ([(0, "1/2")], [(1, "1/2")]):
