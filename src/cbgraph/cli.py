@@ -42,6 +42,20 @@ def _load_json(path):
     return json.loads(read_file(path))
 
 
+def _write_files(directory, files) -> None:
+    """Make `directory` and write each name: text of `files` in it; a
+    path that cannot be made or written raises ValueError naming it."""
+    path = directory
+    try:
+        os.makedirs(directory, exist_ok=True)
+        for name, text in files.items():
+            path = os.path.join(directory, name)
+            with open(path, "w") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _load_curve(path) -> CurveClass:
     return CurveClass.from_json(_load_json(path))
 
@@ -60,7 +74,11 @@ def _load_body(path) -> MarkedCB:
 def _type_arg(text) -> CBType:
     if os.path.exists(text):
         return CBType.from_json(_load_json(text))
-    return CBType.from_json(text)
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError:
+        record = _load_json(text)  # neither JSON nor a path: name the path
+    return CBType.from_json(record)
 
 
 def _field(record, what, key, kind, default):
@@ -166,15 +184,12 @@ def cmd_curve(opts) -> int:
         base = _load_curves(opts.base)
         twists = _load_curves(opts.twists)
         found = ops.orbit(base, twists, opts.max_word)
-        os.makedirs(opts.out, exist_ok=True)
-        names = []
-        for k, c in enumerate(found):
-            name = f"orbit_{k:04d}.json"
-            with open(os.path.join(opts.out, name), "w") as fh:
-                json.dump(c.to_json(), fh, indent=2, sort_keys=True)
-            names.append(name)
-        with open(os.path.join(opts.out, "index.json"), "w") as fh:
-            json.dump({"count": len(names), "files": names}, fh, indent=2)
+        files = {
+            f"orbit_{k:04d}.json": json.dumps(c.to_json(), indent=2, sort_keys=True)
+            for k, c in enumerate(found)
+        }
+        files["index.json"] = json.dumps({"count": len(found), "files": list(files)}, indent=2)
+        _write_files(opts.out, files)
         _emit({"count": len(found), "out": opts.out})
     return 0
 
@@ -231,11 +246,8 @@ def cmd_complex_build(opts) -> int:
             )
         else:
             frag = complexes.build_schmutz_fragment(curves, provenance=provenance)
-    os.makedirs(opts.out, exist_ok=True)
-    with open(os.path.join(opts.out, "fragment.json"), "w") as fh:
-        fh.write(json.dumps(frag.to_json(), indent=2, sort_keys=True))
-    with open(os.path.join(opts.out, "fragment.dot"), "w") as fh:
-        fh.write(frag.to_dot())
+    fragment = json.dumps(frag.to_json(), indent=2, sort_keys=True)
+    _write_files(opts.out, {"fragment.json": fragment, "fragment.dot": frag.to_dot()})
     _emit(
         {
             "kind": frag.kind,
@@ -317,11 +329,11 @@ def cmd_run(opts) -> int:
         recipe = Recipe.from_file(opts.recipe, **overrides)
     else:
         recipe = Recipe(**{k: v for k, v in overrides.items() if v is not None})
+    if recipe.out:
+        _write_files(recipe.out, {})
     report = run_suite(recipe)
     if recipe.out:
-        os.makedirs(recipe.out, exist_ok=True)
-        with open(os.path.join(recipe.out, "report.json"), "w") as fh:
-            fh.write(report_json(report))
+        _write_files(recipe.out, {"report.json": report_json(report)})
     for check in report["checks"]:
         line = f"[{check['status']}] {check['name']}: {check['claim']}"
         if check["status"] == "skip":

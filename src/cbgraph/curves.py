@@ -25,14 +25,21 @@ tracing those coordinates through the triangles recovers the components,
 which doubles as an embeddedness check.  The traced cycles are matched
 to the canonical words by substring tests on the encoded words, so each
 word is canonicalised once.  A curve built from normal coordinates
-(`from_weights`, and so `from_json`) is traced once to find its words;
-when its canonical words sum to the same coordinates, which they do
-unless a push across the vertex changed them, the round trip matches
-them against that trace instead of tracing the same weights again.
+(`from_weights`, and so `from_json`) is traced once to find its words,
+and the round trip reuses that trace unless a push across the vertex
+changed the weights.  A trace has one form, each cycle's letters encoded
+as a `str` and its positions as an `array("I")`; the class keeps it,
+matched to its words, as `CurveClass.trace`, which `geom` and `cut` read.
 
-The class keeps the trace of its own coordinates, matched to its words,
-as `CurveClass.trace`, and drawing (`geom`) and cutting (`cut`) read it:
-a curve is traced once, when it is built.
+Words read off a trace are valid reduced dual paths by construction, so
+they are not checked again: from the crossing 3t + s the tracer follows
+a normal arc through t out through another side of t, so the next
+letter is in range, its mate lies in t and it is not the mate of 3t + s.
+`vertex_canonical` keeps them valid, since it returns a rotation or
+reversal of its reduced input or a word that retraced as one cycle.
+Words from callers of `from_words`, such as `twist`, `band_sum` and
+recipe `word` specs, are checked: their letters before they are
+encoded, and their canonical words by `validate_word`.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 import json
 from array import array
 from functools import lru_cache
-from operator import eq, itemgetter
+from operator import eq
 from typing import NamedTuple
 
 from cbgraph import MEMO_ENTRIES
@@ -93,8 +100,8 @@ class _Tracer:
                 raise ValueError("triangle inequality violated by weights")
             corners.append((half - y, half - z, half - x))
 
-    def components(self) -> list[list[tuple[int, int]]]:
-        """All traced components as cycles of (letter, position) crossings.
+    def components(self) -> list[tuple[str, array]]:
+        """All traced components as (letters, positions) cycles.
 
         Each step is a directed crossing 3t + s together with the index of
         the crossing point along the edge, counted in the frame of the
@@ -121,7 +128,7 @@ class _Tracer:
             for p in range(w[e]):
                 if seen[base[e] + p]:
                     continue
-                cycle = []
+                letters, positions = [], []
                 x, pos = 3 * t0 + s0, p
                 while True:
                     cpos = pos if first[x] else weight[x] - 1 - pos
@@ -129,27 +136,21 @@ class _Tracer:
                     if seen[key]:
                         break
                     seen[key] = 1
-                    cycle.append((x, cpos))
+                    letters.append(x)
+                    positions.append(cpos)
                     if pos < corner[x]:
                         x = back[x]
                     else:
                         y = ahead[x]
                         pos += weight[y] - weight[x]
                         x = y
-                out.append(cycle)
+                out.append((encode(letters), array("I", positions)))
         return out
 
 
 def trace_components(tri: Triangulation, weights) -> list[tuple[int, ...]]:
     """Component words of the multicurve with these normal coordinates."""
-    cycles = _Tracer(tri, weights).components()
-    return [tuple(map(itemgetter(0), cycle)) for cycle in cycles]
-
-
-def _trace(tri: Triangulation, weights) -> list[tuple[str, array]]:
-    """Traced cycles as (encoded letters, positions) pairs."""
-    cycles = _Tracer(tri, weights).components()
-    return [(encode(map(itemgetter(0), c)), array("I", map(itemgetter(1), c))) for c in cycles]
+    return [decode(text) for text, _ in _Tracer(tri, weights).components()]
 
 
 def _check_letters(tri: Triangulation, word) -> None:
@@ -333,9 +334,8 @@ class CurveClass:
     """An essential simple closed multicurve up to isotopy.
 
     `trace` is the normal trace of `weights` in traced order, per cycle
-    (letters by `kernel.encode`, positions in the shared frame of
-    `_Tracer.components` as an `array("I")`, the word of `words` it
-    runs).  Equality, hashing, order and JSON ignore it.
+    the letters and positions of `_Tracer.components` and the word of
+    `words` it runs.  Equality, hashing, order and JSON ignore it.
     """
 
     __slots__ = ("tri", "words", "_weights", "trace")
@@ -376,7 +376,13 @@ class CurveClass:
         its closure in `vertex_canonical` holds the full-link swap, the
         empty word, so it is rejected as the trivial loop.
         """
-        return _build(tri, words)
+        reduced = []
+        for word in words:
+            _check_letters(tri, word)
+            w = _canonical(tri, word)
+            validate_word(tri, w)
+            reduced.append(w)
+        return _matched(tri, reduced)
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -455,28 +461,27 @@ class CurveClass:
         return cls.from_weights(tri, weights)
 
 
-def _build(tri: Triangulation, words, weights=None, cycles=None) -> CurveClass:
-    """`CurveClass.from_words`; `cycles` are the `_trace` of `weights`.
+def _canonical(tri: Triangulation, word) -> tuple[int, ...]:
+    """`vertex_canonical` of a component, which must not be trivial."""
+    w = vertex_canonical(tri, word)
+    if not w:
+        raise ValueError("a component reduces to the trivial loop")
+    return w
 
-    Tracing is a function of the weights, so when the canonical words
-    sum to `weights` the round trip matches them against `cycles` and
-    does not trace again; otherwise (raw words, or a vertex push that
-    changed the weights) it traces the summed weights.  The class keeps
-    the cycles matched, each with its word, as its `trace`.
+
+def _matched(tri: Triangulation, reduced, weights=None, cycles=None) -> CurveClass:
+    """The class of canonical words; `cycles` are the trace of `weights`.
+
+    Tracing is a function of the weights, so when the words sum to
+    `weights` the round trip matches them against `cycles`; otherwise
+    it traces the summed weights.  The class keeps the cycles matched,
+    each with its word, as its `trace`.
     """
-    reduced = []
-    for word in words:
-        _check_letters(tri, word)
-        w = vertex_canonical(tri, word)
-        if not w:
-            raise ValueError("a component reduces to the trivial loop")
-        validate_word(tri, w)
-        reduced.append(w)
     tables = _translate_tables(tri)
     unmatched = [(encode(w), w) for w in reduced]
     summed = _text_weights(tables, [r for r, _ in unmatched])
     if summed != weights:
-        cycles = _trace(tri, summed)
+        cycles = _Tracer(tri, summed).components()
     trace = []
     for t, pos in cycles:
         hit = next((u for u in unmatched if _same_cycle(u[0], t, tables.flip)), None)
@@ -491,7 +496,7 @@ def _build(tri: Triangulation, words, weights=None, cycles=None) -> CurveClass:
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _from_weights(tri: Triangulation, weights: tuple[int, ...]) -> CurveClass:
-    cycles = _trace(tri, weights)
+    cycles = _Tracer(tri, weights).components()
     if not cycles:
         raise ValueError("zero weights: empty multicurve is not essential")
-    return _build(tri, [decode(t) for t, _ in cycles], weights, cycles)
+    return _matched(tri, [_canonical(tri, decode(t)) for t, _ in cycles], weights, cycles)

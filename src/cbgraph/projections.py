@@ -231,25 +231,6 @@ def projection_slopes(sel: SideSelector, b: CurveClass, basis=None) -> set[Slope
     return {basis.slope_of(c) for c in project(sel, b)}
 
 
-def projection_diameter_torus(sel: SideSelector, b: CurveClass) -> int:
-    """Exact Farey diameter of the projection in a genus-1 side.
-
-    It names the paper's diameter of the subsurface projection of b to
-    a genus-one side, measured in that side's Farey graph (the curve
-    graph of a punctured torus); `diam_witness` looks for a slope at
-    distance two or more from the same projected slopes.
-    """
-    slopes = projection_slopes(sel, b)
-    if len(slopes) < 2:
-        return 0
-    items = sorted(slopes)
-    return max(
-        farey_distance(s, t)
-        for i, s in enumerate(items)
-        for t in items[i + 1 :]
-    )
-
-
 def diam_witness(sel: SideSelector, b: CurveClass, basis: TorusBasis) -> Slope:
     """First slope by height at Farey distance >= 2 from the projection."""
     slopes = projection_slopes(sel, b, basis)

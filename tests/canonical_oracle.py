@@ -11,10 +11,13 @@ candidate as a tuple of letters.  It is kept as it was; its helpers are
 renamed `_tuple_tables`, `_same_tuple_cycle` and `count_weights` (the
 per-letter edge count that `word_weights` replaced), and it calls the
 flat tracer as `flat_trace_components`.  `StepTracer` is the normal arc
-tracer that calls a method per step, where the kept one reads
-per-letter tables.  `parent_words` is the class-building rule that
-canonicalised every traced word a second time.  Tests require the kept
-code to give the same words, weights, cycles and classes.
+tracer that calls a method per step and builds a (letter, position)
+tuple per crossing, where the kept one reads per-letter tables and
+writes each cycle straight into the kept form; `compact_trace` writes
+the step tracer's cycles in that form.  `parent_words` is the
+class-building rule that canonicalised every traced word a second
+time.  Tests require the kept code to give the same words, weights,
+cycles and classes.
 `rescanning_cyclic_reduce` is the word reduction that repeated whole
 passes until nothing cancelled; the kept one must return a rotation of
 its result.  `min_rotation` is Booth's linear-time least rotation (K. S.
@@ -27,6 +30,7 @@ inline; the tracer's corner table and errors must match it.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from cbgraph.curves import MAX_VERTEX_CLOSURE, _parallel_runs, validate_word, word_weights
@@ -119,6 +123,15 @@ class StepTracer:
             return pos
         return self.w[e] - 1 - pos
 
+
+
+def compact_trace(tri: Triangulation, weights) -> list[tuple[str, array]]:
+    """`StepTracer`'s cycles as the kept trace form: letters one code
+    point each in a `str`, positions in an `array("I")`."""
+    return [
+        ("".join(chr(x) for x, _ in cycle), array("I", [p for _, p in cycle]))
+        for cycle in StepTracer(tri, weights).components()
+    ]
 
 
 def trace_components(tri: Triangulation, weights) -> list[tuple[int, ...]]:

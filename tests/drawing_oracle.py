@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from cbgraph.curves import _Tracer
+from canonical_oracle import StepTracer
 from cbgraph.geom import Crossing, Strand
 from cbgraph.surface import Triangulation
 from polygon_oracle import polygon_vertices
@@ -56,7 +56,7 @@ class FractionDrawing:
 
         self.strands = []
         for ci, c in enumerate(self.curves):
-            for mi, cycle in enumerate(_Tracer(tri, c.weights).components()):
+            for mi, cycle in enumerate(StepTracer(tri, c.weights).components()):
                 letters = [lam for lam, _ in cycle]
                 keys = []
                 for lam, pos in cycle:

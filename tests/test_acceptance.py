@@ -5,16 +5,41 @@ and prints its counters, so `pytest -v tests/test_acceptance.py` doubles
 as the full verification report.  The suites re-check the quantitative
 claims of the calculus against independent oracles and exhaustive scans
 at desk scale; see `cbgraph suites` for the claim strings.
+
+Each suite's entry is pinned by the sha256 of its sorted JSON, which
+holds no timing: a change that alters any report at the default seed
+fails here until its new digest is pinned, with the reason given in
+`CHANGES.md`.
 """
+
+import hashlib
+import json
 
 import pytest
 
 from cbgraph.suites import SUITES, Recipe, run_check, run_suite
 
+DIGESTS = {
+    "farey-oracle": "3658062c7136cbe5ba13fab6e2c023720a35cf032023b27db19927995170e854",
+    "census-bounds": "d06683b29c599367c07f8225a91b7ac36de3a03d462f794c3a626d2ba0df3b1f",
+    "height-formula": "acd8e42299eccde102beb3b2f03601ebc91630cc67e2e48afd52b1c14564b8e5",
+    "short-classification": "19449f75d851200b217ed59e5fb47977af5dcd6e8a7063da586d2aa5beb6cfbe",
+    "sep-equivalence": "1367ffbff6f36400cfdcf40009657929991406ce3df630f460b75a3a484b52e0",
+    "small-disks": "f0dc6915d225c8d76d6fc4043fbad624ecce059b260ee27103a813f221e349f5",
+    "chain-containment": "50a80b6b529ab197cbd79cd03146f1d61b7ea2a8ba9c3a17b2fb2660c8dc3586",
+    "link-chromatic": "e3a8a8dec43e1e7050bef5a73f6a23fd72c278a863e30f30ca969cd8b2b5a0a2",
+    "empty-triangles": "f5cb9fd09a49bc953d4acccec3c9a3e2076742e946033e57f5e09246677ec167",
+    "orientation-necessity": "2bed970d1129f9199b16e845b90b158cee0b1de1b6600d3a9ec378b294ace067",
+    "projection-diameter": "b5d062e6e1085139609cb3370d802bedc19b844f9a515ce81b5ebd69a9f17693",
+    "equivariance": "9085edea4d0e6c72a8dc976d31393d27e2805957ca6074aaed5d978e0eaaf441",
+}
+
 
 def _check(name):
     report = run_check(name)
     assert report["status"] == "pass", report
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name], text
     print(f"criterion '{name}' pass: {report['counts']}")
     return report
 

@@ -311,6 +311,40 @@ def test_type_argument_naming_a_directory_exits_2(capsys, tmp_path):
     assert error == {"type": "ValueError", "message": f"cannot read {tmp_path}: Is a directory"}
 
 
+def test_type_argument_naming_a_missing_file_exits_2(capsys, tmp_path, monkeypatch):
+    # Text that is neither a path nor JSON is read as a path.
+    monkeypatch.chdir(tmp_path)
+    code, error = _run_error(capsys, ["cb", "height", "--type", "missing.json"])
+    assert code == 2
+    assert error == {
+        "type": "ValueError",
+        "message": "cannot read missing.json: No such file or directory",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curve", "orbit", "--base", "{curve}", "--twists", "{curve}", "--max-word", "1"],
+        ["complex", "build", "--kind", "tc", "--recipe", "{recipe}"],
+        ["run", "--suite", "height-formula"],
+    ],
+    ids=["curve-orbit", "complex-build", "run"],
+)
+def test_out_naming_a_file_exits_2(capsys, tmp_path, argv):
+    # `run` makes its directory before the suites run: no output at all.
+    curve = _write_curve(tmp_path / "a.json", A)
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps({"genus": 2, "curves": [{"handle": 0}, {"handle": 1}]}))
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    argv = [a.format(curve=curve, recipe=recipe) for a in argv] + ["--out", str(out)]
+    code, error = _run_error(capsys, argv)
+    assert code == 2
+    assert error == {"type": "ValueError", "message": f"cannot write {out}: File exists"}
+    assert out.read_text() == "kept"
+
+
 def test_run_rejects_unknown_suite(capsys):
     code, error = _run_error(capsys, ["run", "--suite", "no-such-suite"])
     assert code == 2

@@ -7,11 +7,18 @@ written compactly (encoded letters, `array("I")` positions), each cycle
 paired with the word of `c.words` it runs.  The routes checked:
 `from_weights`, `from_json`, `from_words` on the raw words of `twist`
 and `band_sum`, multicurves built from words and from weights, and the
-classes `components()` returns.
+classes `components()` returns.  The tracer must write the step
+tracer's cycles in that form.
+
+`from_weights` does not check the words it reads off a trace, which
+are valid reduced dual paths by construction, so every word of a class
+built by `from_weights` or `from_json` must pass `validate_word`, and
+`validate_word` must run on words from callers only.
 """
 
 from array import array
 
+import canonical_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,18 +32,16 @@ TRIS = {g: standard_triangulation(g) for g in (2, 3, 4)}
 
 
 def _assert_kept(c):
-    expected = [
-        (tuple(x for x, _ in cycle), tuple(p for _, p in cycle))
-        for cycle in _Tracer(c.tri, c.weights).components()
-    ]
+    expected = oracle.compact_trace(c.tri, c.weights)
+    assert _Tracer(c.tri, c.weights).components() == expected
     for text, pos, _ in c.trace:
         assert type(text) is str and type(pos) is array and pos.typecode == "I"
-    assert [(decode(text), tuple(pos)) for text, pos, _ in c.trace] == expected
+    assert [(text, pos) for text, pos, _ in c.trace] == expected
     matched = [word for _, _, word in c.trace]
     assert sorted(matched) == list(c.words)
-    for (letters, _), word in zip(expected, matched):
+    for (text, _), word in zip(expected, matched):
         assert any(word is w for w in c.words)
-        assert canonical_cyclic(letters, c.tri.mate) == word
+        assert canonical_cyclic(decode(text), c.tri.mate) == word
 
 
 def _rebuilt(c):
@@ -46,6 +51,8 @@ def _rebuilt(c):
     curves._from_weights.cache_clear()
     by_json = CurveClass.from_json(c.to_json())
     assert by_weights == by_json == c
+    for word in by_weights.words + by_json.words:
+        curves.validate_word(c.tri, word)
     return [by_weights, by_json]
 
 
@@ -76,3 +83,22 @@ def test_kept_trace_is_the_trace_of_the_weights(genus, data):
     for c in built:
         _assert_kept(c)
     assert sorted(multi.components()) == sorted(disjoint)
+
+
+def test_only_words_from_callers_are_validated(monkeypatch):
+    tri = TRIS[2]
+    a, b = handle_curves(tri)[:2]
+    checked = []
+    kept = curves.validate_word
+
+    def probe(t, word):
+        checked.append(word)
+        kept(t, word)
+
+    monkeypatch.setattr(curves, "validate_word", probe)
+    twisted = ops.twist(a, b, 1)
+    assert checked == [twisted.word]
+    checked.clear()
+    assert CurveClass.from_weights(tri, twisted.weights) == twisted
+    assert CurveClass.from_json(a.to_json()) == a
+    assert checked == []
