@@ -26,8 +26,9 @@ which doubles as an embeddedness check.  The traced cycles are matched
 to the canonical words by substring tests on the encoded words, so each
 word is canonicalised once.  A curve built from normal coordinates
 (`from_weights`, and so `from_json`) is traced once to find its words,
-and the round trip reuses that trace unless a push across the vertex
-changed the weights.  A trace has one form, each cycle's letters encoded
+which are canonicalised from the traced text without a decode, and the
+round trip reuses that trace unless a push across the vertex changed
+the weights.  A trace has one form, each cycle's letters encoded
 as a `str` and its positions as an `array("I")`; the class keeps it,
 matched to its words, as `CurveClass.trace`, which `geom` and `cut` read.
 
@@ -248,9 +249,14 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     at least min_len letters are the cyclic stretches of min_len - 1
     marks there.
     """
+    return _vertex_canonical(tri, encode(word))
+
+
+def _vertex_canonical(tri: Triangulation, encoded: str) -> tuple[int, ...]:
+    """`vertex_canonical` of an encoded word, such as a traced cycle."""
     tables = _translate_tables(tri)
     flip = tables.flip
-    start = cyclic_reduce_text(encode(word), flip)
+    start = cyclic_reduce_text(encoded, flip)
     if not start:
         return ()
     n = len(tri.vertex_link)
@@ -283,7 +289,7 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
         if len(seen) > MAX_VERTEX_CLOSURE:
             raise RuntimeError(
                 f"vertex reduction closure exceeded MAX_VERTEX_CLOSURE = {MAX_VERTEX_CLOSURE}:"
-                f" {len(seen)} words reached from an input word of length {len(word)}"
+                f" {len(seen)} words reached from an input word of length {len(encoded)}"
             )
     best = min(map(len, seen))
     if best == 0:
@@ -379,7 +385,7 @@ class CurveClass:
         reduced = []
         for word in words:
             _check_letters(tri, word)
-            w = _canonical(tri, word)
+            w = _nontrivial(vertex_canonical(tri, word))
             validate_word(tri, w)
             reduced.append(w)
         return _matched(tri, reduced)
@@ -453,6 +459,10 @@ class CurveClass:
         genus, weights = data["genus"], data["weights"]
         if type(genus) is not int:
             raise ValueError(f"curve genus must be an int, not {genus!r}")
+        # Before the triangulation, which takes time and memory linear
+        # in the genus, so a huge genus with a short vector fails fast.
+        if genus >= 2 and isinstance(weights, (list, tuple)) and len(weights) != 6 * genus - 3:
+            raise ValueError("weight vector has wrong length")
         tri = standard_triangulation(genus)
         if "checksum" in data and data["checksum"] != tri.checksum:
             raise ValueError("curve was saved against a different triangulation")
@@ -461,9 +471,8 @@ class CurveClass:
         return cls.from_weights(tri, weights)
 
 
-def _canonical(tri: Triangulation, word) -> tuple[int, ...]:
-    """`vertex_canonical` of a component, which must not be trivial."""
-    w = vertex_canonical(tri, word)
+def _nontrivial(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical word of a component, which must not be trivial."""
     if not w:
         raise ValueError("a component reduces to the trivial loop")
     return w
@@ -499,4 +508,5 @@ def _from_weights(tri: Triangulation, weights: tuple[int, ...]) -> CurveClass:
     cycles = _Tracer(tri, weights).components()
     if not cycles:
         raise ValueError("zero weights: empty multicurve is not essential")
-    return _matched(tri, [_canonical(tri, decode(t)) for t, _ in cycles], weights, cycles)
+    reduced = [_nontrivial(_vertex_canonical(tri, t)) for t, _ in cycles]
+    return _matched(tri, reduced, weights, cycles)

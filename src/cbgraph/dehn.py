@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from cbgraph.kernel import cyclic_reduce, free_reduce
-from cbgraph.surface import Triangulation
+from cbgraph.surface import Triangulation, standard_triangulation
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +66,7 @@ def _inverse(genus: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def _relators(genus: int) -> tuple[tuple[int, ...], ...]:
-    tri = Triangulation(genus)
+    tri = standard_triangulation(genus)
     r = path_word(tri, tri.vertex_link)
     if len(r) != 4 * genus:
         raise RuntimeError("vertex link does not give the polygon relator")

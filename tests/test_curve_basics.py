@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from cbgraph.kernel import (
     min_rotation,
     reverse_word,
 )
-from cbgraph import curves, ops
+from cbgraph import curves, ops, surface
 from cbgraph.curves import CurveClass, trace_components, vertex_canonical, word_weights
 from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves, partner_side
 from cbgraph.surface import Triangulation, standard_triangulation
@@ -77,6 +80,21 @@ def test_triangulation_checksum_stable():
     assert Triangulation(2).checksum == Triangulation(2).checksum
     assert Triangulation(2).checksum != Triangulation(3).checksum
     assert standard_triangulation(2) is standard_triangulation(2)
+    # The checksum is the hashlib digest of the sorted JSON, as stored.
+    for g in range(2, 13):
+        tri = Triangulation(g)
+        payload = {"genus": g, "triangles": [list(t) for t in tri.triangles]}
+        data = json.dumps(payload, sort_keys=True).encode()
+        assert tri.checksum == hashlib.sha256(data).hexdigest()[:16]
+    for g in (2, 3):
+        asset = Path(surface.__file__).parent / "assets" / f"triangulation_g{g}.json"
+        assert Triangulation(g).checksum == json.loads(asset.read_text())["checksum"]
+    # Every padding case: lengths 55/56 and 119/120 straddle the room for
+    # the length field in one and two blocks, 63/64 the block boundary.
+    rng = random.Random(5)
+    for n in [*range(131), 1000, 4096]:
+        data = rng.randbytes(n)
+        assert surface._sha256(data) == hashlib.sha256(data).hexdigest(), n
 
 
 # Synthetic involution for kernel tests: mate pairs 2i <-> 2i+1.
@@ -289,6 +307,25 @@ def test_curve_json_round_trip():
     for spec in ([(0, "1/2")], [(1, "1/2")]):
         c = curve_from_chords(tri, spec)
         assert CurveClass.from_json(c.to_json()) == c
+
+
+def test_curve_record_of_wrong_length_builds_no_triangulation(monkeypatch):
+    # A genus below 2 keeps its own message, whatever the vector's length.
+    for weights in ([2] * 9, []):
+        with pytest.raises(ValueError, match="^genus must be >= 2$"):
+            CurveClass.from_json({"genus": 1, "weights": weights})
+
+    def refuse(genus):
+        raise AssertionError(f"built the genus-{genus} triangulation")
+
+    monkeypatch.setattr(curves, "standard_triangulation", refuse)
+    for record in (
+        {"genus": 20000, "weights": [1, 1, 0]},
+        # Both faults: the length is reported, not the checksum.
+        {"genus": 2, "weights": [2] * 8, "checksum": "0" * 16},
+    ):
+        with pytest.raises(ValueError, match="^weight vector has wrong length$"):
+            CurveClass.from_json(record)
 
 
 def test_partner_side():

@@ -4,10 +4,14 @@ traced in one place.
 No module imports inside a function, and `ops`, which the cutting and
 compression-body layers build on, imports none of `cut`, `cb` or
 `projections`.  Only `curves` traces normal coordinates: the drawing and
-cutting layers read the trace a `CurveClass` keeps.
+cutting layers read the trace a `CurveClass` keeps.  Nothing loads
+`hashlib`, whose OpenSSL library would cost 3.6 MB of resident memory.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cbgraph
@@ -88,3 +92,22 @@ def test_only_curves_traces():
 def test_drawing_and_cutting_read_the_kept_trace():
     assert "_Tracer" not in _imported_names("geom.py")
     assert "canonical_cyclic" not in _imported_names("cut.py")
+
+
+def test_loading_curves_leaves_hashlib_unloaded():
+    script = (
+        "import sys\n"
+        "import cbgraph.cli, cbgraph.suites\n"
+        "from cbgraph.curves import CurveClass\n"
+        "from cbgraph.surface import standard_triangulation\n"
+        "standard_triangulation(4)\n"
+        "CurveClass.from_json({'genus': 2, 'weights': [2, 2, 0, 0, 2, 2, 0, 0, 0]})\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
