@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from cbgraph import MEMO_ENTRIES, cut, ops
@@ -134,72 +135,74 @@ def all_minimal_sequences(t: CBType) -> set[tuple[CBType, ...]]:
     """All chains of minimal compressions from the trivial type to t.
 
     Chains are returned without the trivial starting type; each has length
-    height(t).
+    height(t).  A chain to t is a chain to one of its predecessors
+    followed by t, and only the trivial type has no predecessor.
     """
     h = height(t)
     if h > MAX_CHAIN_HEIGHT:
         raise ValueError(f"height {h} exceeds the enumeration guard {MAX_CHAIN_HEIGHT}")
-    start = trivial_type(t.exterior_genus)
-    chains: set[tuple[CBType, ...]] = set()
+    chains: dict[CBType, set[tuple[CBType, ...]]] = {}
 
-    def extend(cur: CBType, chain: tuple[CBType, ...]) -> None:
-        if cur == t:
-            chains.add(chain)
-            return
-        if height(cur) >= h:
-            return
-        for nxt in minimal_moves(cur):
-            if _could_reach(nxt, t):
-                extend(nxt, chain + (nxt,))
+    def to(cur: CBType) -> set[tuple[CBType, ...]]:
+        if cur not in chains:
+            preds = _predecessors(cur)
+            chains[cur] = {c + (cur,) for p in preds for c in to(p)} if preds else {()}
+        return chains[cur]
 
-    extend(start, ())
-    return chains
+    return to(t)
 
 
-def _could_reach(c: CBType, t: CBType) -> bool:
-    # c can still be compressed down to t: t's interior genera must be
-    # obtainable by iterated splitting/deletion from c's.
-    return _refines(c.interior_genera, t.interior_genera)
+def _predecessors(t: CBType) -> set[CBType]:
+    """The types p with t in minimal_moves(p).
 
-
-def _refines(src: tuple[int, ...], dst: tuple[int, ...]) -> bool:
-    # Can dst be reached from src by replacing f with j, f-j and deleting 1s?
-    if not src:
-        return not dst
-    if sum(src) < sum(dst):
-        return False
-    # Match the largest source genus: it is either kept, split, or (if 1)
-    # deleted.  Exhaustive branching is fine at desk scale.
-    f = src[-1]
-    rest = src[:-1]
-    if f in dst:
-        i = dst.index(f)
-        if _refines(rest, dst[:i] + dst[i + 1 :]):
-            return True
-    if f == 1:
-        return _refines(rest, dst)
-    for j in range(1, f // 2 + 1):
-        merged = tuple(sorted(rest + (j, f - j)))
-        if _refines(merged, dst):
-            return True
-    return False
+    Undoing the deletion of a torus component adds back a genus-1
+    component, which fits while the interior genera sum to less than
+    the exterior genus; undoing a split merges two components.
+    """
+    g, interior = t.exterior_genus, t.interior_genera
+    out = set()
+    if sum(interior) < g:
+        out.add(CBType(g, interior + (1,)))
+    for i, j in combinations(range(len(interior)), 2):
+        rest = interior[:i] + interior[i + 1 : j] + interior[j + 1 :]
+        out.add(CBType(g, rest + (interior[i] + interior[j],)))
+    return out
 
 
 def enumerate_types(g: int) -> list[CBType]:
     """All compression-body types with exterior genus g, sorted."""
     return sorted(
-        CBType(g, part) for total in range(0, g + 1) for part in _partitions(total)
+        CBType(g, p) for n in range(g + 1) for k in range(n + 1) for p in _partitions(n, k, g)
     )
 
 
-def _partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
+def types_of_height(g: int, h: int) -> list[CBType]:
+    """All types with exterior genus g and height h, sorted.
+
+    A type with k interior components whose genera sum to n has height
+    2g - 1 - 2n + k, so its interior genera are a partition of
+    n = (2g - 1 - h + k) / 2 into exactly k parts.  One exists exactly
+    when k <= n <= g, that is k <= 2g - 1 - h and k <= h + 1.
+    """
+    if g < 1:
+        raise ValueError("exterior genus must be >= 1")
+    return sorted(
+        CBType(g, p)
+        for k in range((h + 1) % 2, min(h + 1, 2 * g - 1 - h) + 1, 2)
+        for p in _partitions((2 * g - 1 - h + k) // 2, k, g)
+    )
+
+
+def _partitions(n: int, k: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n >= k into exactly k parts of at most top, ascending."""
+    if k == 0:
+        if n == 0:
+            yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in _partitions(n - first, first):
+    # The largest part is at least the mean, and leaves at least 1 for
+    # each of the other k - 1 parts.
+    for first in range(min(top, n - k + 1), -(-n // k) - 1, -1):
+        for rest in _partitions(n - first, k - 1, first):
             yield rest + (first,)
 
 
@@ -207,14 +210,7 @@ def classify_short(g: int) -> dict[str, set[CBType]]:
     """The height-one and height-two types with exterior genus g >= 2."""
     if g < 2:
         raise ValueError("needs exterior genus >= 2")
-    height1 = {CBType(g, (j, g - j)) for j in range(1, g // 2 + 1)}
-    height2 = {CBType(g, (g - 1,))}
-    for j in range(1, g + 1):
-        for k in range(j, g + 1):
-            m = g - j - k
-            if m >= k:
-                height2.add(CBType(g, (j, k, m)))
-    return {"height1": height1, "height2": height2}
+    return {f"height{h}": set(types_of_height(g, h)) for h in (1, 2)}
 
 
 def purely_separating(t: CBType) -> bool:

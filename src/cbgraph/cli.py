@@ -24,8 +24,8 @@ from cbgraph.cb import (
     MarkedCB,
     all_minimal_sequences,
     contains,
-    enumerate_types,
     height,
+    types_of_height,
 )
 from cbgraph.curves import CurveClass, json_record, read_file
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance, intersect_cc
@@ -212,7 +212,7 @@ def cmd_cb(opts) -> int:
         verdict = contains(_load_body(opts.c), _load_body(opts.d))
         _emit({"contains": verdict.value})
     else:
-        types = sorted(t for t in enumerate_types(opts.genus) if height(t) == opts.height)
+        types = types_of_height(opts.genus, opts.height)
         _emit(
             {
                 "genus": opts.genus,

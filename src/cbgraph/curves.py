@@ -26,11 +26,12 @@ which doubles as an embeddedness check.  The traced cycles are matched
 to the canonical words by substring tests on the encoded words, so each
 word is canonicalised once.  A curve built from normal coordinates
 (`from_weights`, and so `from_json`) is traced once to find its words,
-which are canonicalised from the traced text without a decode, and the
-round trip reuses that trace unless a push across the vertex changed
-the weights.  A trace has one form, each cycle's letters encoded
-as a `str` and its positions as an `array("I")`; the class keeps it,
-matched to its words, as `CurveClass.trace`, which `geom` and `cut` read.
+which are canonicalised and matched to the trace as text, each decoded
+once into a word of the class.  The round trip reuses that trace unless
+a push across the vertex changed the weights.  A trace has one form,
+each cycle's letters encoded as a `str` and its positions as an
+`array("I")`; the class keeps it, matched to its words, as
+`CurveClass.trace`, which `geom` and `cut` read.
 
 Words read off a trace are valid reduced dual paths by construction, so
 they are not checked again: from the crossing 3t + s the tracer follows
@@ -249,16 +250,17 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     at least min_len letters are the cyclic stretches of min_len - 1
     marks there.
     """
-    return _vertex_canonical(tri, encode(word))
+    return decode(_vertex_canonical(tri, encode(word)))
 
 
-def _vertex_canonical(tri: Triangulation, encoded: str) -> tuple[int, ...]:
-    """`vertex_canonical` of an encoded word, such as a traced cycle."""
+def _vertex_canonical(tri: Triangulation, encoded: str) -> str:
+    """`vertex_canonical` of an encoded word, such as a traced cycle,
+    as encoded text."""
     tables = _translate_tables(tri)
     flip = tables.flip
     start = cyclic_reduce_text(encoded, flip)
     if not start:
-        return ()
+        return ""
     n = len(tri.vertex_link)
     min_len = n // 2
     seen = {canonical_text(start, flip)}
@@ -291,10 +293,7 @@ def _vertex_canonical(tri: Triangulation, encoded: str) -> tuple[int, ...]:
                 f"vertex reduction closure exceeded MAX_VERTEX_CLOSURE = {MAX_VERTEX_CLOSURE}:"
                 f" {len(seen)} words reached from an input word of length {len(encoded)}"
             )
-    best = min(map(len, seen))
-    if best == 0:
-        return ()
-    return decode(min(w for w in seen if len(w) == best))
+    return min(seen, key=lambda w: (len(w), w))
 
 
 def _text_weights(tables: _Tables, texts) -> tuple[int, ...]:
@@ -346,11 +345,12 @@ class CurveClass:
 
     __slots__ = ("tri", "words", "_weights", "trace")
 
-    def __init__(self, tri: Triangulation, words: tuple[tuple[int, ...], ...], trace):
-        # Internal: use the constructors below, which validate.
+    def __init__(self, tri: Triangulation, words: tuple[tuple[int, ...], ...], weights, trace):
+        # Internal: use the constructors below, which validate; `weights`
+        # are the normal coordinates of `words`.
         self.tri = tri
         self.words = words
-        self._weights = word_weights(tri, words)
+        self._weights = weights
         self.trace = trace
 
     @classmethod
@@ -387,7 +387,7 @@ class CurveClass:
             _check_letters(tri, word)
             w = _nontrivial(vertex_canonical(tri, word))
             validate_word(tri, w)
-            reduced.append(w)
+            reduced.append((encode(w), w))
         return _matched(tri, reduced)
 
     @property
@@ -427,7 +427,8 @@ class CurveClass:
             for i, point in enumerate(sorted(points)):
                 rank[point] = i - start.setdefault(point[0], i)
             own = array("I", map(rank.__getitem__, points))
-            out.append(CurveClass(self.tri, (word,), ((text, own, word),)))
+            weights = word_weights(self.tri, (word,))
+            out.append(CurveClass(self.tri, (word,), weights, ((text, own, word),)))
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -471,15 +472,17 @@ class CurveClass:
         return cls.from_weights(tri, weights)
 
 
-def _nontrivial(w: tuple[int, ...]) -> tuple[int, ...]:
-    """The canonical word of a component, which must not be trivial."""
+def _nontrivial(w):
+    """The canonical word of a component, or its text, which must not be
+    trivial."""
     if not w:
         raise ValueError("a component reduces to the trivial loop")
     return w
 
 
 def _matched(tri: Triangulation, reduced, weights=None, cycles=None) -> CurveClass:
-    """The class of canonical words; `cycles` are the trace of `weights`.
+    """The class of canonical words, given as (text, word) pairs;
+    `cycles` are the trace of `weights`.
 
     Tracing is a function of the weights, so when the words sum to
     `weights` the round trip matches them against `cycles`; otherwise
@@ -487,8 +490,8 @@ def _matched(tri: Triangulation, reduced, weights=None, cycles=None) -> CurveCla
     each with its word, as its `trace`.
     """
     tables = _translate_tables(tri)
-    unmatched = [(encode(w), w) for w in reduced]
-    summed = _text_weights(tables, [r for r, _ in unmatched])
+    unmatched = list(reduced)
+    summed = _text_weights(tables, [r for r, _ in reduced])
     if summed != weights:
         cycles = _Tracer(tri, summed).components()
     trace = []
@@ -500,7 +503,7 @@ def _matched(tri: Triangulation, reduced, weights=None, cycles=None) -> CurveCla
         trace.append((t, pos, hit[1]))
     if unmatched or len(cycles) != len(reduced):
         raise ValueError("words are not an embedded multicurve (round trip failed)")
-    return CurveClass(tri, tuple(sorted(reduced)), tuple(trace))
+    return CurveClass(tri, tuple(sorted(w for _, w in reduced)), summed, tuple(trace))
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
@@ -508,5 +511,5 @@ def _from_weights(tri: Triangulation, weights: tuple[int, ...]) -> CurveClass:
     cycles = _Tracer(tri, weights).components()
     if not cycles:
         raise ValueError("zero weights: empty multicurve is not essential")
-    reduced = [_nontrivial(_vertex_canonical(tri, t)) for t, _ in cycles]
-    return _matched(tri, reduced, weights, cycles)
+    texts = [_nontrivial(_vertex_canonical(tri, t)) for t, _ in cycles]
+    return _matched(tri, [(t, decode(t)) for t in texts], weights, cycles)

@@ -1,17 +1,15 @@
 """Authoring curves as chord sequences on the identified 4g-gon.
 
 The genus-g surface is the quotient of a convex 4g-gon with the side
-word a b a' b' c d c' d' ...; a curve is given by the ordered points
-where it crosses the sides, and the chords between consecutive points
-are traced through the fan diagonals to produce the curve's dual word.
-The triangulation fans out from vertex 0, so a chord's diagonals follow
-from the two sides it joins alone: no coordinates are formed, and a
-side parameter only has to lie strictly inside (0, 1).
+word a b a' b' c d c' d' ...; a curve is given by the sides it crosses,
+in order, and the chords between consecutive crossings are traced
+through the fan diagonals to produce the curve's dual word.  The
+triangulation fans out from vertex 0, so a chord's diagonals follow from
+the two sides it joins alone: no coordinates are formed, and where a
+chord meets a side does not matter.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from cbgraph.curves import CurveClass
 from cbgraph.surface import Triangulation
@@ -58,8 +56,8 @@ def handle_curves(tri: Triangulation) -> list[CurveClass]:
     """
     out = []
     for k in range(tri.genus):
-        out.append(curve_from_chords(tri, [(4 * k, Fraction(1, 2))]))
-        out.append(curve_from_chords(tri, [(4 * k + 1, Fraction(1, 2))]))
+        out.append(curve_from_chords(tri, [4 * k]))
+        out.append(curve_from_chords(tri, [4 * k + 1]))
     return out
 
 
@@ -67,25 +65,19 @@ def chain_connector(tri: Triangulation, k: int) -> CurveClass:
     """A curve joining handles k and k+1, crossing each of their a-curves once."""
     if not 0 <= k < tri.genus - 1:
         raise ValueError("no such adjacent handle pair")
-    return curve_from_chords(
-        tri, [(4 * k + 1, Fraction(1, 3)), (4 * k + 5, Fraction(1, 3))]
-    )
+    return curve_from_chords(tri, [4 * k + 1, 4 * k + 5])
 
 
-def curve_from_chords(tri: Triangulation, crossings) -> CurveClass:
-    """Curve through the given (side, parameter) boundary points in order.
+def curve_from_chords(tri: Triangulation, sides) -> CurveClass:
+    """Curve crossing the given polygon sides in order.
 
-    After crossing side j at parameter t the curve re-enters at the
-    partner point (partner_side(j), 1 - t) and runs straight to the next
-    listed point.  The result is the directed-crossing word: one letter
-    for the side crossing, then one per fan diagonal the chord meets.
+    After crossing side j the curve re-enters across partner_side(j) and
+    runs straight to the next listed side.  The result is the
+    directed-crossing word: one letter for the side crossing, then one
+    per fan diagonal the chord meets.
     """
-    specs = [(j, Fraction(t)) for j, t in crossings]
-    for j, t in specs:
-        if not (0 < t < 1):
-            raise ValueError("side parameters must lie strictly inside (0,1)")
     word = []
-    for idx, (j, _) in enumerate(specs):
-        j2 = specs[(idx + 1) % len(specs)][0]
+    for idx, j in enumerate(sides):
+        j2 = sides[(idx + 1) % len(sides)]
         word.extend(_chord_letters(tri.genus, partner_side(j), j2))
     return CurveClass.from_word(tri, word)

@@ -27,6 +27,7 @@ from cbgraph.cb import (
     glue,
     height,
     meridian_of_small,
+    purely_separating,
     small_cb,
 )
 from cbgraph.curves import json_record, read_file
@@ -222,7 +223,7 @@ def check_sep_equivalence(rng, recipe):
         for t in enumerate_types(g):
             total += 1
             lhs = len(t.interior_genera) == height(t) + 1
-            rhs = sum(t.interior_genera) == g
+            rhs = purely_separating(t)
             if lhs != rhs:
                 bad.append(repr(t))
     counts = {"types": total, "violations": len(bad)}

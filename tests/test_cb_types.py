@@ -4,6 +4,7 @@ import pytest
 
 from cbgraph.cb import (
     CBType,
+    _predecessors,
     all_minimal_sequences,
     classify_short,
     composable_pairs,
@@ -13,8 +14,10 @@ from cbgraph.cb import (
     minimal_moves,
     purely_separating,
     trivial_type,
+    types_of_height,
 )
-from cb_oracles import bfs_height, scan_types_by_height
+from cb_oracles import bfs_height, scan_types_by_height, search_minimal_sequences
+from cb_oracles import enumerate_types as scan_enumerate_types
 
 
 def test_cbtype_invariants():
@@ -117,6 +120,26 @@ def test_all_minimal_sequences_guard():
         all_minimal_sequences(CBType(7, ()))
 
 
+def test_chains_match_the_search_oracle():
+    for g in range(1, 7):
+        for t in scan_enumerate_types(g):
+            assert all_minimal_sequences(t) == search_minimal_sequences(t), t
+
+
+def test_predecessors_invert_minimal_moves():
+    for g in range(1, 9):
+        types = enumerate_types(g)
+        for t in types:
+            assert _predecessors(t) == {p for p in types if t in minimal_moves(p)}, t
+
+
+def test_types_of_height_match_the_filtered_scan():
+    for g in range(1, 13):
+        types = scan_enumerate_types(g)
+        for h in range(-1, 2 * g + 2):
+            assert types_of_height(g, h) == [t for t in types if height(t) == h], (g, h)
+
+
 def test_classify_short_examples():
     two = classify_short(2)
     assert two["height1"] == {CBType(2, (1, 1))}
@@ -183,3 +206,8 @@ def test_enumerate_types_counts():
     assert len(enumerate_types(2)) == 4
     assert len(enumerate_types(3)) == 7
     assert len(enumerate_types(4)) == 12
+
+
+def test_enumerate_types_matches_the_oracle():
+    for g in range(1, 13):
+        assert enumerate_types(g) == scan_enumerate_types(g), g

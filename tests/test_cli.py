@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cbgraph import cli, complexes, curves, geom, ops, suites
+from cbgraph import cb, cli, complexes, curves, geom, ops, suites
 from cbgraph.cb import CBType, MarkedCB, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.polygon import chain_connector, handle_curves
@@ -112,6 +112,30 @@ def test_cb_commands(capsys, tmp_path):
     assert got == {"contains": "true"}
     got = _run_json(capsys, ["cb", "contains", "--c", str(fd), "--d", str(fc)])
     assert got == {"contains": "false"}
+
+
+def test_cb_classify_lists_one_height_only(capsys, monkeypatch):
+    # Scanning every type of genus 50 took 27 s for these 25.
+    def scan(g):
+        raise AssertionError("cb classify scanned every type")
+
+    # A name `cli` imported from `cb` would escape a patch of `cb` alone.
+    for module in (cb, cli):
+        monkeypatch.setattr(module, "enumerate_types", scan, raising=False)
+    got = _run_json(capsys, ["cb", "classify", "--genus", "50", "--height", "1"])
+    assert [CBType.from_json(t) for t in got["types"]] == [
+        CBType(50, (j, 50 - j)) for j in range(1, 26)
+    ]
+    got = _run_json(capsys, ["cb", "classify", "--genus", "50", "--height", "1000000000"])
+    assert got == {"genus": 50, "height": 1000000000, "types": []}
+
+
+@pytest.mark.parametrize("genus", ["0", "-3"])
+def test_cb_classify_genus_below_one_exits_2(capsys, genus):
+    argv = ["cb", "classify", "--genus", genus, "--height", "1"]
+    code, error = _run_error(capsys, argv)
+    assert code == 2
+    assert error == {"type": "ValueError", "message": "exterior genus must be >= 1"}
 
 
 def test_complex_build_and_analyze(capsys, tmp_path):

@@ -45,7 +45,7 @@ def test_vertex_link_holds_each_letter_once():
 
 def test_vertex_closure_guard_reports_bound_and_input(monkeypatch):
     tri = standard_triangulation(2)
-    a = curve_from_chords(tri, [(0, "1/2")])
+    a = curve_from_chords(tri, [0])
     # A detour once around the vertex: its closure holds the detour and
     # the short word at least.
     link = tuple(tri.vertex_link)
@@ -207,11 +207,11 @@ def _weights_on(tri, edges):
 
 def test_author_handle_curves_genus2():
     tri = standard_triangulation(2)
-    a = curve_from_chords(tri, [(0, "1/2")])
+    a = curve_from_chords(tri, [0])
     assert a.weights == _weights_on(tri, [0, 4])
-    b = curve_from_chords(tri, [(1, "1/2")])
+    b = curve_from_chords(tri, [1])
     assert b.weights == _weights_on(tri, [1, 4, 5])
-    c = curve_from_chords(tri, [(4, "1/2")])
+    c = curve_from_chords(tri, [4])
     assert c.weights == _weights_on(tri, [2, 7, 8])
     for x in (a, b, c):
         assert len(x.words) == 1
@@ -222,7 +222,7 @@ def test_author_handle_curves_genus2():
 
 def test_trace_round_trip():
     tri = standard_triangulation(2)
-    for spec in ([(0, "1/2")], [(1, "1/3")], [(5, "2/5")]):
+    for spec in ([0], [1], [5]):
         c = curve_from_chords(tri, spec)
         again = CurveClass.from_weights(tri, c.weights)
         assert again == c
@@ -230,8 +230,8 @@ def test_trace_round_trip():
 
 def test_multicurve_from_disjoint_words():
     tri = standard_triangulation(2)
-    a = curve_from_chords(tri, [(0, "1/2")])
-    c = curve_from_chords(tri, [(4, "1/2")])
+    a = curve_from_chords(tri, [0])
+    c = curve_from_chords(tri, [4])
     m = CurveClass.from_words(tri, [a.word, c.word])
     assert len(m.words) == 2
     assert m.weights == tuple(x + y for x, y in zip(a.weights, c.weights))
@@ -240,7 +240,7 @@ def test_multicurve_from_disjoint_words():
 
 def test_doubled_word_rejected():
     tri = standard_triangulation(2)
-    a = curve_from_chords(tri, [(0, "1/2")])
+    a = curve_from_chords(tri, [0])
     doubled = a.word + a.word
     with pytest.raises(ValueError):
         CurveClass.from_word(tri, doubled)
@@ -252,7 +252,7 @@ def test_vertex_link_rejected():
     # essential component.
     for g in (2, 3, 4):
         tri = standard_triangulation(g)
-        a = curve_from_chords(tri, [(0, "1/2")])
+        a = curve_from_chords(tri, [0])
         for link in (tri.vertex_link, reverse_word(tri.vertex_link, tri.mate)):
             for words in ([link], [a.word, link]):
                 with pytest.raises(ValueError, match="reduces to the trivial loop"):
@@ -288,7 +288,7 @@ def test_invalid_words_rejected():
 
 def test_validate_word_messages():
     tri = standard_triangulation(2)
-    curves.validate_word(tri, curve_from_chords(tri, [(0, "1/2")]).word)
+    curves.validate_word(tri, curve_from_chords(tri, [0]).word)
     top = 3 * tri.num_triangles
     for word, message in [
         ((), "empty word"),
@@ -304,7 +304,7 @@ def test_validate_word_messages():
 
 def test_curve_json_round_trip():
     tri = standard_triangulation(2)
-    for spec in ([(0, "1/2")], [(1, "1/2")]):
+    for spec in ([0], [1]):
         c = curve_from_chords(tri, spec)
         assert CurveClass.from_json(c.to_json()) == c
 

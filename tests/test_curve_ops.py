@@ -7,10 +7,10 @@ from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves
 from cbgraph.surface import standard_triangulation
 
 TRI = standard_triangulation(2)
-A = curve_from_chords(TRI, [(0, "1/2")])
-B = curve_from_chords(TRI, [(1, "1/2")])
-C = curve_from_chords(TRI, [(4, "1/2")])
-D = curve_from_chords(TRI, [(5, "1/2")])
+A = curve_from_chords(TRI, [0])
+B = curve_from_chords(TRI, [1])
+C = curve_from_chords(TRI, [4])
+D = curve_from_chords(TRI, [5])
 
 
 def _random_twist(rng, c, length):

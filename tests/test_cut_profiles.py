@@ -9,10 +9,10 @@ from cbgraph.polygon import curve_from_chords
 from cbgraph.surface import standard_triangulation
 
 TRI = standard_triangulation(2)
-A = curve_from_chords(TRI, [(0, "1/2")])
-B = curve_from_chords(TRI, [(1, "1/2")])
-C = curve_from_chords(TRI, [(4, "1/2")])
-D = curve_from_chords(TRI, [(5, "1/2")])
+A = curve_from_chords(TRI, [0])
+B = curve_from_chords(TRI, [1])
+C = curve_from_chords(TRI, [4])
+D = curve_from_chords(TRI, [5])
 W = ops.band_sum(A, B)
 
 

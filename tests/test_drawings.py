@@ -14,8 +14,8 @@ from cbgraph.surface import standard_triangulation
 
 
 def _handles(tri):
-    a = curve_from_chords(tri, [(0, "1/2")])
-    b = curve_from_chords(tri, [(1, "1/2")])
+    a = curve_from_chords(tri, [0])
+    b = curve_from_chords(tri, [1])
     return a, b
 
 
@@ -113,7 +113,7 @@ def test_drawing_chords_cover_curve():
 def test_drawing_rejects_more_than_two_curves():
     tri = standard_triangulation(2)
     a, b = _handles(tri)
-    c = curve_from_chords(tri, [(4, "1/2")])
+    c = curve_from_chords(tri, [4])
     with pytest.raises(ValueError):
         Drawing(tri, [a, b, c])
 

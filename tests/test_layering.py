@@ -5,7 +5,9 @@ No module imports inside a function, and `ops`, which the cutting and
 compression-body layers build on, imports none of `cut`, `cb` or
 `projections`.  Only `curves` traces normal coordinates: the drawing and
 cutting layers read the trace a `CurveClass` keeps.  Nothing loads
-`hashlib`, whose OpenSSL library would cost 3.6 MB of resident memory.
+`hashlib`, whose OpenSSL library would cost 3.6 MB of resident memory,
+and nothing imports `fractions`: slopes are integer pairs, and curves
+are authored by the polygon sides they cross.
 """
 
 import ast
@@ -86,6 +88,22 @@ def test_only_curves_traces():
             and node.func.attr == "components"
             and (_makes_tracer(node.func.value) or ast.unparse(node.func.value) in tracers)
         ]
+    assert not found, found
+
+
+def test_no_module_imports_fractions():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}" for m in modules if m.split(".")[0] == "fractions"
+            ]
     assert not found, found
 
 

@@ -8,10 +8,10 @@ from cbgraph.polygon import curve_from_chords
 from cbgraph.surface import standard_triangulation
 
 TRI = standard_triangulation(2)
-A = curve_from_chords(TRI, [(0, "1/2")])
-B = curve_from_chords(TRI, [(1, "1/2")])
-C = curve_from_chords(TRI, [(4, "1/2")])
-D = curve_from_chords(TRI, [(5, "1/2")])
+A = curve_from_chords(TRI, [0])
+B = curve_from_chords(TRI, [1])
+C = curve_from_chords(TRI, [4])
+D = curve_from_chords(TRI, [5])
 W = ops.band_sum(A, B)
 
 
@@ -43,7 +43,7 @@ def test_small_body_heights():
     assert meridian_of_small(A, extra)
 
     g3 = standard_triangulation(3)
-    a3 = curve_from_chords(g3, [(0, "1/2")])
+    a3 = curve_from_chords(g3, [0])
     s3 = small_cb(a3)
     assert s3.derived_type == CBType(3, (2,))
     assert s3.height == 2

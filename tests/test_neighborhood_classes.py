@@ -99,8 +99,8 @@ def test_three_curve_torus_test_reads_the_boundary_class(built):
     # The three-curve case of `test_common_punctured_torus_cases`: the
     # third curve is tested against the boundary of the first pair's torus.
     tri = standard_triangulation(2)
-    a = curve_from_chords(tri, [(0, "1/2")])
-    b = curve_from_chords(tri, [(1, "1/2")])
+    a = curve_from_chords(tri, [0])
+    b = curve_from_chords(tri, [1])
     c = ops.twist(b, a, 1)
     boundary = ops.band_sum(a, b)
     del built[:]
