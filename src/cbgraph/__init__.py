@@ -6,17 +6,17 @@
 # errors are raised every time and never cached.
 #
 # - `ops`: intersection numbers and the punctured-torus test (ints, bools);
-# - `projections.project`, `farey.enumerate_slopes` (frozensets, copied);
+# - `projections.project` (a frozenset, copied);
 # - `cb._placement` (a tuple of bools) and `cut.cut_profile` (a tuple,
 #   returned as a fresh list);
 # - `cb.small_cb`, which holds a shared `MarkedCB`, and
 #   `CurveClass.from_weights`, which holds a shared `CurveClass`: both
 #   are value-typed and never written after construction.
 #
-# After a cold acceptance pass (seed 101) they hold 2,115 entries and
-# 1.50 MB (`tracemalloc`), keys' curves and the traces they keep
+# After a cold acceptance pass (seed 101) they hold 2,110 entries and
+# 1.28 MB (`tracemalloc`), keys' curves and the traces they keep
 # (`CurveClass.trace`) included.  `tests/conftest.py`
-# lists these nine in `MEMOS` and clears them before every test, and a
+# lists these eight in `MEMOS` and clears them before every test, and a
 # test fails if a memo of `MEMO_ENTRIES` entries is missing there.
 #
 # Per-process tables are unbounded `functools.lru_cache`s too, keyed by

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from cbgraph import MEMO_ENTRIES, cut, ops
-from cbgraph.curves import CurveClass, json_record
+from cbgraph.curves import CurveClass, json_field, json_record
 from cbgraph.surface import standard_triangulation
 
 MAX_CHAIN_HEIGHT = 12
@@ -78,9 +78,7 @@ class CBType:
     @classmethod
     def from_json(cls, data: dict | str) -> "CBType":
         data = json_record(data, "type", "g", "interior")
-        g, interior = data["g"], data["interior"]
-        if type(g) is not int:
-            raise ValueError(f"type g must be an int, not {g!r}")
+        g, interior = json_field(data, "type", "g", int, None), data["interior"]
         if type(interior) is not list or any(type(x) is not int for x in interior):
             raise ValueError(f"type interior must be a list of ints, not {interior!r}")
         return cls(g, interior)
@@ -363,8 +361,9 @@ class MarkedCB:
     def from_json(cls, data: dict | str) -> "MarkedCB":
         data = json_record(data, "body", "type", "system")
         kind = CBType.from_json(data["type"])
+        system = json_field(data, "body", "system", list, None)
         tri = standard_triangulation(kind.exterior_genus)
-        curves = [CurveClass.from_json(c) for c in data["system"]]
+        curves = [CurveClass.from_json(c) for c in system]
         base = data.get("small_base")
         got = cls(
             tri,

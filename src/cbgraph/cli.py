@@ -8,7 +8,7 @@ keys) so identical invocations produce identical bytes.
 A subcommand that fails on its input writes
 `{"error": {"type", "message"}}` to stderr instead of a traceback and
 exits 2 for a `ValueError` (bad input) or 3 for a `RuntimeError` (a
-tripped guard).
+tripped guard).  A malformed command line is bad input too.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from cbgraph.cb import (
     height,
     types_of_height,
 )
-from cbgraph.curves import CurveClass, json_record, read_file
+from cbgraph.curves import CurveClass, json_field, json_record, read_file
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance, intersect_cc
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.suites import SUITES, Recipe, report_json, run_suite
@@ -81,18 +81,6 @@ def _type_arg(text) -> CBType:
     return CBType.from_json(record)
 
 
-def _field(record, what, key, kind, default):
-    """record[key], or default when it is absent or null; a ValueError
-    unless the value is of type `kind` (int or list)."""
-    value = record.get(key)
-    if value is None:
-        value = default
-    if type(value) is not kind:
-        article = "an" if kind is int else "a"
-        raise ValueError(f"{what} {key} must be {article} {kind.__name__}, not {value!r}")
-    return value
-
-
 def _spec_index(spec, key, count) -> int:
     value = spec[key]
     if type(value) is not int or not 0 <= value < count:
@@ -144,21 +132,16 @@ def curve_from_spec(tri, spec) -> CurveClass:
 
 
 def _recipe_curves(tri, data) -> list[CurveClass]:
-    curves = [curve_from_spec(tri, s) for s in _field(data, "recipe", "curves", list, [])]
+    curves = [curve_from_spec(tri, s) for s in json_field(data, "recipe", "curves", list, [])]
     orb = data.get("orbit")
     if orb:
         orb = json_record(orb, "orbit", "base", "twists")
-        base = [curve_from_spec(tri, s) for s in _field(orb, "orbit", "base", list, None)]
-        twists = [curve_from_spec(tri, s) for s in _field(orb, "orbit", "twists", list, None)]
-        found = ops.orbit(base, twists, _field(orb, "orbit", "max_word", int, 1))
-        limit = _field(orb, "orbit", "limit", int, 0)
+        base = [curve_from_spec(tri, s) for s in json_field(orb, "orbit", "base", list, None)]
+        twists = [curve_from_spec(tri, s) for s in json_field(orb, "orbit", "twists", list, None)]
+        found = ops.orbit(base, twists, json_field(orb, "orbit", "max_word", int, 1))
+        limit = json_field(orb, "orbit", "limit", int, 0)
         curves.extend(found[:limit] if limit else found)
-    seen, out = set(), []
-    for c in curves:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
+    return list(dict.fromkeys(curves))
 
 
 def cmd_farey(opts) -> int:
@@ -225,15 +208,16 @@ def cmd_cb(opts) -> int:
 
 def cmd_complex_build(opts) -> int:
     data = json_record(_load_json(opts.recipe), "recipe")
-    tri = standard_triangulation(_field(data, "recipe", "genus", int, 2))
+    tri = standard_triangulation(json_field(data, "recipe", "genus", int, 2))
     provenance = {
         "recipe": os.path.basename(opts.recipe),
-        "seed": data.get("seed", 0),
+        "seed": json_field(data, "recipe", "seed", int, 0),
     }
     if opts.kind == "cb":
         bodies = []
-        for body in _field(json_record(data, "recipe", "bodies"), "recipe", "bodies", list, None):
-            system = _field(json_record(body, "body", "system"), "body", "system", list, None)
+        json_record(data, "recipe", "bodies")
+        for body in json_field(data, "recipe", "bodies", list, None):
+            system = json_field(json_record(body, "body", "system"), "body", "system", list, None)
             bodies.append(MarkedCB(tri, [curve_from_spec(tri, s) for s in system]))
         frag = complexes.build_cb_fragment(bodies, provenance=provenance)
     else:
@@ -241,7 +225,7 @@ def cmd_complex_build(opts) -> int:
         if opts.kind == "tc":
             frag = complexes.build_tc_fragment(
                 curves,
-                max_dim=_field(data, "recipe", "max_dim", int, 3),
+                max_dim=json_field(data, "recipe", "max_dim", int, 3),
                 provenance=provenance,
             )
         else:
@@ -346,8 +330,13 @@ def cmd_run(opts) -> int:
     return 0 if report["failed"] == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is bad input
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cbgraph",
         description="Exact curve, compression-body and torus-complex calculus.",
     )
@@ -440,8 +429,8 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    opts = build_parser().parse_args(argv)
     try:
+        opts = build_parser().parse_args(argv)
         return opts.func(opts)
     except ValueError as exc:
         return _fail(exc, 2)

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from cbgraph import ops
 from cbgraph.cb import Containment, MarkedCB, contains
-from cbgraph.curves import CurveClass, json_record
+from cbgraph.curves import CurveClass, json_field, json_record
 
 MAX_EXACT_VERTICES = 64
 
@@ -64,16 +64,13 @@ class ComplexFragment:
     @classmethod
     def from_json(cls, data: dict | str) -> "ComplexFragment":
         data = json_record(data, "fragment", "kind", "vertices", "edges", "simplices")
-        if data["kind"] == "cb":
-            vertices = [MarkedCB.from_json(v) for v in data["vertices"]]
-        else:
-            vertices = [CurveClass.from_json(v) for v in data["vertices"]]
+        vertices = json_field(data, "fragment", "vertices", list, None)
         return cls(
             data["kind"],
-            vertices,
-            [tuple(e) for e in data["edges"]],
-            [tuple(s) for s in data["simplices"]],
-            data.get("provenance"),
+            [(MarkedCB if data["kind"] == "cb" else CurveClass).from_json(v) for v in vertices],
+            _index_sets(data, "edges", len(vertices), 2),
+            _index_sets(data, "simplices", len(vertices)),
+            json_field(data, "fragment", "provenance", dict, {}),
         )
 
     def to_dot(self) -> str:
@@ -84,6 +81,19 @@ class ComplexFragment:
             lines.append(f"  v{i} -- v{j};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _index_sets(data, key, n, size=None) -> list[tuple[int, ...]]:
+    """data[key] as tuples of distinct vertex indices below n, `size` each if given."""
+    sets = data[key]
+    if type(sets) is not list or not all(
+        type(s) is list
+        and all(type(i) is int and 0 <= i < n for i in s)
+        and len(set(s)) == len(s) == (size or len(s))
+        for s in sets
+    ):
+        raise ValueError(f"fragment {key} must be lists of distinct vertex indices, not {sets!r}")
+    return [tuple(s) for s in sets]
 
 
 def build_cb_fragment(bodies, provenance=None) -> ComplexFragment:
@@ -148,22 +158,24 @@ def induced(f: ComplexFragment, indices) -> tuple[int, frozenset]:
     return len(indices), edges
 
 
-def _as_graph(g) -> tuple[int, frozenset]:
+def _as_graph(g) -> tuple[int, list[set[int]]]:
+    """Vertex count and adjacency sets of a fragment or an (n, edges) pair."""
     if isinstance(g, ComplexFragment):
-        return len(g.vertices), g.edges
-    n, edges = g
-    return n, frozenset(tuple(sorted(e)) for e in edges)
-
-
-def clique_number(g) -> int:
-    """Exact maximum clique size via branch and bound."""
-    n, edges = _as_graph(g)
-    if n > MAX_EXACT_VERTICES:
-        raise ValueError("graph too large for exact clique search")
+        n, edges = len(g.vertices), g.edges
+    else:
+        n, edges = g
     adj = [set() for _ in range(n)]
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
+    return n, adj
+
+
+def clique_number(g) -> int:
+    """Exact maximum clique size via branch and bound."""
+    n, adj = _as_graph(g)
+    if n > MAX_EXACT_VERTICES:
+        raise ValueError("graph too large for exact clique search")
     best = 0
 
     def grow(clique, candidates):
@@ -186,15 +198,11 @@ def clique_number(g) -> int:
 
 def chromatic_number(g) -> int:
     """Exact chromatic number, seeded by the clique lower bound."""
-    n, edges = _as_graph(g)
+    n, adj = _as_graph(g)
     if n > MAX_EXACT_VERTICES:
         raise ValueError("graph too large for exact coloring search")
     if n == 0:
         return 0
-    adj = [set() for _ in range(n)]
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
     order = sorted(range(n), key=lambda v: -len(adj[v]))
 
     def colorable(k: int) -> bool:
@@ -223,8 +231,7 @@ def chromatic_number(g) -> int:
 
         return assign(0)
 
-    k = clique_number((n, edges))
-    k = max(k, 1)
+    k = max(clique_number(g), 1)
     while not colorable(k):
         k += 1
     return k

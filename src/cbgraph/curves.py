@@ -335,6 +335,18 @@ def json_record(data, what: str, *keys) -> dict:
     return data
 
 
+def json_field(record, what, key, kind, default):
+    """record[key], or default when it is absent or null; a ValueError
+    unless the value is of type `kind` (int, list or dict)."""
+    value = record.get(key)
+    if value is None:
+        value = default
+    if type(value) is not kind:
+        article = "an" if kind is int else "a"
+        raise ValueError(f"{what} {key} must be {article} {kind.__name__}, not {value!r}")
+    return value
+
+
 class CurveClass:
     """An essential simple closed multicurve up to isotopy.
 
@@ -457,9 +469,7 @@ class CurveClass:
     @classmethod
     def from_json(cls, data: dict | str) -> "CurveClass":
         data = json_record(data, "curve", "genus", "weights")
-        genus, weights = data["genus"], data["weights"]
-        if type(genus) is not int:
-            raise ValueError(f"curve genus must be an int, not {genus!r}")
+        genus, weights = json_field(data, "curve", "genus", int, None), data["weights"]
         # Before the triangulation, which takes time and memory linear
         # in the genus, so a huge genus with a short vector fails fast.
         if genus >= 2 and isinstance(weights, (list, tuple)) and len(weights) != 6 * genus - 3:

@@ -9,10 +9,7 @@ algorithm, checked in the test suite against a parent descent and BFS.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
-
-from cbgraph import MEMO_ENTRIES
 
 
 class Slope:
@@ -121,71 +118,63 @@ def _dist_to_infinity(p: int, q: int) -> int:
     return dist
 
 
+def _partner(p: int, q: int) -> tuple[int, int]:
+    """(r, s) with p*s - q*r = 1, for a reduced slope p/q (s = 0 and
+    r = -1 when q = 1, r = 0 and s = 1 for 1/0)."""
+    if q == 0:
+        return 0, 1
+    s = pow(p, -1, q)
+    return (p * s - 1) // q, s
+
+
 def farey_distance(a: Slope, b: Slope) -> int:
     """Graph distance between two slopes in the Farey graph."""
     if a == b:
         return 0
-    # Move a to 1/0 by an integer matrix of determinant one, then measure
+    # The matrix [[s, -r], [-q, p]] of determinant one sends a = p/q to
+    # 1/0 and acts on the Farey graph as a graph automorphism; measure
     # the image of b.
     p, q = a.p, a.q
-    if q == 0:
-        m = (1, 0, 0, 1)
-    else:
-        # r, s with p*s - q*r = 1 (s = 0 and r = -1 when q = 1); the matrix
-        # [[s, -r], [-q, p]] sends p/q to 1/0 and acts on the Farey graph
-        # as a graph automorphism.
-        s = pow(p, -1, q)
-        r = (p * s - 1) // q
-        m = (s, -r, -q, p)
-    bp = m[0] * b.p + m[1] * b.q
-    bq = m[2] * b.p + m[3] * b.q
-    img = Slope(bp, bq)
+    r, s = _partner(p, q)
+    img = Slope(s * b.p - r * b.q, p * b.q - q * b.p)
     return _dist_to_infinity(img.p, img.q)
 
 
 def enumerate_slopes(max_height: int) -> set[Slope]:
-    """All reduced slopes with |p| <= max_height and q <= max_height.
-
-    Each height's slopes are built once per process; every call returns
-    a fresh set.
-    """
+    """All reduced slopes with |p| <= max_height and q <= max_height."""
     if max_height < 1:
         raise ValueError("max_height must be >= 1")
-    return set(_slopes(max_height))
-
-
-@lru_cache(maxsize=MEMO_ENTRIES)
-def _slopes(max_height: int) -> frozenset[Slope]:
-    out = {Slope(1, 0)}
-    for q in range(1, max_height + 1):
-        for p in range(-max_height, max_height + 1):
-            if gcd(abs(p), q) == 1:
-                out.add(Slope(p, q))
-    return frozenset(out)
+    span = range(-max_height, max_height + 1)
+    return {Slope(1, 0)} | {
+        Slope(p, q) for q in range(1, max_height + 1) for p in span if gcd(p, q) == 1
+    }
 
 
 def once_intersectors(a: Slope, beta: ArcSlope, max_height: int) -> set[Slope]:
     """Slopes within the enumeration bound whose curve meets the a-curve
     exactly once and the beta-arc at most once.
 
-    There are never more than three: one crossing with a pins the solution
-    to a line of slopes, and the beta constraint cuts that line down to at
-    most three points.  The arc must cross a (for a = 1/0 this is the
-    normalization q(beta) != 0); otherwise the beta constraint is implied
-    by the first one and the bound is meaningless.
+    There are never more than three.  With p*s - q*r = 1, the curves
+    meeting a once are c = (r, s) + k*a up to sign, and
+    c x beta = (r, s) x beta + k*(a x beta), so |c x beta| <= 1 leaves k
+    in one interval of length 2 / |a x beta|.  The arc must cross a (for
+    a = 1/0 this is the normalization q(beta) != 0); otherwise the beta
+    constraint is implied by the first one and the bound is meaningless.
+    Each c is primitive, so it is kept when |p(c)| and |q(c)| are within
+    the bound of `enumerate_slopes`.
     """
     if intersect_ca(a, beta) == 0:
         raise ValueError("normalize so that the arc crosses a")
     if max_height < 1:
         raise ValueError("max_height must be >= 1")
-    # The two determinants of intersect_cc(a, c) and intersect_ca(c, beta),
-    # over the memoised slopes of this height.
     ap, aq, bp, bq = a.p, a.q, beta.p, beta.q
-    return {
-        c
-        for c in _slopes(max_height)
-        if abs(ap * c.q - aq * c.p) == 1 and abs(c.p * bq - c.q * bp) <= 1
-    }
+    r, s = _partner(ap, aq)
+    # -1 <= e + k*d <= 1 with d = a x beta, e = (r, s) x beta, and d > 0.
+    d, e = ap * bq - aq * bp, r * bq - s * bp
+    if d < 0:
+        d, e = -d, -e
+    line = ((r + k * ap, s + k * aq) for k in range(-((1 + e) // d), (1 - e) // d + 1))
+    return {Slope(cp, cq) for cp, cq in line if max(abs(cp), abs(cq)) <= max_height}
 
 
 def mn_scan(limit: int) -> frozenset[tuple[int, int]]:

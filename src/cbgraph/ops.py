@@ -16,8 +16,8 @@ test of a curve set.  They key on the curves (value-typed and hashable)
 and hold only ints and bools.  A key keeps its curves alive.  Measured
 with `tracemalloc`, an entry costs about 150 bytes on top of curves that
 live elsewhere; after a cold acceptance pass (seed 101) the memos of
-this module, `projections` and `farey` hold 1,726 entries and 1.18 MB,
-the curves that only the keys still reference included, each with the
+this module and `projections` hold 1,721 entries and 0.96 MB, the
+curves that only the keys still reference included, each with the
 trace it keeps (`CurveClass.trace`).  The
 package's other memos, among them two that hold curves and bodies
 rather than ints and bools, are listed in `cbgraph/__init__.py`.
@@ -191,22 +191,14 @@ def band_sum(a: CurveClass, b: CurveClass) -> CurveClass:
     """Boundary of a regular neighborhood of a ∪ b when i(a,b) = 1."""
     if not (a.is_connected and b.is_connected):
         raise ValueError("band_sum needs connected curves")
-    tri = a.tri
     LAST_PAIR.draw(a, b, either_order=True)
-    survivors = LAST_PAIR.reduced.crossings(0, 1)
-    if len(survivors) != 1:
+    reduced = LAST_PAIR.reduced
+    if len(reduced.crossings(0, 1)) != 1:
         raise ValueError("band_sum needs curves intersecting exactly once")
-    # The neighborhood of a ∪ b does not depend on the order of the two
-    # curves, so the word is read with curve 0 as a in either drawing.
-    x = survivors[0]
-    sa, sb = x.s1, x.s2
-    ka, kb = x.k1, x.k2
-    wa = sa.letters[ka + 1 :] + sa.letters[: ka + 1]
-    wb = sb.letters[kb + 1 :] + sb.letters[: kb + 1]
-    word = (
-        wa + wb + reverse_word(wa, tri.mate) + reverse_word(wb, tri.mate)
-    )
-    return CurveClass.from_word(tri, word)
+    # With one crossing the neighborhood is a punctured torus, whatever
+    # the drawing order: its boundary is the one circle of the ribbon walk.
+    (word,) = _ribbon_boundary_words(a.tri, reduced, reduced.drawing.strands)
+    return CurveClass.from_word(a.tri, word)
 
 
 class NeighborhoodProfile:

@@ -61,8 +61,13 @@ class Recipe:
     FIELDS = ("checks", "seed", "genus", "max_word", "out")
 
     def __init__(self, checks=None, seed=DEFAULT_SEED, genus=2, max_word=3, out=None):
-        if checks is not None and not isinstance(checks, list):
+        if checks is not None and not (
+            isinstance(checks, list) and all(type(c) is str for c in checks)
+        ):
             raise ValueError(f"recipe checks must be a list of suite names, not {checks!r}")
+        for key, value in (("seed", seed), ("genus", genus), ("max_word", max_word)):
+            if type(value) is not int:
+                raise ValueError(f"recipe {key} must be an int, not {value!r}")
         self.checks = list(checks) if checks is not None else list(SUITES)
         self.seed = seed
         self.genus = genus

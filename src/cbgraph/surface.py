@@ -161,9 +161,6 @@ class Triangulation:
         """(triangle entered, slot) of a directed-crossing letter."""
         return divmod(letter, 3)
 
-    def letter(self, tri: int, slot: int) -> int:
-        return 3 * tri + slot
-
     def _compute_vertex_link(self) -> tuple[int, ...]:
         # The vertex-linking curve as a directed-crossing word: rotating
         # the corner (t, k) across the edge at slot k enters the opposite

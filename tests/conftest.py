@@ -13,7 +13,6 @@ MEMOS = (
     ops._algebraic,
     ops._common_punctured_torus,
     projections._project,
-    farey._slopes,
     cb._placement,
     cb._small_cb,
     cut._cut_profile,

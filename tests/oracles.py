@@ -4,19 +4,41 @@ The lattice-counting intersection oracles are re-exported from
 `cbgraph.oracles`, which the suite runner shares.  The Farey-distance
 oracles live here: a breadth-first search over the slopes of bounded
 height and a descent through Stern-Brocot parents, against which
-`farey.farey_distance` is checked.  No suite runs them, so they are not
-part of the package.
+`farey.farey_distance` is checked, and the scan of every slope of a
+height that `farey.once_intersectors` replaced by a solve.  No suite runs
+them, so they are not part of the package.
 """
 
 from collections import deque
 from functools import lru_cache
 
-from cbgraph.farey import Slope, enumerate_slopes
+from cbgraph.farey import ArcSlope, Slope, enumerate_slopes, intersect_ca
 from cbgraph.oracles import lattice_aa, lattice_ca, lattice_cc  # noqa: F401
 
 
 _adjacency_cache: dict[int, dict[Slope, list[Slope]]] = {}
 _bfs_cache: dict[tuple[Slope, int], dict[Slope, int]] = {}
+_slopes_cache: dict[int, frozenset[Slope]] = {}
+
+
+def scan_once_intersectors(a: Slope, beta: ArcSlope, max_height: int) -> set[Slope]:
+    """`farey.once_intersectors` by filtering every slope of the height,
+    each height enumerated once per process."""
+    if intersect_ca(a, beta) == 0:
+        raise ValueError("normalize so that the arc crosses a")
+    if max_height < 1:
+        raise ValueError("max_height must be >= 1")
+    universe = _slopes_cache.get(max_height)
+    if universe is None:
+        universe = _slopes_cache[max_height] = frozenset(enumerate_slopes(max_height))
+    # The two determinants of intersect_cc(a, c) and intersect_ca(c, beta),
+    # over the slopes of this height.
+    ap, aq, bp, bq = a.p, a.q, beta.p, beta.q
+    return {
+        c
+        for c in universe
+        if abs(ap * c.q - aq * c.p) == 1 and abs(c.p * bq - c.q * bp) <= 1
+    }
 
 
 def _adjacency(max_height: int) -> dict[Slope, list[Slope]]:

@@ -23,6 +23,7 @@ from oracles import (
     lattice_aa,
     lattice_ca,
     lattice_cc,
+    scan_once_intersectors,
 )
 
 
@@ -230,6 +231,48 @@ def test_once_intersectors_matches_scan():
         and intersect_ca(c, ArcSlope(1, 2)) <= 1
     }
     assert got == scan
+    # Every a and beta of height <= 6 that cross, against the scan of
+    # every slope of the height.
+    slopes = sorted(enumerate_slopes(6))
+    arcs = [ArcSlope(s.p, s.q) for s in slopes]
+    sizes = [0] * 4
+    for a in slopes:
+        for beta in arcs:
+            if intersect_ca(a, beta) == 0:
+                continue
+            for h in (1, 2, 3, 5, 8, 30):
+                want = scan_once_intersectors(a, beta, h)
+                assert once_intersectors(a, beta, h) == want, (a, beta, h)
+                sizes[len(want)] += 1
+    assert sizes == [9304, 3176, 604, 452]
+
+
+def test_once_intersectors_builds_at_most_three_slopes(monkeypatch):
+    # The scan built every slope of height 30 (1,112) on a cold memo.
+    slopes = sorted(enumerate_slopes(4))
+    pairs = [
+        (a, ArcSlope(b.p, b.q))
+        for a in slopes
+        for b in slopes
+        if intersect_cc(a, b) != 0
+    ]
+    built = []
+    init = Slope.__init__
+
+    def counting(self, p, q):
+        built.append((p, q))
+        init(self, p, q)
+
+    monkeypatch.setattr(Slope, "__init__", counting)
+    for a, beta in pairs:
+        built.clear()
+        got = once_intersectors(a, beta, 30)
+        assert len(built) <= 3 and len(got) == len(built), (a, beta, built)
+
+
+def test_once_intersectors_at_large_height():
+    a = Slope(10**12 + 1, 10**12)
+    assert once_intersectors(a, ArcSlope(1, 0), 10**13) == {Slope(1, 1)}
 
 
 def test_once_intersectors_cardinality_bound():

@@ -1,9 +1,9 @@
 """Warm memos give the answers of a cold computation.
 
 `ops.intersect`, `ops.algebraic_intersect`, `ops.common_punctured_torus`,
-`projections.project`, `farey.enumerate_slopes`, `cb.small_cb`, the
-standard-form placement `cb._placement`, `cut.cut_profile` and
-`CurveClass.from_weights` read bounded memos of exact answers.  Each
+`projections.project`, `cb.small_cb`, the standard-form placement
+`cb._placement`, `cut.cut_profile` and `CurveClass.from_weights` read
+the eight bounded memos of exact answers.  Each
 test asks its questions with the memos filling up, again with them warm,
 and once more after `cache_clear()`, and requires the same answers every
 time.  The pair memos store one order of each pair, so the computations
