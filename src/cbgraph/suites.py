@@ -68,6 +68,8 @@ class Recipe:
         for key, value in (("seed", seed), ("genus", genus), ("max_word", max_word)):
             if type(value) is not int:
                 raise ValueError(f"recipe {key} must be an int, not {value!r}")
+        if out is not None and type(out) is not str:
+            raise ValueError(f"recipe out must be a path, not {out!r}")
         self.checks = list(checks) if checks is not None else list(SUITES)
         self.seed = seed
         self.genus = genus

@@ -107,8 +107,8 @@ ROWS = {
     "suites": ["suites"],
     "run": [
         "run",
-        "--recipe", Record({"checks": ["sep-equivalence"], "seed": 3, "genus": 2, "max_word": 3}),
-        "--out", OUT,
+        "--recipe",
+        Record({"checks": ["sep-equivalence"], "seed": 3, "genus": 2, "max_word": 3, "out": "rep"}),
     ],
 }
 
@@ -280,6 +280,7 @@ MENDED = [
     ("run", 2, ("checks", 0), []),  # an unhashable suite name
     ("run", 2, ("seed",), True),  # recipe ints took any value
     ("run", 2, ("genus",), 1.5),
+    ("run", 2, ("out",), 1),  # a recipe out that is not a path
     ("complex build", 5, ("seed",), True),
     ("complex analyze", 3, ("edges",), 1),  # fragment records went unchecked
     ("complex analyze", 3, ("edges", 0, 1), True),
