@@ -248,7 +248,7 @@ def test_once_intersectors_matches_scan():
 
 
 def test_once_intersectors_builds_at_most_three_slopes(monkeypatch):
-    # The scan built every slope of height 30 (1,112) on a cold memo.
+    # A filter over the slopes of height 30 would build all 1,112 of them.
     slopes = sorted(enumerate_slopes(4))
     pairs = [
         (a, ArcSlope(b.p, b.q))
