@@ -22,7 +22,7 @@
 # Per-process tables are unbounded `functools.lru_cache`s too, keyed by
 # genus or triangulation and never cleared: `surface.standard_triangulation`,
 # `suites._fixtures`, `oracles._levels`, the letter and relator tables of
-# `dehn` and the arc tables of `curves`; `kernel._blocks_at` keeps up to
+# `dehn` and the translate tables of `curves`; `kernel._blocks_at` keeps up to
 # 256 compiled patterns.
 #
 # Besides the memos, `ops.LAST_PAIR` holds the last curve pair drawn, its

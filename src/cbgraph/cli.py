@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from cbgraph import complexes, ops, projections as pj
@@ -331,6 +332,11 @@ def cmd_run(opts) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative slope such as -1/2 is a value, as -1 is, in subparsers too.
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):  # a malformed command line is bad input
         raise ValueError(message)
 

@@ -15,10 +15,10 @@ which swap a run parallel to the vertex link for the complementary run;
 letter (`kernel.encode`); letters are below 3 * num_triangles, far
 inside the code point range 0..0x10FFFF.  Reversal, reduction, the
 least rotation and the letter counts per edge are string operations on
-`str.translate` tables, and the answer is decoded once.  Each letter
-occurs once in the vertex link, so each direction of the link is a
-successor table on the letters, and the runs parallel to it are found
-by one `str.translate` of the encoded word per direction.
+`str.translate` tables, and the answer is decoded once.  A run parallel
+to the vertex link turns the same way at every corner, so the link's
+two successor tables are the turn tables `ahead` and `back`, and the
+runs are found by one `str.translate` of the encoded word per direction.
 
 The letter counts per edge are exactly the normal coordinates, and
 tracing those coordinates through the triangles recovers the components,
@@ -65,18 +65,6 @@ from cbgraph.surface import Triangulation, standard_triangulation
 MAX_VERTEX_CLOSURE = 20000  # words `vertex_canonical` may reach from one input
 
 
-@lru_cache(maxsize=None)
-def _arc_tables(tri: Triangulation):
-    """Per letter 3t + s: the letters leaving t through sides s-1 and
-    s+1, and whether (t, s) is the first listed incidence of its edge."""
-    mate = tri.mate
-    letters = range(len(mate))
-    back = tuple(mate[x - x % 3 + (x - 1) % 3] for x in letters)
-    ahead = tuple(mate[x - x % 3 + (x + 1) % 3] for x in letters)
-    first = tuple(tri.sides[tri.side_edge[x]][0] == divmod(x, 3) for x in letters)
-    return back, ahead, first
-
-
 class _Tracer:
     """Connects the normal arcs given by an edge-weight vector."""
 
@@ -114,7 +102,7 @@ class _Tracer:
         tri = self.tri
         w = self.w
         edge = tri.side_edge
-        back, ahead, first = _arc_tables(tri)
+        back, ahead, first = tri.back, tri.ahead, tri.first
         # Per letter: weight, arc count at the start corner, and the
         # edge's first point number base[e].
         weight = [w[e] for e in edge]
@@ -184,22 +172,19 @@ class _Tables(NamedTuple):
     flip: str  # each letter to its mate
     edge: str  # each letter to the edge it crosses
     edges: str  # every edge, in order
-    # Per direction of the vertex link: each letter to its successor
-    # along the link, and that direction's letters doubled as a string.
+    # Per direction of the vertex link: its successor table, and its letters doubled.
     directions: tuple[tuple[str, str], ...]
 
 
 @lru_cache(maxsize=None)
 def _translate_tables(tri: Triangulation) -> _Tables:
-    directions = []
-    for cycle in (tri.vertex_link, reverse_word(tri.vertex_link, tri.mate)):
-        succ = [0] * len(cycle)
-        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-            succ[x] = y
-        text = encode(cycle)
-        directions.append((encode(succ), text + text))
+    link = tri.vertex_link
+    directions = (
+        (encode(tri.ahead), encode(link) * 2),
+        (encode(tri.back), encode(reverse_word(link, tri.mate)) * 2),
+    )
     return _Tables(
-        encode(tri.mate), encode(tri.side_edge), encode(range(tri.num_edges)), tuple(directions)
+        encode(tri.mate), encode(tri.side_edge), encode(range(tri.num_edges)), directions
     )
 
 
@@ -232,13 +217,16 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     Cyclic reduction is canonical only in the punctured surface; an
     isotopy across the vertex replaces a run parallel to the vertex
     link by the complementary run of the link.  Runs covering at least
-    half the link never lengthen the word under this swap, so the
-    closure under those moves is finite; the lexicographically smallest
-    of its shortest words is the canonical representative.  A swap is
-    only an isotopy when no other strand of the curve separates the run
-    from the vertex, so swapped words that fail to retrace as normal
-    words are discarded.  The empty word comes back exactly for
-    null-isotopic inputs (such as the vertex link itself).
+    half the link never lengthen the word under this swap: the link has
+    n = 12g - 6 letters, an even number, so a run of kk >= n/2 letters
+    swaps a word of m letters for one of m + n - 2kk <= m letters, and
+    reduction only shortens it.  So the closure under those moves is
+    finite without a length check; the lexicographically smallest of its
+    shortest words is the canonical representative.  A swap is only an
+    isotopy when no other strand of the curve separates the run from the
+    vertex, so swapped words that fail to retrace as normal words are
+    discarded.  The empty word comes back exactly for null-isotopic
+    inputs (such as the vertex link itself).
 
     The closure runs on encoded words and keeps them as strings; the
     answer is decoded once.  The link holds each of the 3 * num_triangles
@@ -268,17 +256,13 @@ def _vertex_canonical(tri: Triangulation, encoded: str) -> str:
     while frontier:
         nxt = []
         for text in frontier:
-            m = len(text)
             for succ, dbl in tables.directions:
                 for i, k in _parallel_runs(text, succ, n, min_len):
                     anchored = text[i:] + text[:i]
                     j = dbl.find(text[i])
                     for kk in range(min_len, k + 1):
                         swapped = dbl[j + kk : j + n][::-1].translate(flip) + anchored[kk:]
-                        cand = cyclic_reduce_text(swapped, flip)
-                        if len(cand) > m:
-                            continue
-                        cand = canonical_text(cand, flip)
+                        cand = canonical_text(cyclic_reduce_text(swapped, flip), flip)
                         if cand in seen:
                             continue
                         if cand:

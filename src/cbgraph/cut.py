@@ -121,7 +121,7 @@ class CutComplex:
         e = tri.side_edge[lam]
         w = self.system.weights[e]
         # Recover the triangle-frame position of the entry point.
-        p = pos if tri.sides[e][0] == (t, s_in) else w - 1 - pos
+        p = pos if tri.first[lam] else w - 1 - pos
         if p < n[s_in]:
             corner, a = s_in, p + 1
         else:
@@ -199,7 +199,7 @@ class CutComplex:
             if self.regions.find(c1) != region:
                 continue
             fwd = 3 * t2 + s2
-            sign = 1 if tri.sides[e][1] == (t2, s2) else -1
+            sign = -1 if tri.first[fwd] else 1
             locals_.append((gi, c1, c2, e, sign, fwd))
             adj.setdefault(c1, []).append((c2, e, sign, gi, fwd))
             adj.setdefault(c2, []).append((c1, e, -sign, gi, tri.mate[fwd]))

@@ -39,14 +39,14 @@ def _letters(tri: Triangulation) -> tuple[int, ...]:
     """Generator letter of each directed crossing, 0 for a diagonal.
 
     Positive direction of side edge e is entering via its first listed
-    incidence.
+    incidence, so the sign of a side letter is read from `first`.
     """
     out = []
     for lam, e in enumerate(tri.side_edge):
         if e >= 2 * tri.genus:
             out.append(0)
         else:
-            out.append((e + 1) if tri.sides[e][0] == tri.side_of(lam) else -(e + 1))
+            out.append((e + 1) if tri.first[lam] else -(e + 1))
     return tuple(out)
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from itertools import count, repeat
 
-from cbgraph.curves import _arc_tables
 from cbgraph.kernel import decode
 from cbgraph.surface import Triangulation
 
@@ -130,12 +129,12 @@ class Drawing:
         # incidence, totals[e] - 1 - g in the other.
         width = max(totals) + 1
         circle = 3 * width
-        _, _, in_first = _arc_tables(tri)
+        first = tri.first
         lo, sgn = [], []
         for x, e in enumerate(tri.side_edge):
             base = x % 3 * width
-            lo.append(base if in_first[x] else base + totals[e] - 1)
-            sgn.append(1 if in_first[x] else -1)
+            lo.append(base if first[x] else base + totals[e] - 1)
+            sgn.append(1 if first[x] else -1)
         mate = tri.mate
 
         # Chord k of a strand runs inside the triangle of letter k, from

@@ -6,10 +6,12 @@ of a curve b is: b itself if b lives in Sigma_F, the boundary circles
 of regular neighborhoods N(beta ∪ a) for the arcs beta of b ∩ Sigma_F
 if b crosses a, and empty otherwise.  Each neighborhood boundary is
 produced by splicing the arc's dual word with the two complementary
-arcs of a, exactly as in a band sum; inessential and boundary-parallel
-circles are discarded.  When the capped side is a torus the projected
-curves are graded by slopes through an in-side dual basis, giving exact
-Farey diameters and distance witnesses.
+arcs of a, exactly as in a band sum; circles parallel to a are discarded.
+None is inessential, as it would bound a bigon of a and b, which are in
+minimal position, so a word that fails to build a class raises.  When
+the capped side is a torus the projected curves are graded by slopes
+through an in-side dual basis, giving exact Farey diameters and distance
+witnesses.
 """
 
 from __future__ import annotations
@@ -105,16 +107,6 @@ def _arc_candidates(tri, reduced, sa, sb, idx):
     return beta, (beta + alpha_fwd, beta + reverse_word(alpha_bwd, tri.mate))
 
 
-def _curve_or_none(tri, word):
-    if not word:
-        return None
-    try:
-        return CurveClass.from_word(tri, word)
-    except ValueError:
-        # Trivial or vertex-linking circles are not curves; discard.
-        return None
-
-
 def project(sel: SideSelector, b: CurveClass) -> set[CurveClass]:
     """Interior boundary projection of b to the selected side.
 
@@ -144,11 +136,7 @@ def _project(sel: SideSelector, b: CurveClass) -> frozenset[CurveClass]:
     out = set()
     for idx in range(len(reduced.seqs[sb])):
         _, words = _arc_candidates(tri, reduced, sa, sb, idx)
-        kept = [
-            c
-            for c in (_curve_or_none(tri, w) for w in words)
-            if c is not None and c != a
-        ]
+        kept = [c for c in (CurveClass.from_word(tri, w) for w in words) if c != a]
         if not kept:
             continue
         # Both circles of one arc lie in the arc's side; test one.
@@ -181,14 +169,10 @@ def innermost_surgery(a: CurveClass, b: CurveClass) -> dict:
     for idx in range(n):
         x, y = seq_b[idx], seq_b[(idx + 1) % n]
         beta, words = _arc_candidates(tri, reduced, sa, sb, idx)
-        pair = [_curve_or_none(tri, w) for w in words]
-        if None in pair:
-            continue
+        pair = tuple(CurveClass.from_word(tri, w) for w in words)
         returning = x.strand_data(sb)[3] != y.strand_data(sb)[3]
         cost = ops.intersect(pair[0], a) + ops.intersect(pair[1], a)
-        records.append((not returning, cost, idx, beta, tuple(pair)))
-    if not records:
-        raise ValueError("no arc of b admits a surgery")
+        records.append((not returning, cost, idx, beta, pair))
     _, _, _, beta, pair = min(records)
     return {"b_arc": beta, "candidates": pair}
 

@@ -5,7 +5,7 @@ a b a' b' c d c' d' ..., fan-triangulated by diagonals from vertex 0.  All
 4g corners map to a single vertex, giving 4g - 2 triangles and 6g - 3
 edges.  Curves are stored elsewhere as sequences of edges crossed; this
 module only provides the combinatorics: triangle/edge incidences, the
-rotation around the vertex, and the vertex-linking word.
+turn tables around the vertex, and the vertex-linking word.
 
 Each triangulation is fingerprinted by the first 16 hex digits of the
 SHA-256 of its sorted JSON, computed here in pure Python (FIPS 180-4)
@@ -84,6 +84,12 @@ class Triangulation:
     order; `sides[e]` gives the two (triangle, slot) incidences of edge e.
     Gluings always reverse the slot parameter (param x in one frame is
     1 - x in the other).
+
+    Every layer reads its turn tables: for the letter x = 3t + s, `back[x]`
+    and `ahead[x]` are the letters leaving t through sides s - 1 and s + 1,
+    and `first[x]` says whether (t, s) is the first listed incidence of its
+    edge.  `ahead`, a rotation in a triangle followed by `mate`, is a
+    permutation; its orbit through mate[0] is `vertex_link`.
     """
 
     __slots__ = (
@@ -92,6 +98,9 @@ class Triangulation:
         "sides",
         "mate",
         "side_edge",
+        "back",
+        "ahead",
+        "first",
         "vertex_link",
         "checksum",
     )
@@ -139,6 +148,10 @@ class Triangulation:
                 side_edge.append(self.triangles[t][s])
         self.mate = tuple(mate)
         self.side_edge = tuple(side_edge)
+        letters = range(len(mate))
+        self.back = tuple(mate[x - x % 3 + (x - 1) % 3] for x in letters)
+        self.ahead = tuple(mate[x - x % 3 + (x + 1) % 3] for x in letters)
+        self.first = tuple(self.sides[self.side_edge[x]][0] == divmod(x, 3) for x in letters)
 
         self.vertex_link = self._compute_vertex_link()
         payload = {"genus": genus, "triangles": [list(t) for t in self.triangles]}
@@ -162,20 +175,11 @@ class Triangulation:
         return divmod(letter, 3)
 
     def _compute_vertex_link(self) -> tuple[int, ...]:
-        # The vertex-linking curve as a directed-crossing word: rotating
-        # the corner (t, k) across the edge at slot k enters the opposite
-        # triangle, giving one letter per corner.
-        corners = {(t, k) for t in range(self.num_triangles) for k in range(3)}
-        cur = (0, 0)
-        word = []
-        seen = []
-        while cur in corners:
-            corners.remove(cur)
-            seen.append(cur)
-            t2, s2 = self.opposite(cur[0], cur[1])
-            word.append(3 * t2 + s2)
-            cur = (t2, (s2 + 1) % 3)
-        if corners or cur != seen[0]:
+        # The vertex-linking curve turns ahead at all corners, one letter each.
+        word = [self.mate[0]]
+        while self.ahead[word[-1]] != word[0]:
+            word.append(self.ahead[word[-1]])
+        if len(word) != len(self.ahead):
             raise RuntimeError("polygon identification does not give one vertex")
         return tuple(word)
 

@@ -312,10 +312,5 @@ def test_cli_contract(case):
     check_contract(*case)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="argparse reads a negative slope given as its own argument as an option; "
-    "only --a=-1/2 works",
-)
 def test_negative_slope_as_its_own_argument():
     assert run_case("farey i", 3, None, "-1/2") == (0, "")

@@ -8,6 +8,12 @@ cutting layers read the trace a `CurveClass` keeps.  Nothing loads
 `hashlib`, whose OpenSSL library would cost 3.6 MB of resident memory,
 and nothing imports `fractions`: slopes are integer pairs, and curves
 are authored by the polygon sides they cross.
+
+No module reaches into another's private names, but `cut`, which reads
+the corner table of `curves._Tracer`.  The turn tables and first
+incidences of the triangulation are owned by `surface`: no other module
+tells an edge's first side by comparing an entry of `sides` with a
+(triangle, slot) pair, but reads `Triangulation.first`.
 """
 
 import ast
@@ -20,6 +26,7 @@ import cbgraph
 
 SRC = Path(cbgraph.__file__).parent
 ABOVE_OPS = {"cut", "cb", "projections"}
+PRIVATE_IMPORTS = {("cut.py", "_Tracer")}
 
 
 def _tree(name):
@@ -129,3 +136,55 @@ def test_loading_curves_leaves_hashlib_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_imports_a_private_name():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        nodes = list(ast.walk(_tree(path.name)))
+        # Modules of the package bound to a name, as by `from cbgraph import ops`.
+        modules = set()
+        for node in nodes:
+            if not (isinstance(node, ast.ImportFrom) and node.module):
+                continue
+            if node.module == "cbgraph":
+                modules |= {a.asname or a.name for a in node.names}
+            elif node.module.startswith("cbgraph."):
+                found += [(path.name, a.name) for a in node.names if _private(a.name)]
+        found += [
+            (path.name, node.attr)
+            for node in nodes
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ]
+    assert set(found) <= PRIVATE_IMPORTS, sorted(set(found) - PRIVATE_IMPORTS)
+
+
+def _reads_sides(node):
+    # An entry of a side pair, such as `tri.sides[e][0]`.
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Subscript)
+        and isinstance(node.value.value, ast.Attribute)
+        and node.value.value.attr == "sides"
+    )
+
+
+def test_only_surface_compares_incidences():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "surface.py":
+            continue
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(_tree(path.name))
+            if isinstance(node, ast.Compare)
+            and any(map(_reads_sides, [node.left, *node.comparators]))
+        ]
+    assert not found, found

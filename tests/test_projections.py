@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cbgraph import ops, projections as pj
 from cbgraph.cb import MarkedCB, small_cb
+from cbgraph.curves import CurveClass
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
@@ -243,3 +246,31 @@ def test_projection_finite_and_essential():
             for m in ps:
                 assert not m.is_separating
                 assert ops.intersect(m, W) == 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(genus=st.sampled_from((2, 3)), data=st.data())
+def test_every_arc_candidate_builds_a_class(genus, data):
+    # The pair is in minimal position, so no candidate circle bounds a
+    # disk: each word builds an essential class, and none is dropped.
+    tri = standard_triangulation(genus)
+    gens = handle_curves(tri) + [chain_connector(tri, k) for k in range(genus - 1)]
+    pick = st.integers(0, len(gens) - 1)
+    word = st.lists(st.tuples(pick, st.sampled_from((1, -1))), min_size=1, max_size=4)
+
+    def curve():
+        return _push(gens[data.draw(pick)], [(gens[i], p) for i, p in data.draw(word)])
+
+    a, b = curve(), curve()
+    assume(ops.intersect(a, b) > 0)
+    reduced = ops.reduced_pair(a, b)
+    sa, sb = pj._strand_of(reduced, 0), pj._strand_of(reduced, 1)
+    for idx in range(len(reduced.seqs[sb])):
+        for w in pj._arc_candidates(tri, reduced, sa, sb, idx)[1]:
+            assert CurveClass.from_word(tri, w).is_connected
+
+
+def _push(c, word):
+    for d, p in word:
+        c = ops.twist(c, d, p)
+    return c
