@@ -118,7 +118,7 @@ class _Tracer:
             for p in range(w[e]):
                 if seen[base[e] + p]:
                     continue
-                letters, positions = [], []
+                letters, positions = [], array("I")
                 x, pos = 3 * t0 + s0, p
                 while True:
                     cpos = pos if first[x] else weight[x] - 1 - pos
@@ -134,7 +134,7 @@ class _Tracer:
                         y = ahead[x]
                         pos += weight[y] - weight[x]
                         x = y
-                out.append((encode(letters), array("I", positions)))
+                out.append((encode(letters), positions))
         return out
 
 

@@ -198,11 +198,12 @@ class CutComplex:
         for gi, (c1, c2, e, t2, s2) in enumerate(self.gluings):
             if self.regions.find(c1) != region:
                 continue
+            # (t2, s2) is the edge's second incidence, so every gluing
+            # counts +1 along its letter fwd.
             fwd = 3 * t2 + s2
-            sign = -1 if tri.first[fwd] else 1
-            locals_.append((gi, c1, c2, e, sign, fwd))
-            adj.setdefault(c1, []).append((c2, e, sign, gi, fwd))
-            adj.setdefault(c2, []).append((c1, e, -sign, gi, tri.mate[fwd]))
+            locals_.append((gi, c1, c2, e, fwd))
+            adj.setdefault(c1, []).append((c2, e, 1, gi, fwd))
+            adj.setdefault(c2, []).append((c1, e, -1, gi, tri.mate[fwd]))
         vec = {root: [0] * tri.num_edges}
         path = {root: ()}
         tree = set()
@@ -218,11 +219,11 @@ class CutComplex:
                 path[nxt] = path[cur] + (letter,)
                 tree.add(gi)
                 queue.append(nxt)
-        for gi, c1, c2, e, sign, fwd in locals_:
+        for gi, c1, c2, e, fwd in locals_:
             if gi in tree:
                 continue
             loop = [a - b for a, b in zip(vec[c1], vec[c2])]
-            loop[e] += sign
+            loop[e] += 1
             if not any(loop):
                 continue
             word = path[c1] + (fwd,) + reverse_word(path[c2], tri.mate)

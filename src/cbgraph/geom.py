@@ -33,25 +33,33 @@ reference goes, without waiting for the cyclic garbage collector.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from array import array
+from bisect import bisect_right
+from collections import defaultdict
+from functools import partial
+from operator import add
 
 from cbgraph.kernel import decode
 from cbgraph.surface import Triangulation
 
 # Crossings a drawing may hold.  Measured with `tracemalloc` on
-# Farey-neighbour model pairs of 10^4-7*10^4 crossings, a drawing peaks
-# at 308-332 bytes per crossing while it sorts the strand orders (and
-# holds 173-188 after), so one at the bound peaks near 0.85 GB.
-# Drawing and then removing bigons peaks at 700-800 bytes per crossing,
-# so an `ops.intersect` at the bound needs about 2 GB.
+# Farey-neighbour model pairs of 10^4-7*10^4 crossings (genus 2, curves
+# of 165/267 to 432/699 letters), a drawing peaks at 241-310 bytes per
+# crossing while it sorts the strand orders (and holds 118-181 after),
+# so one at the bound peaks near 0.8 GB.  Drawing and then removing
+# bigons peaks at 257-335 bytes per crossing, so an `ops.intersect` at
+# the bound needs about 0.85 GB.
 MAX_DRAWN_CROSSINGS = 2_500_000
 
 
 class Strand:
     """One drawn component: letters, edge indices, and its crossings.
 
-    `order` lists the indices in `Drawing.crossings` of the strand's
-    crossings in strand order: by chord, then by parameter along it.
+    `letters` is a tuple and `keys` an `array("I")`: per letter, the
+    index of its crossing point on its edge, counted across both curves
+    of the drawing.  `order` is an `array("I")` of the indices in
+    `Drawing.crossings` of the strand's crossings in strand order: by
+    chord, then by parameter along it.
     """
 
     __slots__ = ("curve", "comp", "letters", "keys", "order")
@@ -60,7 +68,7 @@ class Strand:
         self.curve = curve
         self.comp = comp
         self.letters = tuple(letters)
-        self.keys = list(keys)
+        self.keys = keys
         self.order = None  # filled by Drawing
 
     def __len__(self):
@@ -103,7 +111,7 @@ class Drawing:
         if len(self.curves) > 2:
             raise ValueError("a drawing holds at most two curves")
         for c in self.curves:
-            if c.tri != tri:
+            if c.tri is not tri and c.tri != tri:
                 raise ValueError("curve drawn on a different triangulation")
         self._build()
 
@@ -112,86 +120,72 @@ class Drawing:
         totals = [0] * tri.num_edges
         offsets = []
         for c in self.curves:
-            offsets.append(tuple(totals))
-            totals = [a + b for a, b in zip(totals, c.weights)]
-
-        self.strands = []
-        for ci, c in enumerate(self.curves):
-            for mi, (text, pos, _) in enumerate(c.trace):
-                letters = decode(text)
-                keys = [offsets[ci][tri.side_edge[lam]] + p for lam, p in zip(letters, pos)]
-                self.strands.append(Strand(ci, mi, letters, keys))
+            offsets.append(totals)
+            totals = list(map(add, totals, c.weights))
 
         # Side `slot` of a triangle holds the positions slot*width + r,
         # 0 <= r < totals[e], increasing counterclockwise.  Per letter
-        # 3t + slot the point with key g on that side sits at
-        # lo + sgn * g: r = g in the frame of the edge's first listed
-        # incidence, totals[e] - 1 - g in the other.
+        # 3t + slot the point with key g on that side sits at lo + g in
+        # the frame of the edge's first listed incidence (r = g) and at
+        # lo - g in the other (r = totals[e] - 1 - g).
         width = max(totals) + 1
         circle = 3 * width
-        first = tri.first
-        lo, sgn = [], []
-        for x, e in enumerate(tri.side_edge):
-            base = x % 3 * width
-            lo.append(base if first[x] else base + totals[e] - 1)
-            sgn.append(1 if first[x] else -1)
-        mate = tri.mate
+        first, mate, edge = tri.first, tri.mate, tri.side_edge
+        slots = [0, width, 2 * width] * tri.num_triangles
+        lo = [base if f else base + totals[e] - 1 for base, f, e in zip(slots, first, edge)]
 
         # Chord k of a strand runs inside the triangle of letter k, from
         # point k (entry) to point k+1 (exit), which the mate of letter
-        # k+1 names; chords are kept per triangle in first-visit order,
-        # split by curve.
-        by_triangle = {}
-        for s in self.strands:
-            letters, keys = s.letters, s.keys
-            exits = [mate[y] for y in letters[1:] + letters[:1]]
-            triangles = [x // 3 for x in letters]
-            if triangles != [y // 3 for y in exits]:
-                raise RuntimeError("strand letters do not chain")
-            chords = zip(
-                repeat(s),
-                count(),
-                [lo[x] + sgn[x] * g for x, g in zip(letters, keys)],
-                [lo[y] + sgn[y] * h for y, h in zip(exits, keys[1:] + keys[:1])],
-            )
-            for t, chord in zip(triangles, chords):
-                split = by_triangle.get(t)
-                if split is None:
-                    split = by_triangle[t] = ([], [])
-                split[s.curve].append(chord)
+        # k+1 names.  A curve numbers its chords strand after strand and
+        # lists, by chord number, the letters naming both ends and their
+        # keys.  It keeps the number of each strand's first chord and
+        # per triangle, in the order the curve first visits them, its
+        # chord numbers.  Curve 0's keys are its trace's position
+        # arrays, shared and not copied; curve 1's are offset past them.
+        self.strands = strands = []
+        chords = []
+        for ci, c in enumerate(self.curves):
+            off = offsets[ci]
+            own, firsts, entries, exits = [], [], [], []
+            entry_keys, exit_keys = array("I"), array("I")
+            buckets = defaultdict(_chord_numbers)
+            for mi, (text, pos, _) in enumerate(c.trace):
+                letters = decode(text)
+                keys = array("I", [off[edge[x]] + p for x, p in zip(letters, pos)]) if ci else pos
+                nxt = [mate[y] for y in letters[1:]]
+                nxt.append(mate[letters[0]])
+                triangles = [x // 3 for x in letters]
+                if triangles != [y // 3 for y in nxt]:
+                    raise RuntimeError("strand letters do not chain")
+                base = len(entries)
+                firsts.append(base)
+                for i, t in enumerate(triangles, base):
+                    buckets[t].append(i)
+                entries += letters
+                exits += nxt
+                entry_keys += keys
+                exit_keys += keys[1:]
+                exit_keys.append(keys[0])
+                own.append(Strand(ci, mi, letters, keys))
+            strands += own
+            chords.append((own, firsts, entries, exits, entry_keys, exit_keys, buckets))
 
-        self.crossings = crossings = []
-        for first, second in by_triangle.values():
-            if not second:
-                continue
-            for s1, k1, a, b in first:
-                arc = (b - a) % circle
-                for s2, k2, c, d in second:
-                    c_in = (c - a) % circle < arc
-                    if c_in == ((d - a) % circle < arc):
-                        continue
-                    if c_in:  # a, c, b, d
-                        x = Crossing(s1, k1, (c - a) % circle, s2, k2, (b - c) % circle, 1)
-                    else:  # a, d, b, c
-                        x = Crossing(s1, k1, (d - a) % circle, s2, k2, (a - c) % circle, -1)
-                    crossings.append(x)
-                if len(crossings) > MAX_DRAWN_CROSSINGS:
-                    m, n = (sum(map(len, curve.words)) for curve in self.curves)
-                    raise RuntimeError(
-                        f"drawing exceeded MAX_DRAWN_CROSSINGS = {MAX_DRAWN_CROSSINGS}:"
-                        f" {len(crossings)} crossings drawn between curves of"
-                        f" {m} and {n} letters"
-                    )
-        del by_triangle  # before the sort, which peaks the drawing's memory
+        self.crossings = crossings = _cross(self.curves, chords, first, lo, circle)
+        del chords  # before the sort, which peaks the drawing's memory
 
-        # Strand order: one sort per strand by (chord, param, index).
-        rows = {s: [] for s in self.strands}
+        # Strand order: each strand's `order` first lists the int keys
+        # (k * circle + p) * n + i of its crossings and is sorted once.
+        # k * circle + p orders by chord, then param, and no two
+        # crossings of a strand share it; i is the crossing's index.
+        n = len(crossings)
+        for s in strands:
+            s.order = []
         for i, x in enumerate(crossings):
-            rows[x.s1].append((x.k1, x.p1, i))
-            rows[x.s2].append((x.k2, x.p2, i))
-        for s, row in rows.items():
-            row.sort()
-            s.order = [i for _, _, i in row]
+            x.s1.order.append((x.k1 * circle + x.p1) * n + i)
+            x.s2.order.append((x.k2 * circle + x.p2) * n + i)
+        for s in strands:
+            s.order.sort()
+            s.order = array("I", [v % n for v in s.order])
 
     def strand_sequence(self, strand: Strand) -> list[Crossing]:
         """Crossings in cyclic order along the strand."""
@@ -225,3 +219,51 @@ class Drawing:
         # Every crossing has curve 0 on s1 and curve 1 on s2.
         total = sum(x.sign for x in self.crossings)
         return total if ci == 0 else -total
+
+
+_chord_numbers = partial(array, "I")
+
+
+def _cross(curves, chords, first, lo, circle) -> list[Crossing]:
+    """The crossings of curve 0's chords with curve 1's: by triangle in
+    the order curve 0 first visits them, then by chord of curve 0, then
+    by chord of curve 1.  The point with key g named by letter x sits
+    at lo[x] + g on its triangle's circle if first[x], else at lo[x] - g."""
+    if len(chords) < 2:
+        return []
+    (own, firsts, entries, exits, entry_keys, exit_keys, buckets), second_curve = chords
+    own2, firsts2, entries2, exits2, entry_keys2, exit_keys2, buckets2 = second_curve
+    crossings = []
+    for t, ids in buckets.items():
+        ids2 = buckets2.get(t)
+        if ids2 is None:
+            continue
+        second = []
+        for j in ids2:
+            x, y, g, h = entries2[j], exits2[j], entry_keys2[j], exit_keys2[j]
+            c = lo[x] + g if first[x] else lo[x] - g
+            second.append((j, c, lo[y] + h if first[y] else lo[y] - h))
+        for i in ids:
+            x, y, g, h = entries[i], exits[i], entry_keys[i], exit_keys[i]
+            a = lo[x] + g if first[x] else lo[x] - g
+            b = lo[y] + h if first[y] else lo[y] - h
+            arc = (b - a) % circle
+            for j, c, d in second:
+                c_in = (c - a) % circle < arc
+                if c_in == ((d - a) % circle < arc):
+                    continue
+                m, m2 = bisect_right(firsts, i) - 1, bisect_right(firsts2, j) - 1
+                s1, k1, s2, k2 = own[m], i - firsts[m], own2[m2], j - firsts2[m2]
+                if c_in:  # a, c, b, d
+                    x = Crossing(s1, k1, (c - a) % circle, s2, k2, (b - c) % circle, 1)
+                else:  # a, d, b, c
+                    x = Crossing(s1, k1, (d - a) % circle, s2, k2, (a - c) % circle, -1)
+                crossings.append(x)
+            if len(crossings) > MAX_DRAWN_CROSSINGS:
+                m, n = (sum(map(len, curve.words)) for curve in curves)
+                raise RuntimeError(
+                    f"drawing exceeded MAX_DRAWN_CROSSINGS = {MAX_DRAWN_CROSSINGS}:"
+                    f" {len(crossings)} crossings drawn between curves of"
+                    f" {m} and {n} letters"
+                )
+    return crossings

@@ -165,6 +165,9 @@ def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
     tri = c.tri
     ic, _ = LAST_PAIR.draw(c, along, either_order=True)
     drawing = LAST_PAIR.drawing
+    if not drawing.crossings:
+        # The twist is supported near `along`, which c is drawn apart from.
+        return c
     words = []
     for s in drawing.strands:
         if s.curve != ic:

@@ -15,19 +15,24 @@ one met by a left-to-right scan of the strands in drawing order.
 That order is kept without rescanning.  A candidate bigon is a crossing
 x on a strand s, with corners x and its successor along s; whether it
 is a bigon depends only on the successors and arcs at x and at that
-successor on the two strands involved.  All candidates start on a
-min-heap keyed by (strand order, original position).  A popped
-candidate that is not a bigon stays off the heap until a removal
-changes one of its inputs, which happens only at the new predecessor
-p of a spliced strand: the candidate at p itself, and on p's other
-strand t the candidates at p and at its predecessor along t.  So every
-candidate off the heap is a known non-bigon, and the popped minimum
-that is a bigon is exactly the one the scan would find first.
+successor on the two strands involved.  All candidates start queued,
+keyed by (strand order, original position): a cursor walks them in key
+order, and a min-heap holds those queued again behind it, so the next
+candidate is the heap's minimum if there is one and the cursor's
+otherwise.  A popped candidate that is not a bigon stays unqueued until
+a removal changes one of its inputs, which happens only at the new
+predecessor p of a spliced strand: the candidate at p itself, and on
+p's other strand t the candidates at p and at its predecessor along t.
+So every unqueued candidate is a known non-bigon, and the popped
+minimum that is a bigon is exactly the one the scan would find first.
+The candidates and the strands' links are kept in flat arrays indexed
+by a candidate's key.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 
 from cbgraph import dehn
 from cbgraph.geom import Crossing, Drawing, Strand
@@ -65,87 +70,102 @@ class Reduced:
     def _reduce(self):
         drawing = self.drawing
         mate = self.tri.mate
-        # Per strand, keyed by crossing: successor, predecessor, arc to
-        # the successor, and the candidate's heap key.
-        succ, pred, arc, key = {}, {}, {}, {}
-        owner = []  # heap key -> (strand, crossing)
-        for s in drawing.strands:
+        # Half-crossings, one per crossing and strand through it, are
+        # numbered strand after strand in drawn order; a half's number is
+        # its candidate's heap key.  Per half: its crossing, the other
+        # half of that crossing, its strand's number, whether the
+        # crossing is positive seen from that strand, its successor and
+        # predecessor along the strand, and the arc to the successor.
+        cross, arc, firsts = [], [], []
+        strand_of, succ, pred = array("I"), array("I"), array("I")
+        positive = bytearray()
+        for m, s in enumerate(drawing.strands):
             seq = drawing.strand_sequence(s)
             n = len(seq)
-            succ[s] = {seq[i - 1]: seq[i] for i in range(n)}
-            pred[s] = {seq[i]: seq[i - 1] for i in range(n)}
-            arc[s] = {
-                seq[i]: drawing.arc_letters(s, seq[i], seq[(i + 1) % n])
-                for i in range(n)
-            }
-            key[s] = {x: len(owner) + i for i, x in enumerate(seq)}
-            owner.extend((s, x) for x in seq)
-        heap = list(range(len(owner)))
-        queued = bytearray(b"\x01") * len(owner)
+            base = len(cross)
+            firsts.append(base)
+            if not n:
+                continue
+            cross += seq
+            arc += [drawing.arc_letters(s, seq[i - 1], seq[i]) for i in range(1, n)]
+            arc.append(drawing.arc_letters(s, seq[-1], seq[0]))
+            strand_of += array("I", [m]) * n
+            succ += array("I", range(base + 1, base + n))
+            succ.append(base)
+            pred.append(base + n - 1)
+            pred += array("I", range(base, base + n - 1))
+            positive += bytes([(x.sign if x.s1 is s else -x.sign) > 0 for x in seq])
+        firsts.append(len(cross))
+        other = array("I", bytes(4 * len(cross)))
+        seen = {}
+        for h, x in enumerate(cross):
+            o = seen.pop(x, None)
+            if o is None:
+                seen[x] = h
+            else:
+                other[h], other[o] = o, h
+        del seen
 
-        def push(s, x):
-            k = key[s][x]
-            if not queued[k]:
-                queued[k] = 1
-                heapq.heappush(heap, k)
-
-        def bigon_at(s1, x):
-            # The other strand's (first, second) corners if x and its
-            # successor along s1 bound a bigon.
-            y = succ[s1][x]
-            if y is x:
+        def bigon_at(h):
+            # The other strand's (first, second) halves if the crossing
+            # of h and its successor along h's strand bound a bigon.
+            k = succ[h]
+            if k == h:
                 return None
-            _, _, s2, sx = x.strand_data(s1)
-            _, _, s2y, sy = y.strand_data(s1)
-            if s2y is not s2 or sx == sy:
+            oh, ok = other[h], other[k]
+            if strand_of[oh] != strand_of[ok] or positive[h] == positive[k]:
                 # Bigon corners involve the same strands with opposite
                 # orientations.
                 return None
-            alpha = arc[s1][x]
-            if succ[s2][x] is y and self._loop_is_trivial(alpha, True, arc[s2][x]):
-                return s2, x, y
-            if succ[s2][y] is x and self._loop_is_trivial(alpha, False, arc[s2][y]):
-                return s2, y, x
+            alpha = arc[h]
+            if succ[oh] == ok and self._loop_is_trivial(alpha, True, arc[oh]):
+                return oh, ok
+            if succ[ok] == oh and self._loop_is_trivial(alpha, False, arc[ok]):
+                return ok, oh
             return None
 
-        def splice(s, x, y):
-            # Drop consecutive crossings x, y of s and merge the three
-            # arcs around them; returns the new predecessor, if any.
-            p, q = pred[s].pop(x), succ[s].pop(y)
-            del succ[s][x], pred[s][y]
-            ax, ay = arc[s].pop(x), arc[s].pop(y)
-            if p is y:
+        def splice(h, k):
+            # Drop consecutive halves h, k of a strand and merge the
+            # three arcs around them; returns the new predecessor, if any.
+            p, q = pred[h], succ[k]
+            ah, ak = arc[h], arc[k]
+            arc[h] = arc[k] = None
+            if p == k:
                 return None
-            succ[s][p], pred[s][q] = q, p
-            arc[s][p] = free_reduce(arc[s][p] + ax + ay, mate)
+            succ[p], pred[q] = q, p
+            arc[p] = free_reduce(arc[p] + ah + ak, mate)
             return p
 
-        while heap:
-            k = heapq.heappop(heap)
-            queued[k] = 0
-            s1, x = owner[k]
-            if not x.alive:
+        # The heap holds the halves popped and queued again, all below
+        # `scan`; every half from `scan` on is still queued.
+        heap, queued, scan = [], bytearray(len(cross)), 0
+        while heap or scan < len(cross):
+            if heap:
+                h = heapq.heappop(heap)
+                queued[h] = 0
+            else:
+                h, scan = scan, scan + 1
+            if not cross[h].alive:
                 continue
-            found = bigon_at(s1, x)
+            found = bigon_at(h)
             if found is None:
                 continue
-            s2, first, second = found
-            y = succ[s1][x]
-            x.alive = False
-            y.alive = False
-            for s, p in ((s1, splice(s1, x, y)), (s2, splice(s2, first, second))):
+            k = succ[h]
+            cross[h].alive = cross[k].alive = False
+            for p in (splice(h, k), splice(*found)):
                 if p is None:
                     continue
-                t = p.strand_data(s)[2]
-                push(s, p)
-                push(t, p)
-                push(t, pred[t][p])
+                o = other[p]
+                for g in (p, o, pred[o]):
+                    if g < scan and not queued[g]:
+                        queued[g] = 1
+                        heapq.heappush(heap, g)
 
-        for s in drawing.strands:
-            # `key[s]` iterates in drawn order.
-            seq = [x for x in key[s] if x.alive]
+        for m, s in enumerate(drawing.strands):
+            kept = [h for h in range(firsts[m], firsts[m + 1]) if cross[h].alive]
+            seq = [cross[h] for h in kept]
             self.seqs[s] = seq
-            self.arcs[s] = [arc[s][x] for x in seq]
+            self.arcs[s] = [arc[h] for h in kept]
             self._index[s] = {x: i for i, x in enumerate(seq)}
 
     def index(self, s: Strand, x: Crossing) -> int:

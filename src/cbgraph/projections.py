@@ -17,12 +17,13 @@ witnesses.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from cbgraph import MEMO_ENTRIES, cut, ops
 from cbgraph.cb import Containment, contains, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.cut import CutComplex
-from cbgraph.farey import Slope, enumerate_slopes, farey_distance
+from cbgraph.farey import Slope, farey_distance
 from cbgraph.kernel import reverse_word
 from cbgraph.model import EmbeddedToriModel
 from cbgraph.position import Reduced
@@ -216,13 +217,27 @@ def projection_slopes(sel: SideSelector, b: CurveClass, basis=None) -> set[Slope
 
 
 def diam_witness(sel: SideSelector, b: CurveClass, basis: TorusBasis) -> Slope:
-    """First slope by height at Farey distance >= 2 from the projection."""
+    """First slope by height at Farey distance >= 2 from the projection.
+
+    Slopes of height max(|p|, q) = h are tested at step h, in `Slope`
+    order; every lower slope failed at an earlier step.
+    """
     slopes = projection_slopes(sel, b, basis)
     for h in range(1, MAX_WITNESS_HEIGHT + 1):
-        for c in sorted(enumerate_slopes(h)):
+        for c in _slopes_of_height(h):
             if all(farey_distance(c, s) >= 2 for s in slopes):
                 return c
     raise RuntimeError("no witness slope within the height bound")
+
+
+def _slopes_of_height(h: int):
+    """The reduced slopes with max(|p|, q) = h, in `Slope` order (q, p)."""
+    if h == 1:
+        yield Slope(1, 0)
+    for q in range(1, h + 1):
+        for p in range(-h, h + 1) if q == h else (-h, h):
+            if gcd(p, q) == 1:
+                yield Slope(p, q)
 
 
 def surjdisc_witness(a: CurveClass, b: CurveClass, container) -> CurveClass | None:

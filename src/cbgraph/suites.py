@@ -287,7 +287,7 @@ def check_chain_containment(rng, recipe):
         word = _random_twist_word(rng, gens, rng.randint(0, 3))
         a, b = _apply_word(word, a0), _apply_word(word, b0)
         if ops.intersect(a, b) != 1:
-            bad.append(("setup", word))
+            bad.append(("setup", [(repr(c), p) for c, p in word]))
             continue
         band = small_cb(ops.band_sum(a, b))
         if contains(trivial, band) is not Containment.TRUE:

@@ -17,7 +17,8 @@ import json
 
 import pytest
 
-from cbgraph.suites import SUITES, Recipe, run_check, run_suite
+from cbgraph import complexes, ops, oracles, suites
+from cbgraph.suites import SUITES, Recipe, report_json, run_check, run_suite
 
 DIGESTS = {
     "farey-oracle": "3658062c7136cbe5ba13fab6e2c023720a35cf032023b27db19927995170e854",
@@ -135,3 +136,43 @@ def test_raising_suite_fails_with_reproducer(monkeypatch, error):
     report = run_suite(Recipe(checks=["farey-oracle", "height-formula"], seed=104))
     assert [c["status"] for c in report["checks"]] == ["fail", "pass"]
     assert (report["passed"], report["failed"]) == (1, 1)
+
+
+def _plant(monkeypatch, name):
+    """Make suite `name` find violations by replacing what it checks."""
+    wrong = {
+        "farey-oracle": [
+            (oracles, "lattice_cc", lambda a, b: -1),
+            (oracles, "lattice_ca", lambda c, a: -1),
+            (oracles, "lattice_aa", lambda a, b: -1),
+        ],
+        "census-bounds": [(suites, "mn_scan", lambda bound: set())],
+        "height-formula": [(oracles, "bfs_height", lambda t: -1)],
+        "short-classification": [(oracles, "scan_types_by_height", lambda g, h: None)],
+        "sep-equivalence": [(suites, "purely_separating", lambda t: None)],
+        "small-disks": [(suites, "meridian_of_small", lambda a, c: None)],
+        "chain-containment": [(ops, "intersect", lambda a, b, real=ops.intersect: real(a, b) + 1)],
+        "link-chromatic": [(complexes, "chromatic_number", lambda f: -1)],
+        "empty-triangles": [(complexes, "empty_triangle_family", lambda *args: [])],
+        "orientation-necessity": [(ops, "algebraic_intersect", lambda a, b: -1)],
+        "projection-diameter": [(suites, "farey_distance", lambda a, b: 0)],
+        "equivariance": [(suites, "meridian_of_small", lambda a, c: c)],
+    }
+    for module, attr, value in wrong[name]:
+        monkeypatch.setattr(module, attr, value)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_failed_suite_report_is_written_with_reproducer(monkeypatch, name):
+    # Every suite's failure branch: the report that `cbgraph run` writes
+    # serialises each failed entry, with its witnesses and reproducer.
+    _plant(monkeypatch, name)
+    report = run_suite(Recipe(checks=[name], seed=7))
+    (entry,) = json.loads(report_json(report))["checks"]
+    assert entry["status"] == "fail"
+    assert entry["witnesses"]
+    assert entry["reproducer"] == f"cbgraph run --suite {name} --seed 7"
+    if name == "chain-containment":
+        kind, word = entry["witnesses"][0]
+        assert kind == "setup"
+        assert all(text.startswith("CurveClass(") and p in (1, -1) for text, p in word)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cbgraph import ops
+from cbgraph.curves import CurveClass
 from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves
 from cbgraph.surface import standard_triangulation
 
@@ -200,3 +201,22 @@ def test_predicates_are_twist_invariant():
         fa, fb = push(A), push(B)
         assert ops.common_punctured_torus([fa, fb])
         assert ops.band_sum(fa, fb) == push(w)
+
+
+def test_twist_along_a_disjoint_drawing_returns_the_curve(monkeypatch):
+    # a_0 and a_1 are drawn without a crossing, so twisting one along the
+    # other builds no words.
+    a0, _, a1, _ = handle_curves(TRI)
+    built = []
+    from_words = CurveClass.from_words.__func__
+
+    def counted(cls, tri, words):
+        built.append(words)
+        return from_words(cls, tri, words)
+
+    monkeypatch.setattr(CurveClass, "from_words", classmethod(counted))
+    for p in (1, -2):
+        assert ops.twist(a0, a1, p) is a0
+    assert built == []
+    assert ops.twist(B, A, 1) != B
+    assert len(built) == 1

@@ -94,6 +94,18 @@ def test_signed_weights_vanish_exactly_for_separating():
     assert not any(signed_weights(W))
 
 
+@pytest.mark.parametrize("genus", range(2, 13))
+def test_gluings_count_along_the_second_incidence(genus):
+    # `nonseparating_in_region` counts every gluing +1 along the letter
+    # of the incidence it stores, which is never the edge's first.
+    tri = standard_triangulation(genus)
+    gluings = cut.CutComplex(tri, None).gluings
+    assert len(gluings) == tri.num_edges
+    for _, _, e, t2, s2 in gluings:
+        assert tri.sides[e][1] == (t2, s2)
+        assert not tri.first[3 * t2 + s2]
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=ValueError,

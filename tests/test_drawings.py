@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -262,3 +263,30 @@ def test_drawings_are_freed_by_reference_counting():
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_drawing_memory_per_letter():
+    # A drawing keeps a long strand's letters and keys flat: drawing a
+    # genus-2 ladder rung of 5,484 letters against the 2-letter a_0
+    # peaks below 120 bytes and holds below 60 bytes per rung letter.
+    from cbgraph import ops
+
+    tri = standard_triangulation(2)
+    hs = handle_curves(tri)
+    ladder = ((hs[0], 1), (chain_connector(tri, 0), -1))
+    rung, n = hs[1], 0
+    while len(rung.word) < 5000:
+        rung = ops.twist(rung, *ladder[n % 2])
+        n += 1
+    ops.LAST_PAIR.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        drawing = Drawing(tri, [rung, hs[0]])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    letters = len(rung.word)
+    assert letters >= 5000 and len(drawing.crossings) > 0
+    assert (peak - before) / letters < 120
+    assert (held - before) / letters < 60

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cbgraph import ops, projections as pj
+from cbgraph import ops, projections as pj, suites
 from cbgraph.cb import MarkedCB, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.farey import Slope, enumerate_slopes, farey_distance
@@ -160,6 +160,42 @@ def test_diam_witness():
     assert all(
         farey_distance(wb, s) >= 2 for s in pj.projection_slopes(SEL_L, b, BASIS_L)
     )
+
+
+def _rescan_diam_witness(sel, b, basis):
+    """`diam_witness` as it was: step h retests every slope of height <= h."""
+    slopes = pj.projection_slopes(sel, b, basis)
+    for h in range(1, pj.MAX_WITNESS_HEIGHT + 1):
+        for c in sorted(enumerate_slopes(h)):
+            if all(farey_distance(c, s) >= 2 for s in slopes):
+                return c
+    raise RuntimeError("no witness slope within the height bound")
+
+
+def test_slopes_of_height_partition_the_enumeration():
+    for h in range(1, 12):
+        got = list(pj._slopes_of_height(h))
+        lower = enumerate_slopes(h - 1) if h > 1 else set()
+        assert got == sorted(enumerate_slopes(h) - lower)
+
+
+def test_diam_witness_against_rescan_on_suite_instances(monkeypatch):
+    # Every witness the projection-diameter suite asks for at seeds
+    # 101-104 is the slope the rescanning search finds.
+    calls = []
+    witness = pj.diam_witness
+
+    def record(sel, b, basis):
+        calls.append((sel, b, basis, witness(sel, b, basis)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(pj, "diam_witness", record)
+    for seed in (101, 102, 103, 104):
+        suites.run_check("projection-diameter", seed)
+    assert len(calls) > 200
+    assert any(got.q > 1 for *_, got in calls)
+    for sel, b, basis, got in calls:
+        assert got == _rescan_diam_witness(sel, b, basis)
 
 
 def test_innermost_surgery_separating():
