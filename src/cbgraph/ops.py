@@ -6,8 +6,8 @@ twisting curve, in the direction given by the crossing sign, which is
 exactly the image under the annulus twist homeomorphism (excess
 crossings insert cancelling passes, so minimal position is not needed).
 Intersection numbers come from exhaustive bigon removal; the boundary
-of a regular neighborhood is traced from the ribbon structure of the
-reduced crossing data.
+of a regular neighborhood is the ribbon walk of the reduced pair,
+`Reduced.boundary_words`.
 
 The exact answers whose inputs repeat are memoised per process in
 bounded `functools.lru_cache`s of `MEMO_ENTRIES` entries: the geometric
@@ -135,7 +135,7 @@ def _intersect(a: CurveClass, b: CurveClass) -> int:
     if raw == abs(drawing.algebraic(0, 1)):
         # |algebraic| <= minimal <= drawn, so the drawing is minimal.
         return raw
-    return LAST_PAIR.reduced.count(0, 1)
+    return LAST_PAIR.reduced.count()
 
 
 def algebraic_intersect(a: CurveClass, b: CurveClass) -> int:
@@ -196,11 +196,11 @@ def band_sum(a: CurveClass, b: CurveClass) -> CurveClass:
         raise ValueError("band_sum needs connected curves")
     LAST_PAIR.draw(a, b, either_order=True)
     reduced = LAST_PAIR.reduced
-    if len(reduced.crossings(0, 1)) != 1:
+    if reduced.count() != 1:
         raise ValueError("band_sum needs curves intersecting exactly once")
     # With one crossing the neighborhood is a punctured torus, whatever
     # the drawing order: its boundary is the one circle of the ribbon walk.
-    (word,) = _ribbon_boundary_words(a.tri, reduced, reduced.drawing.strands)
+    (word,) = reduced.boundary_words()
     return CurveClass.from_word(a.tri, word)
 
 
@@ -209,7 +209,7 @@ class NeighborhoodProfile:
 
     `FIELDS` names the public fields.  Each boundary circle of N is a
     directed-crossing word, and `essential_flags` marks which are
-    essential, in the order `_ribbon_boundary_words` lists them;
+    essential, in the order `Reduced.boundary_words` lists them;
     inessential circles (they bound disks in the complement) are capped.
     `boundary_classes` lists the classes of the essential circles,
     sorted; it is built on first read and then kept.  A disconnected
@@ -252,49 +252,6 @@ class NeighborhoodProfile:
         )
 
 
-def _ribbon_boundary_words(tri, reduced, strands):
-    """Boundary circle words of the regular neighborhood of the strands."""
-    words = []
-    for s in strands:
-        if not reduced.seqs[s]:
-            words.append(tuple(s.letters))
-            words.append(reverse_word(tuple(s.letters), tri.mate))
-
-    def rotation(x):
-        if x.sign > 0:
-            return [(x.s1, 1), (x.s2, 1), (x.s1, -1), (x.s2, -1)]
-        return [(x.s1, 1), (x.s2, -1), (x.s1, -1), (x.s2, 1)]
-
-    seen = set()
-    for s0 in strands:
-        for x0 in reduced.seqs[s0]:
-            for d0 in (1, -1):
-                if (x0, s0, d0) in seen:
-                    continue
-                word = []
-                x, s, d = x0, s0, d0
-                while (x, s, d) not in seen:
-                    seen.add((x, s, d))
-                    p = reduced.index(s, x)
-                    n = len(reduced.seqs[s])
-                    if d == 1:
-                        word.extend(reduced.arcs[s][p])
-                        y = reduced.seqs[s][(p + 1) % n]
-                    else:
-                        word.extend(
-                            reverse_word(reduced.arcs[s][(p - 1) % n], tri.mate)
-                        )
-                        y = reduced.seqs[s][(p - 1) % n]
-                    # Arrived at y travelling direction d along s; reverse,
-                    # then take the next departing dart counterclockwise.
-                    rot = rotation(y)
-                    i = rot.index((s, -d))
-                    s, d = rot[(i + 1) % 4]
-                    x = y
-                words.append(tuple(word))
-    return words
-
-
 def neighborhood_profile(curves) -> NeighborhoodProfile:
     """Genus/boundary record of the filled neighborhood of a curve union.
 
@@ -309,36 +266,20 @@ def neighborhood_profile(curves) -> NeighborhoodProfile:
         reduced = reduced_pair(*curves)
     else:
         reduced = Reduced(Drawing(tri, curves))
-    strands = reduced.drawing.strands
-
-    # Connectivity of N over strands through surviving crossings.
-    parent = {id(s): id(s) for s in strands}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    crossings = [x for x in reduced.drawing.crossings if x.alive]
-    for x in crossings:
-        parent[find(id(x.s1))] = find(id(x.s2))
-    roots = {find(id(s)) for s in strands}
-
     prof = NeighborhoodProfile()
     prof._tri = tri
     prof._essential = prof._classes = None
-    prof.connected = len(roots) == 1
+    prof.connected = reduced.connected()
     # N retracts to the 4-valent union graph: V = crossings, E = 2 * crossings,
     # plus annuli for crossing-free strands.
-    prof.chi_uncapped = -len(crossings)
+    prof.chi_uncapped = -reduced.count()
     if not prof.connected:
         prof.genus = None
         prof.boundary_components = None
         prof.essential_flags = None
         return prof
 
-    words = _ribbon_boundary_words(tri, reduced, strands)
+    words = reduced.boundary_words()
     flags = [
         not dehn.is_trivial(tri.genus, dehn.path_word(tri, w)) for w in words
     ]

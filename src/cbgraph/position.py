@@ -27,6 +27,19 @@ So every unqueued candidate is a known non-bigon, and the popped
 minimum that is a bigon is exactly the one the scan would find first.
 The candidates and the strands' links are kept in flat arrays indexed
 by a candidate's key.
+
+Those arrays, one entry per half (a crossing seen from one of its two
+strands, numbered strand after strand in drawn order), are also the
+result, and only this module walks them:
+
+- `Reduced.boundary_words` walks the ribbon graph of the union.
+  Arriving at a half along its strand, the boundary turns onto the
+  crossing's other strand, keeping its direction there at a crossing
+  negative from the arriving side and reversing it at a positive one;
+  each boundary circle is an orbit of (half, direction) pairs.
+- `Reduced.arc_closures` closes each arc of one curve of a pair with
+  the two arcs of the other curve between the arc's ends, the two
+  resolutions of the corners of N(arc ∪ other curve).
 """
 
 from __future__ import annotations
@@ -35,26 +48,27 @@ import heapq
 from array import array
 
 from cbgraph import dehn
-from cbgraph.geom import Crossing, Drawing, Strand
+from cbgraph.geom import Drawing
 from cbgraph.kernel import free_reduce, reverse_word
 
 
 class Reduced:
-    """Crossing sequences of a drawing after exhaustive bigon removal.
+    """A drawing after exhaustive bigon removal, as arrays of halves.
 
-    `seqs[s]` lists the surviving crossings of strand s in their drawn
-    order and `arcs[s][i]` the directed crossings from `seqs[s][i]` to the
-    next one; `index(s, x)` is the position of x in `seqs[s]`.  Removed
-    crossings have `alive` cleared.  Removal follows the left-to-right
-    scan order described in the module docstring.
+    A half is a crossing seen from one strand through it.  The halves of
+    strand m (the m-th of `drawing.strands`) are numbered `firsts[m]` to
+    `firsts[m + 1] - 1` in drawn order, and `strand_of[h]` is m.  Per
+    half h: `cross[h]` is its crossing, `other[h]` the crossing's half
+    on the other strand, and `positive[h]` whether the crossing is
+    positive seen from h's strand.  `succ[h]` and `pred[h]` link the
+    surviving halves of each strand cyclically, and `arc[h]` is the
+    directed crossings from h to `succ[h]`; these three are valid only
+    while `cross[h].alive`, which removal clears.
     """
 
     def __init__(self, drawing: Drawing):
         self.drawing = drawing
         self.tri = drawing.tri
-        self.seqs: dict[Strand, list[Crossing]] = {}
-        self.arcs: dict[Strand, list[tuple[int, ...]]] = {}
-        self._index: dict[Strand, dict[Crossing, int]] = {}
         self._reduce()
 
     def _loop_is_trivial(self, alpha, beta_forward, beta) -> bool:
@@ -70,12 +84,8 @@ class Reduced:
     def _reduce(self):
         drawing = self.drawing
         mate = self.tri.mate
-        # Half-crossings, one per crossing and strand through it, are
-        # numbered strand after strand in drawn order; a half's number is
-        # its candidate's heap key.  Per half: its crossing, the other
-        # half of that crossing, its strand's number, whether the
-        # crossing is positive seen from that strand, its successor and
-        # predecessor along the strand, and the arc to the successor.
+        # The halves' arrays of the class docstring; a half's number is
+        # its candidate's heap key.
         cross, arc, firsts = [], [], []
         strand_of, succ, pred = array("I"), array("I"), array("I")
         positive = bytearray()
@@ -161,25 +171,94 @@ class Reduced:
                         queued[g] = 1
                         heapq.heappush(heap, g)
 
-        for m, s in enumerate(drawing.strands):
-            kept = [h for h in range(firsts[m], firsts[m + 1]) if cross[h].alive]
-            seq = [cross[h] for h in kept]
-            self.seqs[s] = seq
-            self.arcs[s] = [arc[h] for h in kept]
-            self._index[s] = {x: i for i, x in enumerate(seq)}
+        self.cross, self.other, self.positive = cross, other, positive
+        self.succ, self.pred, self.arc = succ, pred, arc
+        self.strand_of, self.firsts = strand_of, firsts
 
-    def index(self, s: Strand, x: Crossing) -> int:
-        """Position of surviving crossing x in `seqs[s]`."""
-        return self._index[s][x]
+    def count(self) -> int:
+        """Surviving crossings; every drawn crossing joins curve 0 and curve 1."""
+        return sum(x.alive for x in self.drawing.crossings)
 
-    def crossings(self, ci: int, cj: int) -> list[Crossing]:
-        """Surviving crossings between curves ci and cj (none when ci == cj).
+    def connected(self) -> bool:
+        """Whether the strands and the surviving crossings form one piece."""
+        cross, other, strand_of, firsts = self.cross, self.other, self.strand_of, self.firsts
+        reached, todo = {0}, [0]
+        while todo:
+            m = todo.pop()
+            for h in range(firsts[m], firsts[m + 1]):
+                t = strand_of[other[h]]
+                if cross[h].alive and t not in reached:
+                    reached.add(t)
+                    todo.append(t)
+        return len(reached) == len(firsts) - 1
 
-        Every drawn crossing joins curve 0 and curve 1.
+    def boundary_words(self) -> list[tuple[int, ...]]:
+        """Boundary circle words of the regular neighbourhood of the union.
+
+        First both directions of each strand without a surviving
+        crossing, in strand order; then, for each surviving half in
+        increasing number and each direction (forward first), the circle
+        leaving it, unless an earlier circle passed that way.
         """
-        if ci == cj:
-            return []
-        return [x for x in self.drawing.crossings if x.alive]
+        mate = self.tri.mate
+        cross, other, positive = self.cross, self.other, self.positive
+        succ, pred, arc, firsts = self.succ, self.pred, self.arc, self.firsts
+        words = []
+        for m, s in enumerate(self.drawing.strands):
+            if not any(cross[h].alive for h in range(firsts[m], firsts[m + 1])):
+                words += [s.letters, reverse_word(s.letters, mate)]
+        seen = bytearray(2 * len(cross))  # (half, forward) as 2 * half + forward
+        for h0, x in enumerate(cross):
+            if not x.alive:
+                continue
+            for forward in (True, False):
+                if seen[2 * h0 + forward]:
+                    continue
+                h, word = h0, []
+                while not seen[2 * h + forward]:
+                    seen[2 * h + forward] = 1
+                    if forward:
+                        word += arc[h]
+                        k = succ[h]
+                    else:
+                        k = pred[h]
+                        word += reverse_word(arc[k], mate)
+                    # Arrived at k: turn onto the crossing's other strand.
+                    h = other[k]
+                    forward ^= positive[k]
+                words.append(tuple(word))
+        return words
 
-    def count(self, ci: int, cj: int) -> int:
-        return len(self.crossings(ci, cj))
+    def arc_closures(self, curve: int):
+        """Per surviving arc of the curve, in strand order, its two closures.
+
+        The drawing must hold two connected curves.  Yields (beta,
+        words, returning) for the arc beta from half h to `succ[h]`:
+        `words` closes beta along the other curve, first forward from
+        the end of beta to its start (nothing when they meet), then
+        backward from the end to the start along the rest (once around
+        when they meet).  `returning` is whether beta leaves and comes
+        back on the same side of the other curve.
+        """
+        if [s.curve for s in self.drawing.strands] != [0, 1]:
+            raise ValueError("arc closures need a pair of connected curves")
+        mate, other, succ, arc = self.tri.mate, self.other, self.succ, self.arc
+        positive, firsts = self.positive, self.firsts
+
+        def along(g, end):
+            # The arcs of the other strand from half g forward to `end`.
+            out = list(arc[g])
+            g = succ[g]
+            while g != end:
+                out += arc[g]
+                g = succ[g]
+            return tuple(out)
+
+        for h in range(firsts[curve], firsts[curve + 1]):
+            if not self.cross[h].alive:
+                continue
+            k = succ[h]
+            x, y, beta = other[h], other[k], arc[h]
+            fwd = along(y, x) if x != y else ()
+            words = (beta + fwd, beta + reverse_word(along(x, y), mate))
+            yield beta, words, positive[h] != positive[k]

@@ -6,7 +6,8 @@ of a curve b is: b itself if b lives in Sigma_F, the boundary circles
 of regular neighborhoods N(beta ∪ a) for the arcs beta of b ∩ Sigma_F
 if b crosses a, and empty otherwise.  Each neighborhood boundary is
 produced by splicing the arc's dual word with the two complementary
-arcs of a, exactly as in a band sum; circles parallel to a are discarded.
+arcs of a, exactly as in a band sum (`Reduced.arc_closures`); circles
+parallel to a are discarded.
 None is inessential, as it would bound a bigon of a and b, which are in
 minimal position, so a word that fails to build a class raises.  When
 the capped side is a torus the projected curves are graded by slopes
@@ -24,9 +25,7 @@ from cbgraph.cb import Containment, contains, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.cut import CutComplex
 from cbgraph.farey import Slope, farey_distance
-from cbgraph.kernel import reverse_word
 from cbgraph.model import EmbeddedToriModel
-from cbgraph.position import Reduced
 
 MAX_WITNESS_HEIGHT = 64
 
@@ -80,34 +79,6 @@ class SideSelector:
         return f"SideSelector(side={self.side!r}, genus={self.genus})"
 
 
-def _strand_of(reduced: Reduced, curve_index: int):
-    return next(s for s in reduced.drawing.strands if s.curve == curve_index)
-
-
-def _arc_candidates(tri, reduced, sa, sb, idx):
-    """Both neighborhood boundary words for arc idx of the b-strand.
-
-    The arc runs from crossing x to crossing y along b; each candidate
-    closes it up with one of the two complementary arcs of a, giving
-    the two ways to resolve the corners of N(arc ∪ a).
-    """
-    seq_b, arcs_b = reduced.seqs[sb], reduced.arcs[sb]
-    seq_a, arcs_a = reduced.seqs[sa], reduced.arcs[sa]
-    n, m = len(seq_b), len(seq_a)
-    x, y = seq_b[idx], seq_b[(idx + 1) % n]
-    beta = arcs_b[idx]
-    jx, jy = reduced.index(sa, x), reduced.index(sa, y)
-    fwd_len = (jx - jy) % m
-    bwd_len = m if x is y else (jy - jx) % m
-    alpha_fwd = tuple(
-        lam for t in range(fwd_len) for lam in arcs_a[(jy + t) % m]
-    )
-    alpha_bwd = tuple(
-        lam for t in range(bwd_len) for lam in arcs_a[(jx + t) % m]
-    )
-    return beta, (beta + alpha_fwd, beta + reverse_word(alpha_bwd, tri.mate))
-
-
 def project(sel: SideSelector, b: CurveClass) -> set[CurveClass]:
     """Interior boundary projection of b to the selected side.
 
@@ -132,11 +103,8 @@ def _project(sel: SideSelector, b: CurveClass) -> frozenset[CurveClass]:
         return frozenset()
 
     tri = a.tri
-    reduced = ops.reduced_pair(a, b)
-    sa, sb = _strand_of(reduced, 0), _strand_of(reduced, 1)
     out = set()
-    for idx in range(len(reduced.seqs[sb])):
-        _, words = _arc_candidates(tri, reduced, sa, sb, idx)
+    for _, words, _ in ops.reduced_pair(a, b).arc_closures(1):
         kept = [c for c in (CurveClass.from_word(tri, w) for w in words) if c != a]
         if not kept:
             continue
@@ -162,16 +130,9 @@ def innermost_surgery(a: CurveClass, b: CurveClass) -> dict:
     if ops.intersect(a, b) == 0:
         raise ValueError("surgery needs intersecting curves")
     tri = a.tri
-    reduced = ops.reduced_pair(a, b)
-    sa, sb = _strand_of(reduced, 0), _strand_of(reduced, 1)
-    seq_b = reduced.seqs[sb]
-    n = len(seq_b)
     records = []
-    for idx in range(n):
-        x, y = seq_b[idx], seq_b[(idx + 1) % n]
-        beta, words = _arc_candidates(tri, reduced, sa, sb, idx)
+    for idx, (beta, words, returning) in enumerate(ops.reduced_pair(a, b).arc_closures(1)):
         pair = tuple(CurveClass.from_word(tri, w) for w in words)
-        returning = x.strand_data(sb)[3] != y.strand_data(sb)[3]
         cost = ops.intersect(pair[0], a) + ops.intersect(pair[1], a)
         records.append((not returning, cost, idx, beta, pair))
     _, _, _, beta, pair = min(records)

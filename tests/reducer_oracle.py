@@ -5,6 +5,14 @@ after every removal it rescans all strands from position 0 and finds
 positions by linear search.  It is quadratic, so tests use it on short
 curves only, to check that the worklist reducer removes the same
 bigons in the same order.
+
+It keeps, per strand, the list of surviving crossings and the list of
+arcs after them.  The two walks over a reduced pair that
+`Reduced.boundary_words` and `Reduced.arc_closures` replaced read
+those lists: the ribbon walk turns by a crossing's rotation of
+(strand, direction) darts, and an arc's closures are found by the
+positions of its ends in the other strand's list.  `connected` is the
+union-find over strands that `Reduced.connected` replaced.
 """
 
 from __future__ import annotations
@@ -113,3 +121,104 @@ class RescanReduced:
 
     def count(self, ci: int, cj: int) -> int:
         return len(self.crossings(ci, cj))
+
+
+def ribbon_boundary_words(tri, reduced, strands):
+    """Boundary circle words of the regular neighborhood of the strands."""
+    words = []
+    for s in strands:
+        if not reduced.seqs[s]:
+            words.append(tuple(s.letters))
+            words.append(reverse_word(tuple(s.letters), tri.mate))
+
+    def rotation(x):
+        if x.sign > 0:
+            return [(x.s1, 1), (x.s2, 1), (x.s1, -1), (x.s2, -1)]
+        return [(x.s1, 1), (x.s2, -1), (x.s1, -1), (x.s2, 1)]
+
+    seen = set()
+    for s0 in strands:
+        for x0 in reduced.seqs[s0]:
+            for d0 in (1, -1):
+                if (x0, s0, d0) in seen:
+                    continue
+                word = []
+                x, s, d = x0, s0, d0
+                while (x, s, d) not in seen:
+                    seen.add((x, s, d))
+                    p = reduced.seqs[s].index(x)
+                    n = len(reduced.seqs[s])
+                    if d == 1:
+                        word.extend(reduced.arcs[s][p])
+                        y = reduced.seqs[s][(p + 1) % n]
+                    else:
+                        word.extend(
+                            reverse_word(reduced.arcs[s][(p - 1) % n], tri.mate)
+                        )
+                        y = reduced.seqs[s][(p - 1) % n]
+                    # Arrived at y travelling direction d along s; reverse,
+                    # then take the next departing dart counterclockwise.
+                    rot = rotation(y)
+                    i = rot.index((s, -d))
+                    s, d = rot[(i + 1) % 4]
+                    x = y
+                words.append(tuple(word))
+    return words
+
+
+def arc_candidates(tri, reduced, sa, sb, idx):
+    """Both neighborhood boundary words for arc idx of the b-strand.
+
+    The arc runs from crossing x to crossing y along b; each candidate
+    closes it up with one of the two complementary arcs of a, giving
+    the two ways to resolve the corners of N(arc ∪ a).
+    """
+    seq_b, arcs_b = reduced.seqs[sb], reduced.arcs[sb]
+    seq_a, arcs_a = reduced.seqs[sa], reduced.arcs[sa]
+    n, m = len(seq_b), len(seq_a)
+    x, y = seq_b[idx], seq_b[(idx + 1) % n]
+    beta = arcs_b[idx]
+    jx, jy = seq_a.index(x), seq_a.index(y)
+    fwd_len = (jx - jy) % m
+    bwd_len = m if x is y else (jy - jx) % m
+    alpha_fwd = tuple(
+        lam for t in range(fwd_len) for lam in arcs_a[(jy + t) % m]
+    )
+    alpha_bwd = tuple(
+        lam for t in range(bwd_len) for lam in arcs_a[(jx + t) % m]
+    )
+    return beta, (beta + alpha_fwd, beta + reverse_word(alpha_bwd, tri.mate))
+
+
+def arc_closures(tri, reduced):
+    """(beta, words, returning) per arc of curve 1's strand, in order.
+
+    An arc is returning when its end crossings have opposite signs
+    seen from curve 1.
+    """
+    sa, sb = reduced.drawing.strands
+    seq_b = reduced.seqs[sb]
+    n = len(seq_b)
+    out = []
+    for idx in range(n):
+        x, y = seq_b[idx], seq_b[(idx + 1) % n]
+        beta, words = arc_candidates(tri, reduced, sa, sb, idx)
+        out.append((beta, words, x.strand_data(sb)[3] != y.strand_data(sb)[3]))
+    return out
+
+
+def connected(reduced):
+    """Whether the strands and the surviving crossings form one piece."""
+    strands = reduced.drawing.strands
+    parent = {id(s): id(s) for s in strands}
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x in reduced.drawing.crossings:
+        if x.alive:
+            parent[find(id(x.s1))] = find(id(x.s2))
+    return len({find(id(s)) for s in strands}) == 1

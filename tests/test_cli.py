@@ -1,9 +1,10 @@
 import json
+import time
 
 import pytest
 
-from cbgraph import cb, cli, complexes, curves, geom, ops, suites
-from cbgraph.cb import CBType, MarkedCB, small_cb
+from cbgraph import cb, cli, complexes, curves, farey, geom, ops, suites
+from cbgraph.cb import CBType, Containment, MarkedCB, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.suites import SUITES
@@ -684,3 +685,41 @@ def test_raising_suite_exits_1_with_reproducer(capsys, tmp_path, monkeypatch):
     assert entry["error"] == {"type": "ValueError", "message": "planted library error"}
     assert entry["reproducer"] == "cbgraph run --suite sep-equivalence --seed 5"
     assert report["checks"][1]["status"] == "pass"
+
+
+def test_census_beyond_its_bound_exits_3(capsys):
+    # The census holds about 1.2 h^2 slopes; 10^8 would never finish.
+    start = time.perf_counter()
+    code, error = _run_error(capsys, ["farey", "census", "--max-height", "100000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert error == {
+        "type": "RuntimeError",
+        "message": f"census height exceeded MAX_CENSUS_HEIGHT = {farey.MAX_CENSUS_HEIGHT}:"
+        " max_height 100000000 requested",
+    }
+    with pytest.raises(RuntimeError, match="max_height 501 requested"):
+        farey.enumerate_slopes(farey.MAX_CENSUS_HEIGHT + 1)
+
+
+def test_undecided_containment_fails_complex_build(capsys, tmp_path):
+    # The handle pairs a_0, a_1 and b_0, b_1 span bodies that the
+    # certifier decides in neither direction.
+    systems = [[{"handle": 0}, {"handle": 2}], [{"handle": 1}, {"handle": 3}]]
+    u, v = MarkedCB(TRI, [A, C]), MarkedCB(TRI, [B, D])
+    assert cb.contains(u, v) is cb.contains(v, u) is Containment.UNDECIDED
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps({"genus": 2, "bodies": [{"system": s} for s in systems]}))
+    argv = ["complex", "build", "--kind", "cb", "--recipe", str(recipe)]
+    code, error = _run_error(capsys, argv + ["--out", str(tmp_path / "frag")])
+    assert code == 2
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("containment undecided between vertices 0 and 1: ")
+    assert not (tmp_path / "frag").exists()
+    paths = []
+    for name, body in (("u", u), ("v", v)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(body.to_json()))
+    for c, d in (paths, paths[::-1]):
+        got = _run_json(capsys, ["cb", "contains", "--c", str(c), "--d", str(d)])
+        assert got == {"contains": "undecided"}

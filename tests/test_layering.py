@@ -13,7 +13,10 @@ No module reaches into another's private names, but `cut`, which reads
 the corner table of `curves._Tracer`.  The turn tables and first
 incidences of the triangulation are owned by `surface`: no other module
 tells an edge's first side by comparing an entry of `sides` with a
-(triangle, slot) pair, but reads `Triangulation.first`.
+(triangle, slot) pair, but reads `Triangulation.first`.  Only
+`position` knows how a reduced pair is stored: `ops` and `projections`
+read it through `Reduced`'s methods and name none of its arrays, and no
+module reads the per-strand lists and positions it once kept.
 """
 
 import ast
@@ -23,10 +26,15 @@ import sys
 from pathlib import Path
 
 import cbgraph
+from cbgraph.geom import Drawing
+from cbgraph.polygon import handle_curves
+from cbgraph.position import Reduced
+from cbgraph.surface import standard_triangulation
 
 SRC = Path(cbgraph.__file__).parent
 ABOVE_OPS = {"cut", "cb", "projections"}
 PRIVATE_IMPORTS = {("cut.py", "_Tracer")}
+REDUCED_ARRAYS = {"cross", "other", "positive", "succ", "pred", "arc", "strand_of", "firsts"}
 
 
 def _tree(name):
@@ -188,3 +196,32 @@ def test_only_surface_compares_incidences():
             and any(map(_reads_sides, [node.left, *node.comparators]))
         ]
     assert not found, found
+
+
+def test_only_position_reads_the_halves_of_a_reduced_pair():
+    found = []
+    for name in ("ops.py", "projections.py"):
+        nodes = list(ast.walk(_tree(name)))
+        # A method call such as `SideSelector.other()` names no array.
+        called = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+        found += [
+            f"{name}:{node.lineno} .{node.attr}"
+            for node in nodes
+            if isinstance(node, ast.Attribute)
+            and node.attr in REDUCED_ARRAYS
+            and id(node) not in called
+        ]
+    for path in sorted(SRC.glob("*.py")):
+        found += [
+            f"{path.name}:{node.lineno} {ast.unparse(node)}"
+            for node in ast.walk(_tree(path.name))
+            if isinstance(node, ast.Attribute)
+            and (
+                node.attr in ("seqs", "arcs")
+                or node.attr == "index" and "reduced" in ast.unparse(node.value)
+            )
+        ]
+    assert not found, found
+    tri = standard_triangulation(2)
+    reduced = Reduced(Drawing(tri, handle_curves(tri)[:2]))
+    assert not [n for n in ("seqs", "arcs", "_index", "index") if hasattr(reduced, n)]

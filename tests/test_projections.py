@@ -299,10 +299,8 @@ def test_every_arc_candidate_builds_a_class(genus, data):
 
     a, b = curve(), curve()
     assume(ops.intersect(a, b) > 0)
-    reduced = ops.reduced_pair(a, b)
-    sa, sb = pj._strand_of(reduced, 0), pj._strand_of(reduced, 1)
-    for idx in range(len(reduced.seqs[sb])):
-        for w in pj._arc_candidates(tri, reduced, sa, sb, idx)[1]:
+    for _, words, _ in ops.reduced_pair(a, b).arc_closures(1):
+        for w in words:
             assert CurveClass.from_word(tri, w).is_connected
 
 

@@ -30,6 +30,27 @@ def _generators(tri):
     return handle_curves(tri) + [chain_connector(tri, k) for k in range(g - 1)]
 
 
+def _strand_lists(reduced):
+    """Per strand, its surviving crossings in order and the arcs after them.
+
+    The rescanning reducer keeps these lists; the worklist reducer's
+    are read off its halves, whose links must run through the
+    surviving halves of each strand in drawn order, cyclically.
+    """
+    if isinstance(reduced, RescanReduced):
+        return [(reduced.seqs[s], reduced.arcs[s]) for s in reduced.drawing.strands]
+    cross, other, succ, pred = reduced.cross, reduced.other, reduced.succ, reduced.pred
+    assert all(cross[other[h]] is x and other[other[h]] == h for h, x in enumerate(cross))
+    out = []
+    for m in range(len(reduced.firsts) - 1):
+        kept = [h for h in range(reduced.firsts[m], reduced.firsts[m + 1]) if cross[h].alive]
+        assert all(reduced.strand_of[h] == m for h in kept)
+        assert [succ[h] for h in kept] == kept[1:] + kept[:1]
+        assert [pred[h] for h in kept] == kept[-1:] + kept[:-1]
+        out.append(([cross[h] for h in kept], [reduced.arc[h] for h in kept]))
+    return out
+
+
 def _snapshot(reduced):
     """Seqs, arcs and alive flags with crossings named by their ends."""
     strands = reduced.drawing.strands
@@ -38,8 +59,9 @@ def _snapshot(reduced):
     def name(x):
         return (at[x.s1], x.k1, x.p1, at[x.s2], x.k2, x.p2)
 
-    seqs = [[name(x) for x in reduced.seqs[s]] for s in strands]
-    arcs = [reduced.arcs[s] for s in strands]
+    lists = _strand_lists(reduced)
+    seqs = [[name(x) for x in seq] for seq, _ in lists]
+    arcs = [arcs for _, arcs in lists]
     alive = [x.alive for x in reduced.drawing.crossings]
     return seqs, arcs, alive
 
@@ -67,8 +89,6 @@ def _assert_same(tri, curves):
     assert new_merges == old_merges
     expected = _snapshot(old)
     assert _snapshot(new) == expected
-    for s, seq in new.seqs.items():
-        assert [new.index(s, x) for x in seq] == list(range(len(seq)))
     return expected[2].count(False) // 2
 
 
