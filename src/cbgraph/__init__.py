@@ -14,7 +14,7 @@
 #   are value-typed and never written after construction.
 #
 # After a cold acceptance pass (seed 101) they hold 2,110 entries and
-# 1.28 MB (`tracemalloc`), keys' curves and the traces they keep
+# 1.13 MB (`tracemalloc`), keys' curves and the traces they keep
 # (`CurveClass.trace`) included.  `tests/conftest.py`
 # lists these eight in `MEMOS` and clears them before every test, and a
 # test fails if a memo of `MEMO_ENTRIES` entries is missing there.

@@ -151,7 +151,9 @@ def cmd_farey(opts) -> int:
     elif opts.farey_cmd == "dist":
         _emit({"distance": farey_distance(Slope.parse(opts.a), Slope.parse(opts.b))})
     else:
-        slopes = [str(s) for s in sorted(enumerate_slopes(opts.max_height))]
+        # (q, p) is the order `Slope.__lt__` gives, read off a key.
+        census = sorted(enumerate_slopes(opts.max_height), key=lambda s: (s.q, s.p))
+        slopes = [str(s) for s in census]
         if opts.json:
             _emit(slopes)
         else:

@@ -118,9 +118,16 @@ def build_cb_fragment(bodies, provenance=None) -> ComplexFragment:
             elif Containment.UNDECIDED in (fwd, bwd):
                 raise ValueError(
                     f"containment undecided between vertices {i} and {j}: "
-                    f"{u!r} vs {v!r}"
+                    f"{_named(u)} vs {_named(v)}"
                 )
     return ComplexFragment("cb", bodies, edges, provenance=provenance)
+
+
+def _named(body) -> str:
+    """A body by its type and its system's weights, which tell apart
+    bodies of one type and system size."""
+    weights = [list(c.weights) for c in body.system]
+    return f"{body.derived_type!r} with system weights {weights}"
 
 
 def links(f: ComplexFragment, v) -> dict:

@@ -26,12 +26,18 @@ which doubles as an embeddedness check.  The traced cycles are matched
 to the canonical words by substring tests on the encoded words, so each
 word is canonicalised once.  A curve built from normal coordinates
 (`from_weights`, and so `from_json`) is traced once to find its words,
-which are canonicalised and matched to the trace as text, each decoded
-once into a word of the class.  The round trip reuses that trace unless
-a push across the vertex changed the weights.  A trace has one form,
-each cycle's letters encoded as a `str` and its positions as an
-`array("I")`; the class keeps it, matched to its words, as
-`CurveClass.trace`, which `geom` and `cut` read.
+which are canonicalised and matched to the trace as text.  The round
+trip reuses that trace unless a push across the vertex changed the
+weights.  A trace has one form, each cycle's letters encoded as a `str`
+and its positions as an `array("I")`; the class keeps it, each cycle
+matched to the canonical text it runs, as `CurveClass.trace`, which
+`geom` and `cut` read.
+
+A class stores its words only as that text, `CurveClass.texts`: below
+256 letters (genus up to 21) a `str` holds one byte per letter, where a
+tuple of ints holds eight.  `words` and `word` decode it when read.
+Every constructor ends in `CurveClass.from_texts`; `from_words` checks
+and encodes its int words and calls it.
 
 Words read off a trace are valid reduced dual paths by construction, so
 they are not checked again: from the crossing 3t + s the tracer follows
@@ -39,9 +45,9 @@ a normal arc through t out through another side of t, so the next
 letter is in range, its mate lies in t and it is not the mate of 3t + s.
 `vertex_canonical` keeps them valid, since it returns a rotation or
 reversal of its reduced input or a word that retraced as one cycle.
-Words from callers of `from_words`, such as `twist`, `band_sum` and
-recipe `word` specs, are checked: their letters before they are
-encoded, and their canonical words by `validate_word`.
+Words from callers of `from_texts` and `from_words`, such as `twist`,
+`band_sum` and recipe `word` specs, are checked: their letters before
+they are canonicalised, and their canonical words by `validate_word`.
 """
 
 from __future__ import annotations
@@ -334,18 +340,23 @@ def json_field(record, what, key, kind, default):
 class CurveClass:
     """An essential simple closed multicurve up to isotopy.
 
-    `trace` is the normal trace of `weights` in traced order, per cycle
-    the letters and positions of `_Tracer.components` and the word of
-    `words` it runs.  Equality, hashing, order and JSON ignore it.
+    `texts` holds the canonical word of each component encoded as a
+    `str` (`kernel.encode`), in sorted order; `words` and `word` are
+    its decoded view.  Code-point order on the texts is the
+    lexicographic order of the words, so sorting, equality, hashing
+    and order read the texts.  `trace` is the normal trace of `weights`
+    in traced order, per cycle the letters and positions of
+    `_Tracer.components` and the text of `texts` it runs (the same
+    `str`).  Equality, hashing, order and JSON ignore it.
     """
 
-    __slots__ = ("tri", "words", "_weights", "trace")
+    __slots__ = ("tri", "texts", "_weights", "trace")
 
-    def __init__(self, tri: Triangulation, words: tuple[tuple[int, ...], ...], weights, trace):
+    def __init__(self, tri: Triangulation, texts: tuple[str, ...], weights, trace):
         # Internal: use the constructors below, which validate; `weights`
-        # are the normal coordinates of `words`.
+        # are the normal coordinates of `texts`.
         self.tri = tri
-        self.words = words
+        self.texts = texts
         self._weights = weights
         self.trace = trace
 
@@ -367,7 +378,13 @@ class CurveClass:
 
     @classmethod
     def from_words(cls, tri: Triangulation, words) -> "CurveClass":
-        """Build from component dual words, verifying embeddedness.
+        """Build from component dual words (`from_texts` of their encodings)."""
+        return cls.from_texts(tri, (_encoded(tri, w) for w in words))
+
+    @classmethod
+    def from_texts(cls, tri: Triangulation, texts) -> "CurveClass":
+        """Build from component dual words encoded as `str`, verifying
+        embeddedness.
 
         The words are reduced, then the normal multicurve with the summed
         coordinates is traced; it must reproduce the words exactly, each
@@ -378,12 +395,15 @@ class CurveClass:
         its closure in `vertex_canonical` holds the full-link swap, the
         empty word, so it is rejected as the trivial loop.
         """
+        top = 3 * tri.num_triangles
         reduced = []
-        for word in words:
-            _check_letters(tri, word)
-            w = _nontrivial(vertex_canonical(tri, word))
-            validate_word(tri, w)
-            reduced.append((encode(w), w))
+        for text in texts:
+            if text and ord(max(text)) >= top:
+                bad = next(x for x in map(ord, text) if x >= top)
+                raise ValueError(f"unknown letter {bad}")
+            canon = _nontrivial(_vertex_canonical(tri, text))
+            validate_word(tri, decode(canon))
+            reduced.append(canon)
         return _matched(tri, reduced)
 
     @property
@@ -391,14 +411,18 @@ class CurveClass:
         return self._weights
 
     @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(decode, self.texts))
+
+    @property
     def is_connected(self) -> bool:
-        return len(self.words) == 1
+        return len(self.texts) == 1
 
     @property
     def word(self) -> tuple[int, ...]:
-        if len(self.words) != 1:
+        if len(self.texts) != 1:
             raise ValueError("multicurve has no single word")
-        return self.words[0]
+        return decode(self.texts[0])
 
     @property
     def is_separating(self) -> bool:
@@ -407,7 +431,7 @@ class CurveClass:
         A curve on a one-vertex triangulation is null-homologous mod 2
         iff it crosses every edge an even number of times.
         """
-        if len(self.words) != 1:
+        if len(self.texts) != 1:
             raise ValueError("is_separating needs a connected curve")
         return all(w % 2 == 0 for w in self._weights)
 
@@ -415,30 +439,31 @@ class CurveClass:
         """The components in traced order, each with its own trace: the
         same letters from the same least point, its positions ranked
         among its own points on each edge."""
-        edge = _translate_tables(self.tri).edge
+        tables = _translate_tables(self.tri)
+        edge = tables.edge
         out = []
-        for text, pos, word in self.trace:
+        for text, pos, canon in self.trace:
             points = list(zip(text.translate(edge), pos))
             rank, start = {}, {}
             for i, point in enumerate(sorted(points)):
                 rank[point] = i - start.setdefault(point[0], i)
             own = array("I", map(rank.__getitem__, points))
-            weights = word_weights(self.tri, (word,))
-            out.append(CurveClass(self.tri, (word,), weights, ((text, own, word),)))
+            weights = _text_weights(tables, (canon,))
+            out.append(CurveClass(self.tri, (canon,), weights, ((text, own, canon),)))
         return out
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CurveClass)
             and self.tri == other.tri
-            and self.words == other.words
+            and self.texts == other.texts
         )
 
     def __hash__(self) -> int:
-        return hash((self.tri.checksum, self.words))
+        return hash((self.tri.checksum, self.texts))
 
     def __lt__(self, other: "CurveClass") -> bool:
-        return (self._weights, self.words) < (other._weights, other.words)
+        return (self._weights, self.texts) < (other._weights, other.texts)
 
     def __repr__(self) -> str:
         return f"CurveClass(g={self.tri.genus}, words={list(self.words)})"
@@ -466,38 +491,41 @@ class CurveClass:
         return cls.from_weights(tri, weights)
 
 
-def _nontrivial(w):
-    """The canonical word of a component, or its text, which must not be
-    trivial."""
-    if not w:
+def _encoded(tri: Triangulation, word) -> str:
+    _check_letters(tri, word)
+    return encode(word)
+
+
+def _nontrivial(text: str) -> str:
+    """The canonical text of a component, which must not be trivial."""
+    if not text:
         raise ValueError("a component reduces to the trivial loop")
-    return w
+    return text
 
 
-def _matched(tri: Triangulation, reduced, weights=None, cycles=None) -> CurveClass:
-    """The class of canonical words, given as (text, word) pairs;
-    `cycles` are the trace of `weights`.
+def _matched(tri: Triangulation, texts, weights=None, cycles=None) -> CurveClass:
+    """The class of canonical texts; `cycles` are the trace of `weights`.
 
-    Tracing is a function of the weights, so when the words sum to
+    Tracing is a function of the weights, so when the texts sum to
     `weights` the round trip matches them against `cycles`; otherwise
     it traces the summed weights.  The class keeps the cycles matched,
-    each with its word, as its `trace`.
+    each with its text, as its `trace`.
     """
     tables = _translate_tables(tri)
-    unmatched = list(reduced)
-    summed = _text_weights(tables, [r for r, _ in reduced])
+    unmatched = list(texts)
+    summed = _text_weights(tables, texts)
     if summed != weights:
         cycles = _Tracer(tri, summed).components()
     trace = []
     for t, pos in cycles:
-        hit = next((u for u in unmatched if _same_cycle(u[0], t, tables.flip)), None)
+        hit = next((u for u in unmatched if _same_cycle(u, t, tables.flip)), None)
         if hit is None:
             break
         unmatched.remove(hit)
-        trace.append((t, pos, hit[1]))
-    if unmatched or len(cycles) != len(reduced):
+        trace.append((t, pos, hit))
+    if unmatched or len(cycles) != len(texts):
         raise ValueError("words are not an embedded multicurve (round trip failed)")
-    return CurveClass(tri, tuple(sorted(w for _, w in reduced)), summed, tuple(trace))
+    return CurveClass(tri, tuple(sorted(texts)), summed, tuple(trace))
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
@@ -506,4 +534,4 @@ def _from_weights(tri: Triangulation, weights: tuple[int, ...]) -> CurveClass:
     if not cycles:
         raise ValueError("zero weights: empty multicurve is not essential")
     texts = [_nontrivial(_vertex_canonical(tri, t)) for t, _ in cycles]
-    return _matched(tri, [(t, decode(t)) for t in texts], weights, cycles)
+    return _matched(tri, texts, weights, cycles)

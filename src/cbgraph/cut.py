@@ -135,7 +135,7 @@ class CutComplex:
         if not c.is_connected:
             raise ValueError("component lookup needs a connected curve")
         try:
-            return [word for _, _, word in self._trace].index(c.words[0])
+            return [canon for _, _, canon in self._trace].index(c.texts[0])
         except ValueError:
             raise ValueError("curve is not a component of the system") from None
 
@@ -172,7 +172,7 @@ class CutComplex:
         if any(c == x for x in comps):
             raise ValueError("curve is a component of the system itself")
         trace = disjoint_union(comps + [c]).trace
-        anchor = next(((ord(t[0]), p[0]) for t, p, w in trace if w == c.words[0]), None)
+        anchor = next(((ord(t[0]), p[0]) for t, p, w in trace if w == c.texts[0]), None)
         if anchor is None:
             raise RuntimeError("curve not found in the joint trace")
         # A traced cycle starts at its least point in (edge, position)

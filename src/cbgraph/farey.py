@@ -67,18 +67,14 @@ class ArcSlope(Slope):
     __slots__ = ()
 
 
-def _det(p1: int, q1: int, p2: int, q2: int) -> int:
-    return abs(p1 * q2 - q1 * p2)
-
-
 def intersect_cc(a: Slope, b: Slope) -> int:
     """Geometric intersection number of the a-curve and the b-curve."""
-    return _det(a.p, a.q, b.p, b.q)
+    return abs(a.p * b.q - a.q * b.p)
 
 
 def intersect_ca(c: Slope, a: ArcSlope) -> int:
     """Geometric intersection number of the c-curve and the a-arc."""
-    return _det(c.p, c.q, a.p, a.q)
+    return abs(c.p * a.q - c.q * a.p)
 
 
 def intersect_aa(a: ArcSlope, b: ArcSlope) -> int:
@@ -87,7 +83,7 @@ def intersect_aa(a: ArcSlope, b: ArcSlope) -> int:
     One crossing fewer than the determinant: the two arcs can always trade
     a crossing for a trip around the puncture.
     """
-    return max(_det(a.p, a.q, b.p, b.q) - 1, 0)
+    return max(abs(a.p * b.q - a.q * b.p) - 1, 0)
 
 
 def _dist_to_infinity(p: int, q: int) -> int:

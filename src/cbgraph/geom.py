@@ -260,7 +260,7 @@ def _cross(curves, chords, first, lo, circle) -> list[Crossing]:
                     x = Crossing(s1, k1, (d - a) % circle, s2, k2, (a - c) % circle, -1)
                 crossings.append(x)
             if len(crossings) > MAX_DRAWN_CROSSINGS:
-                m, n = (sum(map(len, curve.words)) for curve in curves)
+                m, n = (sum(map(len, curve.texts)) for curve in curves)
                 raise RuntimeError(
                     f"drawing exceeded MAX_DRAWN_CROSSINGS = {MAX_DRAWN_CROSSINGS}:"
                     f" {len(crossings)} crossings drawn between curves of"

@@ -5,6 +5,8 @@ drawn curve with the twisting curve inserts a full pass around the
 twisting curve, in the direction given by the crossing sign, which is
 exactly the image under the annulus twist homeomorphism (excess
 crossings insert cancelling passes, so minimal position is not needed).
+The image is spliced as encoded text from the kept traces of both
+curves, joined once and handed to `CurveClass.from_texts`.
 Intersection numbers come from exhaustive bigon removal; the boundary
 of a regular neighborhood is the ribbon walk of the reduced pair,
 `Reduced.boundary_words`.
@@ -16,7 +18,7 @@ test of a curve set.  They key on the curves (value-typed and hashable)
 and hold only ints and bools.  A key keeps its curves alive.  Measured
 with `tracemalloc`, an entry costs about 150 bytes on top of curves that
 live elsewhere; after a cold acceptance pass (seed 101) the memos of
-this module and `projections` hold 1,721 entries and 0.96 MB, the
+this module and `projections` hold 1,721 entries and 0.85 MB, the
 curves that only the keys still reference included, each with the
 trace it keeps (`CurveClass.trace`).  The
 package's other memos, among them two that hold curves and bodies
@@ -63,7 +65,7 @@ from functools import lru_cache
 from cbgraph import MEMO_ENTRIES, dehn
 from cbgraph.curves import CurveClass
 from cbgraph.geom import Drawing
-from cbgraph.kernel import reverse_word
+from cbgraph.kernel import encode
 from cbgraph.position import Reduced
 
 
@@ -168,26 +170,31 @@ def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
     if not drawing.crossings:
         # The twist is supported near `along`, which c is drawn apart from.
         return c
-    words = []
+    flip = encode(tri.mate)
+    texts = []
     for s in drawing.strands:
         if s.curve != ic:
             continue
         # Splice a pass around `along` into the word after the chord of
-        # each crossing, in strand order, with the sign seen from c.
-        letters = s.letters
-        out, done = [], 0
+        # each crossing, in strand order, with the sign seen from c.  A
+        # strand's trace text is its `letters` encoded; a pass is a
+        # rotation of along's, reversed through the mate table when the
+        # sign and the power disagree.
+        text = drawing.curves[ic].trace[s.comp][0]
+        parts, done = [], 0
         for x in drawing.strand_sequence(s):
             k, _, sd, sign = x.strand_data(s)
-            out.extend(letters[done : k + 1])
+            parts.append(text[done : k + 1])
             done = k + 1
             kd = x.strand_data(sd)[0]
-            rot = sd.letters[kd + 1 :] + sd.letters[: kd + 1]
+            around = drawing.curves[sd.curve].trace[sd.comp][0]
+            rot = around[kd + 1 :] + around[: kd + 1]
             if sign * power < 0:
-                rot = reverse_word(rot, tri.mate)
-            out.extend(rot * abs(power))
-        out.extend(letters[done:])
-        words.append(tuple(out))
-    return CurveClass.from_words(tri, words)
+                rot = rot[::-1].translate(flip)
+            parts.append(rot * abs(power))
+        parts.append(text[done:])
+        texts.append("".join(parts))
+    return CurveClass.from_texts(tri, texts)
 
 
 def band_sum(a: CurveClass, b: CurveClass) -> CurveClass:

@@ -7,9 +7,10 @@ store the words the old rule stored (or raise the same error), and the
 tracer must give the oracle's cycles on the class's weights and the
 oracle's corner table (or error) on any weight vector.  Inputs are the
 generators, the raw unreduced words that `ops.twist` and
-`ops.band_sum` hand to `from_words`, twisted multicurves, long twist
-ladder rungs and `hypothesis` twist words; the raw words of the scale
-ladders, up to 5,484 letters, are compared with the tuple closure.
+`ops.band_sum` hand to `from_texts` and `from_words`, twisted
+multicurves, long twist ladder rungs and `hypothesis` twist words; the
+raw words of the scale ladders, up to 5,484 letters, are compared with
+the tuple closure.
 `kernel.min_rotation` must return Booth's rotation on short words over
 few letters, on random words, on the P^k Q words where cutting at
 single least letters would go quadratic, and on every encoded word
@@ -40,20 +41,33 @@ def _generators(tri):
 
 @contextlib.contextmanager
 def _raw_words():
-    """Record the words every `from_words` call receives."""
+    """Record the words every outermost `from_words` or `from_texts`
+    call receives, texts decoded; `from_words` calls `from_texts`, and
+    that inner call is not recorded again."""
     calls = []
-    kept = CurveClass.__dict__["from_words"]
+    kept = {name: CurveClass.__dict__[name] for name in ("from_words", "from_texts")}
+    depth = [0]
 
-    def record(cls, tri, words):
-        words = [tuple(w) for w in words]
-        calls.append((tri, words))
-        return kept.__func__(cls, tri, words)
+    def recorder(name, to_word):
+        def record(cls, tri, words):
+            words = list(words)
+            if not depth[0]:
+                calls.append((tri, [to_word(w) for w in words]))
+            depth[0] += 1
+            try:
+                return kept[name].__func__(cls, tri, words)
+            finally:
+                depth[0] -= 1
 
-    CurveClass.from_words = classmethod(record)
+        return classmethod(record)
+
+    CurveClass.from_words = recorder("from_words", tuple)
+    CurveClass.from_texts = recorder("from_texts", decode)
     try:
         yield calls
     finally:
-        CurveClass.from_words = kept
+        for name, method in kept.items():
+            setattr(CurveClass, name, method)
 
 
 def _outcome(build, tri, words):

@@ -687,6 +687,14 @@ def test_raising_suite_exits_1_with_reproducer(capsys, tmp_path, monkeypatch):
     assert report["checks"][1]["status"] == "pass"
 
 
+def test_census_lists_slopes_in_their_order(capsys):
+    # The census sorts by the key (q, p); the listing must be the order
+    # of `Slope.__lt__` at every height.
+    for h in range(1, 41):
+        census = _run_json(capsys, ["farey", "census", "--max-height", str(h), "--json"])
+        assert census == [str(s) for s in sorted(farey.enumerate_slopes(h))]
+
+
 def test_census_beyond_its_bound_exits_3(capsys):
     # The census holds about 1.2 h^2 slopes; 10^8 would never finish.
     start = time.perf_counter()
@@ -714,7 +722,16 @@ def test_undecided_containment_fails_complex_build(capsys, tmp_path):
     code, error = _run_error(capsys, argv + ["--out", str(tmp_path / "frag")])
     assert code == 2
     assert error["type"] == "ValueError"
-    assert error["message"].startswith("containment undecided between vertices 0 and 1: ")
+    prefix = "containment undecided between vertices 0 and 1: "
+    assert error["message"].startswith(prefix)
+    # Both bodies are CB(2;) with three system curves, so each is named
+    # by its system's weights.
+    named = [
+        f"{body.derived_type!r} with system weights {[list(c.weights) for c in body.system]}"
+        for body in (u, v)
+    ]
+    assert named[0] != named[1]
+    assert error["message"] == prefix + " vs ".join(named)
     assert not (tmp_path / "frag").exists()
     paths = []
     for name, body in (("u", u), ("v", v)):

@@ -286,6 +286,40 @@ def test_invalid_words_rejected():
         CurveClass.from_weights(tri, [1] + [0] * (tri.num_edges - 1))
 
 
+def test_words_are_a_decoded_view_of_the_texts():
+    # A class stores each canonical word once, as text; `words`, `word`,
+    # `repr` and the order read as they did on int tuples, and
+    # `from_texts` builds the class `from_words` builds.
+    rng = random.Random(34)
+    for g in (2, 3):
+        tri = standard_triangulation(g)
+        gens = handle_curves(tri) + [chain_connector(tri, k) for k in range(g - 1)]
+        pool = list(gens)
+        for _ in range(12):
+            c = rng.choice(pool)
+            pool.append(ops.twist(c, rng.choice(gens), rng.choice((1, -1))))
+        pool.append(CurveClass.from_words(tri, [gens[2 * k].word for k in range(g)]))
+        for c in pool:
+            assert all(type(t) is str for t in c.texts)
+            assert c.words == tuple(map(decode, c.texts))
+            assert all(type(x) is int for w in c.words for x in w)
+            assert list(c.texts) == sorted(c.texts)
+            assert c.words == tuple(sorted(c.words))
+            assert repr(c) == f"CurveClass(g={g}, words={list(c.words)})"
+            if c.is_connected:
+                assert c.word == c.words[0]
+            assert CurveClass.from_texts(tri, c.texts) == c
+            assert CurveClass.from_texts(tri, map(encode, c.words)) == c
+        by_words = sorted(pool, key=lambda c: (c.weights, c.words))
+        assert sorted(pool) == by_words
+    tri = standard_triangulation(2)
+    top = 3 * tri.num_triangles
+    with pytest.raises(ValueError, match=f"^unknown letter {top}$"):
+        CurveClass.from_texts(tri, [encode((0, top, 4))])
+    with pytest.raises(ValueError, match="reduces to the trivial loop"):
+        CurveClass.from_texts(tri, [""])
+
+
 def test_validate_word_messages():
     tri = standard_triangulation(2)
     curves.validate_word(tri, curve_from_chords(tri, [0]).word)

@@ -205,16 +205,21 @@ def test_predicates_are_twist_invariant():
 
 def test_twist_along_a_disjoint_drawing_returns_the_curve(monkeypatch):
     # a_0 and a_1 are drawn without a crossing, so twisting one along the
-    # other builds no words.
+    # other builds no words, as ints or as text.
     a0, _, a1, _ = handle_curves(TRI)
     built = []
-    from_words = CurveClass.from_words.__func__
 
-    def counted(cls, tri, words):
-        built.append(words)
-        return from_words(cls, tri, words)
+    def counted(name):
+        kept = getattr(CurveClass, name).__func__
 
-    monkeypatch.setattr(CurveClass, "from_words", classmethod(counted))
+        def build(cls, tri, words):
+            built.append(words)
+            return kept(cls, tri, words)
+
+        return classmethod(build)
+
+    for name in ("from_words", "from_texts"):
+        monkeypatch.setattr(CurveClass, name, counted(name))
     for p in (1, -2):
         assert ops.twist(a0, a1, p) is a0
     assert built == []

@@ -4,10 +4,11 @@
 tracing the curve again, so for a class built by any route the kept
 trace must be `_Tracer(tri, c.weights).components()` in traced order,
 written compactly (encoded letters, `array("I")` positions), each cycle
-paired with the word of `c.words` it runs.  The routes checked:
-`from_weights`, `from_json`, `from_words` on the raw words of `twist`
-and `band_sum`, multicurves built from words and from weights, and the
-classes `components()` returns.  The tracer must write the step
+paired with the text of `c.texts` it runs, the same `str`, whose decoded
+word is a word of `c.words`.  The routes checked: `from_weights`,
+`from_json`, `from_texts` on the raw text of `twist`, `from_words` on
+that of `band_sum`, multicurves built from words and from weights, and
+the classes `components()` returns.  The tracer must write the step
 tracer's cycles in that form.
 
 `from_weights` does not check the words it reads off a trace, which
@@ -37,11 +38,12 @@ def _assert_kept(c):
     for text, pos, _ in c.trace:
         assert type(text) is str and type(pos) is array and pos.typecode == "I"
     assert [(text, pos) for text, pos, _ in c.trace] == expected
-    matched = [word for _, _, word in c.trace]
-    assert sorted(matched) == list(c.words)
-    for (text, _), word in zip(expected, matched):
-        assert any(word is w for w in c.words)
-        assert canonical_cyclic(decode(text), c.tri.mate) == word
+    matched = [canon for _, _, canon in c.trace]
+    assert sorted(matched) == list(c.texts)
+    assert sorted(map(decode, matched)) == list(c.words)
+    for (text, _), canon in zip(expected, matched):
+        assert type(canon) is str and any(canon is t for t in c.texts)
+        assert canonical_cyclic(decode(text), c.tri.mate) == decode(canon)
 
 
 def _rebuilt(c):

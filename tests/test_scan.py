@@ -5,12 +5,16 @@ Two cheap suites and one planted failing suite run over two seeds.  The
 planted suite fails by its witnesses at one seed and by an error at the
 other; each failure must appear on its seed's line with its reproducer,
 and the digests must repeat and equal those of `run_suite` called
-directly.
+directly.  Run in fresh processes under two hash seeds, a scan of two
+suites that build curves must print identical lines.
 """
 
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +80,19 @@ def test_scan_of_passing_suites_exits_zero(capsys):
     (line,) = [json.loads(text) for text in capsys.readouterr().out.splitlines()]
     assert line["failed"] == []
     assert line["left_out"] == [name for name in suites.SUITES if name != CHEAP[0]]
+
+
+def test_scan_lines_do_not_depend_on_the_hash_seed():
+    # Curves hash through `str` (the triangulation's checksum and their
+    # encoded words), which Python salts per process; no report may
+    # follow set or dict order that the salt changes.
+    argv = [sys.executable, str(SCAN_PATH), "7", "7"]
+    argv += ["--suite", "equivariance", "--suite", "chain-containment"]
+    lines = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        lines.append(done.stdout)
+    assert lines[0] == lines[1]
+    assert json.loads(lines[0])["status"] == {"chain-containment": "pass", "equivariance": "pass"}
