@@ -9,7 +9,13 @@ reduced words are canonical up to rotation and reversal (reversal maps
 each letter to its mate) for isotopy in the punctured surface.  Isotopy
 in the closed surface additionally allows pushes across the vertex,
 which swap a run parallel to the vertex link for the complementary run;
-`vertex_canonical` exhausts those, so word equality is isotopy.
+`vertex_canonical` exhausts those, so word equality is isotopy.  Two
+swaps inside one maximal run cancel to the same word at the run's left
+and right junctions, so the closure swaps each maximal run once, capped
+at the link's length.  A swap is an isotopy when every turn of the run
+is innermost at its corner, which the trace of the word being swapped
+shows; a word that does not trace to one cycle equal to itself falls
+back to retracing each swap instead.
 
 `vertex_canonical` runs on words encoded as `str`, one code point per
 letter (`kernel.encode`); letters are below 3 * num_triangles, far
@@ -44,10 +50,13 @@ they are not checked again: from the crossing 3t + s the tracer follows
 a normal arc through t out through another side of t, so the next
 letter is in range, its mate lies in t and it is not the mate of 3t + s.
 `vertex_canonical` keeps them valid, since it returns a rotation or
-reversal of its reduced input or a word that retraced as one cycle.
+reversal of its reduced input or of a swap.  A swap is a valid path:
+the link's letters chain, the run and its complement leave the same
+triangles at both ends, and cancelling a backtrack keeps a path valid.
 Words from callers of `from_texts` and `from_words`, such as `twist`,
 `band_sum` and recipe `word` specs, are checked: their letters before
-they are canonicalised, and their canonical words by `validate_word`.
+they are canonicalised, and their canonical words by the triangle
+condition of `validate_word`, compared as two translated strings.
 """
 
 from __future__ import annotations
@@ -172,12 +181,31 @@ def validate_word(tri: Triangulation, word) -> None:
             raise ValueError("word has a backtrack")
 
 
+def _validate_reduced(tri: Triangulation, tables: _Tables, text: str) -> None:
+    """`validate_word` of a nonempty cyclically reduced encoded word, at
+    string speed.
+
+    No letter of a cyclically reduced word is followed by its mate, so
+    it has no backtrack and only the triangle condition can fail: the
+    mate of each next letter must lie in the letter's triangle.  That is
+    one comparison of two translations, the triangles of the letters
+    against the triangles of their mates rotated by one.  When they
+    differ, `validate_word` runs its letter loop and raises its own
+    message.
+    """
+    mates = text.translate(tables.mate_triangle)
+    if text.translate(tables.triangle) != mates[1:] + mates[:1]:
+        validate_word(tri, decode(text))
+
+
 class _Tables(NamedTuple):
     """`str.translate` tables for words encoded one code point per letter."""
 
     flip: str  # each letter to its mate
     edge: str  # each letter to the edge it crosses
     edges: str  # every edge, in order
+    triangle: str  # each letter to its triangle
+    mate_triangle: str  # each letter to its mate's triangle
     # Per direction of the vertex link: its successor table, and its letters doubled.
     directions: tuple[tuple[str, str], ...]
 
@@ -190,7 +218,12 @@ def _translate_tables(tri: Triangulation) -> _Tables:
         (encode(tri.back), encode(reverse_word(link, tri.mate)) * 2),
     )
     return _Tables(
-        encode(tri.mate), encode(tri.side_edge), encode(range(tri.num_edges)), directions
+        encode(tri.mate),
+        encode(tri.side_edge),
+        encode(range(tri.num_edges)),
+        encode(x // 3 for x in range(3 * tri.num_triangles)),
+        encode(y // 3 for y in tri.mate),
+        directions,
     )
 
 
@@ -202,19 +235,32 @@ def _same_cycle(text: str, other: str, flip: str) -> bool:
     return text in other + other or text in r + r
 
 
-def _parallel_runs(text: str, succ: str, n: int, min_len: int):
-    """(i, k) for each i starting a run of k >= min_len letters of the
-    cyclic word `text` parallel to the link direction `succ`, with k
-    capped at the lengths of the word and of the link, n."""
+def _maximal_runs(text: str, succ: str, n: int, min_len: int) -> list[tuple[int, int]]:
+    """(i, k) for each maximal run w[i..i+k-1] of at least min_len
+    letters of the cyclic word `text` parallel to the link direction
+    `succ`, with k capped at the link length n; [(0, min(m, n))] for a
+    word of m letters that is one run all the way round.
+
+    The runs come in the order in which a scan from the word's start
+    meets a stretch of min_len of their letters: by first letter, except
+    that a run across the word's end with min_len letters from the start
+    comes first.  A word that is no normal curve raises the tracer's
+    error for the first swap in that order.
+    """
     m = len(text)
     marks = bytes(map(eq, text.translate(succ), text[1:] + text[:1]))
+    if m and 0 not in marks:
+        return [(0, min(m, n))]
     marks += marks
-    stretch = b"\x01" * (min_len - 1)
-    i = marks.find(stretch)
+    # A run starts after a letter not followed by its successor.
+    start = b"\x00" + b"\x01" * (min_len - 1)
+    runs = []
+    i = marks.find(start)
     while 0 <= i < m:
-        end = marks.find(0, i)
-        yield i, min(m, n) if end < 0 else min(m, n, end - i + 1)
-        i = marks.find(stretch, i + 1)
+        runs.append(((i + 1) % m, marks.find(0, i + 1) - i))
+        i = marks.find(start, i + 1)
+    runs.sort(key=lambda run: 0 if sum(run) - min_len >= m else run[0])
+    return [(i, min(n, k)) for i, k in runs]
 
 
 def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
@@ -230,9 +276,8 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     finite without a length check; the lexicographically smallest of its
     shortest words is the canonical representative.  A swap is only an
     isotopy when no other strand of the curve separates the run from the
-    vertex, so swapped words that fail to retrace as normal words are
-    discarded.  The empty word comes back exactly for null-isotopic
-    inputs (such as the vertex link itself).
+    vertex.  The empty word comes back exactly for null-isotopic inputs
+    (such as the vertex link itself).
 
     The closure runs on encoded words and keeps them as strings; the
     answer is decoded once.  The link holds each of the 3 * num_triangles
@@ -240,50 +285,164 @@ def vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     successor table on the letters: w[i..i+k-1] runs parallel to it
     exactly when each of w[i..i+k-2] is followed by its successor.
     Translating the encoded word by that table and comparing it with the
-    word rotated by one marks those letters in a byte vector, so runs of
-    at least min_len letters are the cyclic stretches of min_len - 1
-    marks there.
+    word rotated by one marks those letters in a byte vector, so maximal
+    runs of at least min_len letters start after the 0 of each cyclic
+    stretch of a 0 and min_len - 1 marks there.
+
+    One swap per maximal run reaches every word that a swap of a part of
+    it does.  With the run l_j .. l_{j+K-1} at w[i..i+K-1], swapping the
+    kk letters from i leaves the reversed complement, ending in the mate
+    of l_{j+kk}, followed by w[i+kk]:
+
+    - at the right junction, while the run continues, w[i+kk] is
+      l_{j+kk} and cancels that mate, which leaves the swap of kk + 1
+      letters from i;
+    - at the left junction the swap of kk - 1 letters from i + 1 starts
+      with the mate of l_{j+n} = l_j, which cancels w[i] and leaves the
+      swap of kk letters from i.
+
+    So every swap inside the run reduces to the swap of the whole run,
+    capped at n (a run longer than n is no normal curve, and removing n
+    of its letters from any start gives one word).
+
+    Whether a swap is an isotopy is decided before it is built, from
+    the trace of the word being swapped, which gives each crossing's
+    position along its edge.  The swap is one when every turn of the run
+    is innermost at its corner, so that no strand lies between the run
+    and the vertex: a turn back (at the start corner of its letter's
+    slot) at position 0 from that corner, a turn ahead at position
+    weight - 1.  Each closure word that has a run is traced once, the
+    start word not at all when its trace is given, and the trace of the
+    answer is returned for the round trip to reuse.  Outside the
+    fallback below, a swap that is not an isotopy is never built.
+
+    A word that does not trace to one cycle equal to itself, such as a
+    non-simple input, has no such positions; its swaps are built and
+    retraced, and kept when they trace to one cycle equal to
+    themselves.  Whether a swap traces so depends only on the swapped
+    word, so a refused word is not retraced again.  A word that is one
+    run all the way round needs no rule of its own: it is the vertex
+    link, whose swap is the empty word and needs no check, or a power of
+    the link, which traces to parallel copies and so is retraced.
     """
-    return decode(_vertex_canonical(tri, encode(word)))
+    return decode(_vertex_canonical(tri, encode(word))[0])
 
 
-def _vertex_canonical(tri: Triangulation, encoded: str) -> str:
-    """`vertex_canonical` of an encoded word, such as a traced cycle,
-    as encoded text."""
+def _vertex_canonical(tri: Triangulation, encoded: str, trace=None):
+    """`vertex_canonical` of an encoded word, such as a traced cycle, as
+    encoded text, and the trace of the answer's weights as (weights,
+    cycles) if the closure traced it, else None.  `trace`, if given, is
+    that pair for `encoded`."""
     tables = _translate_tables(tri)
     flip = tables.flip
     start = cyclic_reduce_text(encoded, flip)
     if not start:
-        return ""
+        return "", None
     n = len(tri.vertex_link)
     min_len = n // 2
-    seen = {canonical_text(start, flip)}
-    frontier = list(seen)
+    first = canonical_text(start, flip)
+    seen, refused = {first}, set()
+    # The least traced word so far, and its trace.
+    least, kept = (first, trace) if trace is not None and start is encoded else (None, None)
+    frontier = [first]
     while frontier:
         nxt = []
         for text in frontier:
-            for succ, dbl in tables.directions:
-                for i, k in _parallel_runs(text, succ, n, min_len):
-                    anchored = text[i:] + text[:i]
-                    j = dbl.find(text[i])
-                    for kk in range(min_len, k + 1):
-                        swapped = dbl[j + kk : j + n][::-1].translate(flip) + anchored[kk:]
-                        cand = canonical_text(cyclic_reduce_text(swapped, flip), flip)
-                        if cand in seen:
-                            continue
-                        if cand:
-                            traced = trace_components(tri, _text_weights(tables, [cand]))
-                            if len(traced) != 1 or not _same_cycle(cand, encode(traced[0]), flip):
-                                continue
-                        seen.add(cand)
-                        nxt.append(cand)
+            runs = [
+                (i, k, ahead, dbl)
+                for ahead, (succ, dbl) in zip((True, False), tables.directions)
+                for i, k in _maximal_runs(text, succ, n, min_len)
+            ]
+            if not runs:
+                continue
+            if text != least:
+                own = _trace(tri, tables, text)
+                if least is None or (len(text), text) < (len(least), least):
+                    least, kept = text, own
+            else:
+                own = kept
+            weights, cycles = own
+            pos = _aligned(flip, text, cycles)
+            for i, k, ahead, dbl in runs:
+                if pos is not None and not _innermost(tri, text, weights, pos, i, k, ahead):
+                    continue
+                cand = _swap(text, i, k, dbl, flip)
+                if cand in seen or cand in refused:
+                    continue
+                if cand and pos is None and not _traces_to_itself(tri, tables, cand):
+                    refused.add(cand)
+                    continue
+                seen.add(cand)
+                nxt.append(cand)
         frontier = nxt
         if len(seen) > MAX_VERTEX_CLOSURE:
             raise RuntimeError(
                 f"vertex reduction closure exceeded MAX_VERTEX_CLOSURE = {MAX_VERTEX_CLOSURE}:"
                 f" {len(seen)} words reached from an input word of length {len(encoded)}"
             )
-    return min(seen, key=lambda w: (len(w), w))
+    best = min(seen, key=lambda w: (len(w), w))
+    return best, kept if best == least and kept[1] is not None else None
+
+
+def _swap(text: str, i: int, k: int, dbl: str, flip: str) -> str:
+    """The canonical word left by swapping the run text[i..i+k-1] for
+    the rest of the link, whose direction's letters doubled are `dbl`."""
+    j = dbl.find(text[i])
+    n = len(dbl) // 2
+    swapped = dbl[j + k : j + n][::-1].translate(flip) + (text[i:] + text[:i])[k:]
+    return canonical_text(cyclic_reduce_text(swapped, flip), flip)
+
+
+def _trace(tri: Triangulation, tables: _Tables, text: str):
+    """(weights, cycles) of an encoded word: its normal coordinates and
+    their trace, which is None when the tracer refuses the weights."""
+    weights = _text_weights(tables, (text,))
+    try:
+        return weights, _Tracer(tri, weights).components()
+    except ValueError:  # no normal curve: the fallback retraces its swaps, and they raise
+        return weights, None
+
+
+def _aligned(flip: str, text: str, cycles):
+    """The positions of `text`'s letters in `cycles`, or None unless
+    those are one cycle equal to `text` up to rotation and reversal.
+
+    The reversal crosses the same points, and a position counts in the
+    frame of the edge, so reversed positions are the traced ones in
+    reverse order.
+    """
+    if not cycles or len(cycles) != 1 or len(cycles[0][0]) != len(text):
+        return None
+    (t, pos), = cycles
+    for t, pos in ((t, pos), (t[::-1].translate(flip), pos[::-1])):
+        k = (t + t).find(text)
+        if k >= 0:
+            return pos[k:] + pos[:k]
+    return None
+
+
+def _innermost(tri: Triangulation, text: str, weights, pos, i: int, k: int, ahead: bool) -> bool:
+    """Whether each turn of the run text[i..i+k-1], turning ahead or
+    back, is innermost at its corner; `pos` are the positions of
+    `text`'s letters in the trace of its `weights`.
+
+    In its own slot's frame a turn back must sit at position 0 and a
+    turn ahead at weight - 1; the trace counts in the frame of the
+    edge's first incidence, which reverses the other frame.
+    """
+    m = len(text)
+    edge, first = tri.side_edge, tri.first
+    for t in range(i, i + k - 1):
+        x = ord(text[t % m])
+        if pos[t % m] != (weights[edge[x]] - 1 if first[x] == ahead else 0):
+            return False
+    return True
+
+
+def _traces_to_itself(tri: Triangulation, tables: _Tables, text: str) -> bool:
+    """Whether the weights of `text` trace to one cycle equal to it."""
+    cycles = _Tracer(tri, _text_weights(tables, (text,))).components()
+    return len(cycles) == 1 and _same_cycle(text, cycles[0][0], tables.flip)
 
 
 def _text_weights(tables: _Tables, texts) -> tuple[int, ...]:
@@ -393,18 +552,21 @@ class CurveClass:
         non-simple or two components cannot be made disjoint.  A
         component isotopic to the vertex link needs no check of its own:
         its closure in `vertex_canonical` holds the full-link swap, the
-        empty word, so it is rejected as the trivial loop.
+        empty word, so it is rejected as the trivial loop.  Each
+        canonical word is checked as `validate_word` would
+        (`_validate_reduced`).
         """
         top = 3 * tri.num_triangles
+        tables = _translate_tables(tri)
         reduced = []
         for text in texts:
             if text and ord(max(text)) >= top:
                 bad = next(x for x in map(ord, text) if x >= top)
                 raise ValueError(f"unknown letter {bad}")
-            canon = _nontrivial(_vertex_canonical(tri, text))
-            validate_word(tri, decode(canon))
+            canon, trace = _vertex_canonical(tri, text)
+            _validate_reduced(tri, tables, _nontrivial(canon))
             reduced.append(canon)
-        return _matched(tri, reduced)
+        return _matched(tri, reduced, *(trace if len(reduced) == 1 and trace else ()))
 
     @property
     def weights(self) -> tuple[int, ...]:
@@ -533,5 +695,8 @@ def _from_weights(tri: Triangulation, weights: tuple[int, ...]) -> CurveClass:
     cycles = _Tracer(tri, weights).components()
     if not cycles:
         raise ValueError("zero weights: empty multicurve is not essential")
-    texts = [_nontrivial(_vertex_canonical(tri, t)) for t, _ in cycles]
-    return _matched(tri, texts, weights, cycles)
+    given = (weights, cycles) if len(cycles) == 1 else None
+    found = [_vertex_canonical(tri, t, given) for t, _ in cycles]
+    texts = [_nontrivial(text) for text, _ in found]
+    trace = found[0][1] if given and found[0][1] else (weights, cycles)
+    return _matched(tri, texts, *trace)

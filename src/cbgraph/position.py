@@ -7,7 +7,13 @@ For a pair of curves an innermost piece of an offending disk is such a
 clean bigon, so removing these until none remain leaves the pair in
 minimal position.  Removal is pure bookkeeping: the two crossings are
 dropped and the neighbouring arcs concatenated, which is valid because
-the two arcs of a bigon are homotopic rel endpoints.
+the two arcs of a bigon are homotopic rel endpoints.  The concatenated
+arc is the stretch of the strand's letters between the surviving
+crossings around it: the strand's letters never change, and they are a
+traced cycle, cyclically reduced, so any stretch of them is reduced and
+a merge has nothing to cancel.  An arc is therefore read as a slice of
+the strand's letters, between the chords of its end crossings, and not
+kept.
 
 The removal order is fixed: the bigon removed next is always the first
 one met by a left-to-right scan of the strands in drawing order.
@@ -49,7 +55,7 @@ from array import array
 
 from cbgraph import dehn
 from cbgraph.geom import Drawing
-from cbgraph.kernel import free_reduce, reverse_word
+from cbgraph.kernel import reverse_word
 
 
 class Reduced:
@@ -59,11 +65,12 @@ class Reduced:
     strand m (the m-th of `drawing.strands`) are numbered `firsts[m]` to
     `firsts[m + 1] - 1` in drawn order, and `strand_of[h]` is m.  Per
     half h: `cross[h]` is its crossing, `other[h]` the crossing's half
-    on the other strand, and `positive[h]` whether the crossing is
-    positive seen from h's strand.  `succ[h]` and `pred[h]` link the
-    surviving halves of each strand cyclically, and `arc[h]` is the
-    directed crossings from h to `succ[h]`; these three are valid only
-    while `cross[h].alive`, which removal clears.
+    on the other strand, `positive[h]` whether the crossing is positive
+    seen from h's strand, and `chord[h]` the index of the strand's chord
+    it lies on.  `succ[h]` and `pred[h]` link the surviving halves of
+    each strand cyclically; they are valid only while `cross[h].alive`,
+    which removal clears.  `arc(h)` is the directed crossings from h to
+    `succ[h]`, a slice of the strand's letters.
     """
 
     def __init__(self, drawing: Drawing):
@@ -83,11 +90,10 @@ class Reduced:
 
     def _reduce(self):
         drawing = self.drawing
-        mate = self.tri.mate
         # The halves' arrays of the class docstring; a half's number is
         # its candidate's heap key.
-        cross, arc, firsts = [], [], []
-        strand_of, succ, pred = array("I"), array("I"), array("I")
+        cross, firsts = [], []
+        strand_of, succ, pred, chord = array("I"), array("I"), array("I"), array("I")
         positive = bytearray()
         for m, s in enumerate(drawing.strands):
             seq = drawing.strand_sequence(s)
@@ -97,13 +103,12 @@ class Reduced:
             if not n:
                 continue
             cross += seq
-            arc += [drawing.arc_letters(s, seq[i - 1], seq[i]) for i in range(1, n)]
-            arc.append(drawing.arc_letters(s, seq[-1], seq[0]))
             strand_of += array("I", [m]) * n
             succ += array("I", range(base + 1, base + n))
             succ.append(base)
             pred.append(base + n - 1)
             pred += array("I", range(base, base + n - 1))
+            chord += array("I", [x.k1 if x.s1 is s else x.k2 for x in seq])
             positive += bytes([(x.sign if x.s1 is s else -x.sign) > 0 for x in seq])
         firsts.append(len(cross))
         other = array("I", bytes(4 * len(cross)))
@@ -115,6 +120,10 @@ class Reduced:
             else:
                 other[h], other[o] = o, h
         del seen
+        self.cross, self.other, self.positive = cross, other, positive
+        self.succ, self.pred, self.chord = succ, pred, chord
+        self.strand_of, self.firsts = strand_of, firsts
+        arc = self.arc
 
         def bigon_at(h):
             # The other strand's (first, second) halves if the crossing
@@ -127,23 +136,20 @@ class Reduced:
                 # Bigon corners involve the same strands with opposite
                 # orientations.
                 return None
-            alpha = arc[h]
-            if succ[oh] == ok and self._loop_is_trivial(alpha, True, arc[oh]):
+            alpha = arc(h)
+            if succ[oh] == ok and self._loop_is_trivial(alpha, True, arc(oh)):
                 return oh, ok
-            if succ[ok] == oh and self._loop_is_trivial(alpha, False, arc[ok]):
+            if succ[ok] == oh and self._loop_is_trivial(alpha, False, arc(ok)):
                 return ok, oh
             return None
 
         def splice(h, k):
-            # Drop consecutive halves h, k of a strand and merge the
-            # three arcs around them; returns the new predecessor, if any.
+            # Drop consecutive halves h, k of a strand; returns the new
+            # predecessor, if any, whose arc now runs on to k's successor.
             p, q = pred[h], succ[k]
-            ah, ak = arc[h], arc[k]
-            arc[h] = arc[k] = None
             if p == k:
                 return None
             succ[p], pred[q] = q, p
-            arc[p] = free_reduce(arc[p] + ah + ak, mate)
             return p
 
         # The heap holds the halves popped and queued again, all below
@@ -171,9 +177,20 @@ class Reduced:
                         queued[g] = 1
                         heapq.heappush(heap, g)
 
-        self.cross, self.other, self.positive = cross, other, positive
-        self.succ, self.pred, self.arc = succ, pred, arc
-        self.strand_of, self.firsts = strand_of, firsts
+    def _letters(self, h: int, k: int) -> tuple[int, ...]:
+        """The strand's letters from half h forward to half k of the
+        same strand, once around when k is h.
+
+        Halves are numbered in strand order, so the walk wraps past the
+        strand's end exactly when k is not after h.
+        """
+        letters = self.drawing.strands[self.strand_of[h]].letters
+        a, b = self.chord[h] + 1, self.chord[k] + 1
+        return letters[a:b] if h < k else letters[a:] + letters[:b]
+
+    def arc(self, h: int) -> tuple[int, ...]:
+        """The directed crossings from half h to its successor."""
+        return self._letters(h, self.succ[h])
 
     def count(self) -> int:
         """Surviving crossings; every drawn crossing joins curve 0 and curve 1."""
@@ -202,7 +219,7 @@ class Reduced:
         """
         mate = self.tri.mate
         cross, other, positive = self.cross, self.other, self.positive
-        succ, pred, arc, firsts = self.succ, self.pred, self.arc, self.firsts
+        succ, pred, firsts, arc = self.succ, self.pred, self.firsts, self.arc
         words = []
         for m, s in enumerate(self.drawing.strands):
             if not any(cross[h].alive for h in range(firsts[m], firsts[m + 1])):
@@ -218,11 +235,11 @@ class Reduced:
                 while not seen[2 * h + forward]:
                     seen[2 * h + forward] = 1
                     if forward:
-                        word += arc[h]
+                        word += arc(h)
                         k = succ[h]
                     else:
                         k = pred[h]
-                        word += reverse_word(arc[k], mate)
+                        word += reverse_word(arc(k), mate)
                     # Arrived at k: turn onto the crossing's other strand.
                     h = other[k]
                     forward ^= positive[k]
@@ -238,27 +255,18 @@ class Reduced:
         the end of beta to its start (nothing when they meet), then
         backward from the end to the start along the rest (once around
         when they meet).  `returning` is whether beta leaves and comes
-        back on the same side of the other curve.
+        back on the same side of the other curve.  The arcs of the other
+        strand between two of its halves are one slice of its letters.
         """
         if [s.curve for s in self.drawing.strands] != [0, 1]:
             raise ValueError("arc closures need a pair of connected curves")
-        mate, other, succ, arc = self.tri.mate, self.other, self.succ, self.arc
-        positive, firsts = self.positive, self.firsts
-
-        def along(g, end):
-            # The arcs of the other strand from half g forward to `end`.
-            out = list(arc[g])
-            g = succ[g]
-            while g != end:
-                out += arc[g]
-                g = succ[g]
-            return tuple(out)
-
-        for h in range(firsts[curve], firsts[curve + 1]):
+        mate, other, succ, positive = self.tri.mate, self.other, self.succ, self.positive
+        along = self._letters
+        for h in range(self.firsts[curve], self.firsts[curve + 1]):
             if not self.cross[h].alive:
                 continue
             k = succ[h]
-            x, y, beta = other[h], other[k], arc[h]
+            x, y, beta = other[h], other[k], along(h, k)
             fwd = along(y, x) if x != y else ()
             words = (beta + fwd, beta + reverse_word(along(x, y), mate))
             yield beta, words, positive[h] != positive[k]

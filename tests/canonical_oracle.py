@@ -1,5 +1,5 @@
-"""The letter-by-offset canonicaliser, the tuple closure, the step
-tracer and Booth's least rotation, kept as oracles.
+"""The letter-by-offset canonicaliser, the tuple and string closures,
+the step tracer and Booth's least rotation, kept as oracles.
 
 `vertex_canonical` here is the closure search that
 `cbgraph.curves.vertex_canonical` replaced: it compares every word
@@ -10,7 +10,12 @@ that the string closure replaced: it reduced and canonicalised every
 candidate as a tuple of letters.  It is kept as it was; its helpers are
 renamed `_tuple_tables`, `_same_tuple_cycle` and `count_weights` (the
 per-letter edge count that `word_weights` replaced), and it calls the
-flat tracer as `flat_trace_components`.  `StepTracer` is the normal arc
+flat tracer as `flat_trace_components`.  `string_vertex_canonical` is
+the string closure that the run-by-run closure replaced: it built a
+swap for every start and length inside each run of at least half the
+link (`parallel_runs`), and retraced every new swap to decide whether
+it was an isotopy.  It is kept as it was, calling the kept tables
+under their names in `cbgraph.curves`.  `StepTracer` is the normal arc
 tracer that calls a method per step and builds a (letter, position)
 tuple per crossing, where the kept one reads per-letter tables and
 writes each cycle straight into the kept form; `compact_trace` writes
@@ -32,10 +37,26 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from operator import eq
 
-from cbgraph.curves import MAX_VERTEX_CLOSURE, _parallel_runs, validate_word, word_weights
+from cbgraph.curves import (
+    MAX_VERTEX_CLOSURE,
+    _same_cycle,
+    _text_weights,
+    _translate_tables,
+    validate_word,
+    word_weights,
+)
 from cbgraph.curves import trace_components as flat_trace_components
-from cbgraph.kernel import canonical_cyclic, canonical_reduced, cyclic_reduce, reverse_word
+from cbgraph.kernel import (
+    canonical_cyclic,
+    canonical_reduced,
+    canonical_text,
+    cyclic_reduce,
+    cyclic_reduce_text,
+    encode,
+    reverse_word,
+)
 from cbgraph.surface import Triangulation
 
 
@@ -268,7 +289,7 @@ def tuple_vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
             m = len(w)
             text = "".join(map(chr, w))
             for succ, dbl in directions:
-                for i, k in _parallel_runs(text, succ, n, min_len):
+                for i, k in parallel_runs(text, succ, n, min_len):
                     anchored = text[i:] + text[:i]
                     j = dbl.find(text[i])
                     for kk in range(min_len, k + 1):
@@ -297,6 +318,60 @@ def tuple_vertex_canonical(tri: Triangulation, word) -> tuple[int, ...]:
     if best == 0:
         return ()
     return min(w for w in seen if len(w) == best)
+
+
+def parallel_runs(text: str, succ: str, n: int, min_len: int):
+    """(i, k) for each i starting a run of k >= min_len letters of the
+    cyclic word `text` parallel to the link direction `succ`, with k
+    capped at the lengths of the word and of the link, n."""
+    m = len(text)
+    marks = bytes(map(eq, text.translate(succ), text[1:] + text[:1]))
+    marks += marks
+    stretch = b"\x01" * (min_len - 1)
+    i = marks.find(stretch)
+    while 0 <= i < m:
+        end = marks.find(0, i)
+        yield i, min(m, n) if end < 0 else min(m, n, end - i + 1)
+        i = marks.find(stretch, i + 1)
+
+
+def string_vertex_canonical(tri: Triangulation, encoded: str) -> str:
+    """`vertex_canonical` of an encoded word, such as a traced cycle,
+    as encoded text."""
+    tables = _translate_tables(tri)
+    flip = tables.flip
+    start = cyclic_reduce_text(encoded, flip)
+    if not start:
+        return ""
+    n = len(tri.vertex_link)
+    min_len = n // 2
+    seen = {canonical_text(start, flip)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for text in frontier:
+            for succ, dbl in tables.directions:
+                for i, k in parallel_runs(text, succ, n, min_len):
+                    anchored = text[i:] + text[:i]
+                    j = dbl.find(text[i])
+                    for kk in range(min_len, k + 1):
+                        swapped = dbl[j + kk : j + n][::-1].translate(flip) + anchored[kk:]
+                        cand = canonical_text(cyclic_reduce_text(swapped, flip), flip)
+                        if cand in seen:
+                            continue
+                        if cand:
+                            traced = flat_trace_components(tri, _text_weights(tables, [cand]))
+                            if len(traced) != 1 or not _same_cycle(cand, encode(traced[0]), flip):
+                                continue
+                        seen.add(cand)
+                        nxt.append(cand)
+        frontier = nxt
+        if len(seen) > MAX_VERTEX_CLOSURE:
+            raise RuntimeError(
+                f"vertex reduction closure exceeded MAX_VERTEX_CLOSURE = {MAX_VERTEX_CLOSURE}:"
+                f" {len(seen)} words reached from an input word of length {len(encoded)}"
+            )
+    return min(seen, key=lambda w: (len(w), w))
 
 
 def count_weights(tri: Triangulation, words) -> tuple[int, ...]:

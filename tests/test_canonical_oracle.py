@@ -1,7 +1,7 @@
-"""The string closure and flat tracer against the code they replaced.
+"""The run-by-run closure and flat tracer against the code they replaced.
 
-For every input, `vertex_canonical` must return the words of both kept
-closures, the letter-by-offset one and the tuple one, `word_weights`
+For every input, `vertex_canonical` must return the words of the kept
+closures, the letter-by-offset, tuple and string ones, `word_weights`
 must count as the per-letter loop did, `CurveClass.from_words` must
 store the words the old rule stored (or raise the same error), and the
 tracer must give the oracle's cycles on the class's weights and the
@@ -10,7 +10,18 @@ generators, the raw unreduced words that `ops.twist` and
 `ops.band_sum` hand to `from_texts` and `from_words`, twisted
 multicurves, long twist ladder rungs and `hypothesis` twist words; the
 raw words of the scale ladders, up to 5,484 letters, are compared with
-the tuple closure.
+the tuple and string closures, and so are the raw words of twisting the
+genus-2 ladder's rungs along a_1 up to 795 letters, and every input the
+closure gets in one seed-101 pass of each benchmark workload.
+
+The closure swaps each maximal run once and decides from the trace of
+the word being swapped whether the swap is an isotopy: every swap
+inside a run must reduce to the run's swap, runs longer than the link
+included, and on every word of those closures that traces to itself
+the innermost rule must agree with the retrace of the swap.  Words
+that do not trace to themselves must end, or raise, as the string
+closure does.  Twisting the 795-letter rung along a_1 traces no more
+words than its closure holds.
 `kernel.min_rotation` must return Booth's rotation on short words over
 few letters, on random words, on the P^k Q words where cutting at
 single least letters would go quadratic, and on every encoded word
@@ -18,16 +29,20 @@ single least letters would go quadratic, and on every encoded word
 """
 
 import contextlib
+import functools
 import itertools
+import json
 import random
+import sys
+from pathlib import Path
 
 import canonical_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbgraph import kernel, ops
+from cbgraph import curves, kernel, ops
 from cbgraph.curves import CurveClass, _Tracer, vertex_canonical, word_weights
-from cbgraph.kernel import decode, reverse_word
+from cbgraph.kernel import canonical_text, cyclic_reduce_text, decode, encode, reverse_word
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
 
@@ -77,12 +92,58 @@ def _outcome(build, tri, words):
         return ("ValueError", str(exc))
 
 
+def _rule_against_retrace(tri, text):
+    """Walk the closure of an encoded word as the retracing closure did,
+    one swap per maximal run, each kept when it traces to itself.
+
+    Returns the closure and, per nonempty swap of a closure word that
+    traces to one cycle equal to itself, (the innermost rule's verdict,
+    the retrace's).
+    """
+    tables = curves._translate_tables(tri)
+    flip, n = tables.flip, len(tri.vertex_link)
+    start = cyclic_reduce_text(text, flip)
+    seen = {canonical_text(start, flip)} if start else set()
+    frontier, verdicts = list(seen), []
+    while frontier:
+        nxt = []
+        for word in frontier:
+            weights, cycles = curves._trace(tri, tables, word)
+            pos = curves._aligned(flip, word, cycles)
+            for ahead, (succ, dbl) in zip((True, False), tables.directions):
+                for i, k in curves._maximal_runs(word, succ, n, n // 2):
+                    cand = curves._swap(word, i, k, dbl, flip)
+                    kept = not cand or curves._traces_to_itself(tri, tables, cand)
+                    if cand and pos is not None:
+                        rule = curves._innermost(tri, word, weights, pos, i, k, ahead)
+                        verdicts.append((rule, kept))
+                    if kept and cand not in seen:
+                        seen.add(cand)
+                        nxt.append(cand)
+        frontier = nxt
+    return seen, verdicts
+
+
+def _assert_string_closure(tri, text, trace=None):
+    """The closure of an encoded word, with its trace if given, returns
+    the string closure's word; so does the retrace walk, with the rule
+    agreeing on every swap.  Returns the closure and how many swaps the
+    rule decided."""
+    got = curves._vertex_canonical(tri, text, trace)[0]
+    assert got == oracle.string_vertex_canonical(tri, text)
+    closure, verdicts = _rule_against_retrace(tri, text)
+    assert all(rule == kept for rule, kept in verdicts)
+    assert got == (min(closure, key=lambda w: (len(w), w)) if closure else "")
+    return closure, len(verdicts)
+
+
 def _assert_same(tri, words):
     assert word_weights(tri, words) == oracle.count_weights(tri, words)
     for w in words:
         got = vertex_canonical(tri, w)
         assert got == oracle.vertex_canonical(tri, w)
         assert got == oracle.tuple_vertex_canonical(tri, w)
+        _assert_string_closure(tri, encode(w))
     got = _outcome(lambda t, ws: CurveClass.from_words(t, ws).words, tri, words)
     assert got == _outcome(oracle.parent_words, tri, words)
     if got[0] != "ValueError":
@@ -280,6 +341,117 @@ def test_string_closure_on_scale_ladder_rungs():
     for tri, words in calls:
         for w in words:
             assert vertex_canonical(tri, w) == oracle.tuple_vertex_canonical(tri, w)
+            _assert_string_closure(tri, encode(w))
+
+
+@functools.lru_cache(maxsize=None)
+def _a1_twists():
+    """(raw word, traces, closure, swaps decided) for twisting each rung
+    of the genus-2 handle-0 ladder of at most 800 letters along a_1, in
+    order: the word `from_texts` gets, the weights of each
+    `_Tracer.components` call, and `_assert_string_closure` of the word."""
+    tri = TRIS[2]
+    hs = handle_curves(tri)
+    conn = chain_connector(tri, 0)
+    c, n, out = hs[1], 0, []
+    kept = _Tracer.components
+    while True:
+        c = ops.twist(c, *((hs[0], 1), (conn, -1))[n % 2])
+        n += 1
+        if len(c.word) > 800:
+            return out
+        traces = []
+
+        def probe(self):
+            traces.append(tuple(self.w))
+            return kept(self)
+
+        _Tracer.components = probe
+        try:
+            with _raw_words() as calls:
+                ops.twist(c, hs[2], 1)
+        finally:
+            _Tracer.components = kept
+        for _, words in calls:  # none when c misses a_1
+            out.append((words[0], traces, *_assert_string_closure(tri, encode(words[0]))))
+
+
+def test_a1_twists_of_ladder_rungs():
+    # The closures of these words run to 35 words of 1,059 letters, where
+    # the retracing closure retraced 1,156 swaps.
+    assert sum(decided for *_, decided in _a1_twists()) > 1000
+
+
+def test_a1_twist_of_the_795_letter_rung_traces_at_most_its_closure():
+    word, traces, closure, _ = _a1_twists()[-1]
+    assert len(word) > 1000
+    assert len(closure) == 35
+    assert len(traces) <= len(closure)
+
+
+def _assert_one_swap_per_run(tri, text):
+    """Every swap the retracing closure built from a cyclically reduced
+    encoded word, (i, kk) for each kk of each run start i, reduces to
+    the swap of the maximal run holding i, capped at the link."""
+    tables = curves._translate_tables(tri)
+    flip, n = tables.flip, len(tri.vertex_link)
+    for succ, dbl in tables.directions:
+        runs = list(curves._maximal_runs(text, succ, n, n // 2))
+        for i, k in oracle.parallel_runs(text, succ, n, n // 2):
+            # The maximal run holding i is the one starting last at or before it.
+            s, whole = min(runs, key=lambda run: (i - run[0]) % len(text))
+            swaps = {curves._swap(text, i, kk, dbl, flip) for kk in range(n // 2, k + 1)}
+            assert swaps == {curves._swap(text, s, whole, dbl, flip)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(genus=st.sampled_from((2, 3)), data=st.data())
+def test_every_swap_inside_a_maximal_run_reduces_to_its_swap(genus, data):
+    # Link runs of half the link to twice its length and more, from a
+    # random corner in either direction, between random letters; the
+    # word is reduced, so a run may shrink or merge with another.
+    tri = TRIS[genus]
+    tables = curves._translate_tables(tri)
+    n = len(tri.vertex_link)
+    letters = st.lists(st.integers(0, 3 * tri.num_triangles - 1), max_size=5)
+    pieces = []
+    for _ in range(data.draw(st.integers(1, 3), label="runs")):
+        _, dbl = tables.directions[data.draw(st.integers(0, 1), label="direction")]
+        j = data.draw(st.integers(0, n - 1), label="corner")
+        size = data.draw(st.integers(n // 2, 2 * n + 3), label="length")
+        pieces.append(encode(data.draw(letters, label="between")))
+        pieces.append((dbl * 3)[j : j + size])
+    text = cyclic_reduce_text("".join(pieces), tables.flip)
+    _assert_one_swap_per_run(tri, text)
+    got = _outcome(lambda t, w: curves._vertex_canonical(t, w)[0], tri, text)
+    assert got == _outcome(oracle.string_vertex_canonical, tri, text)
+
+
+def test_runs_longer_than_the_link_reduce_to_one_swap(monkeypatch):
+    # One link run of n - 1 to 2n + 3 letters and one letter closing
+    # the word that neither cancels nor continues the run, and powers of
+    # the link.  None of them traces to itself, so the closure retraces
+    # their swaps, and must end, or raise, as the string closure does.
+    retraced = []
+    kept = curves._traces_to_itself
+    monkeypatch.setattr(curves, "_traces_to_itself", lambda *a: retraced.append(a) or kept(*a))
+    for tri in (TRIS[2], TRIS[3]):
+        tables = curves._translate_tables(tri)
+        n = len(tri.vertex_link)
+        for succ, dbl in tables.directions:
+            words = [dbl[:n] * power for power in (1, 2, 3)]
+            for j in range(0, n, 9):
+                for size in (n - 1, n + 1, 2 * n + 3):
+                    run = (dbl * 3)[j : j + size]
+                    ends = {succ[ord(run[-1])], tables.flip[ord(run[-1])], tables.flip[ord(run[0])]}
+                    x = next(chr(y) for y in range(3 * tri.num_triangles) if chr(y) not in ends)
+                    words.append(run + x)
+            for text in words:
+                assert cyclic_reduce_text(text, tables.flip) == text
+                _assert_one_swap_per_run(tri, text)
+                got = _outcome(lambda t, w: curves._vertex_canonical(t, w)[0], tri, text)
+                assert got == _outcome(oracle.string_vertex_canonical, tri, text)
+    assert retraced
 
 
 def test_min_rotation_on_scale_ladder_inputs(monkeypatch):
@@ -297,3 +469,32 @@ def test_min_rotation_on_scale_ladder_inputs(monkeypatch):
     assert max(map(len, inputs)) == 5484
     for text in inputs:
         assert decode(kept(text)) == oracle.min_rotation(decode(text))
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_closure_input_of_a_workload_pass(monkeypatch):
+    # One seed-101 pass of each benchmark workload, its set-up included,
+    # each distinct input with the trace it came with.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    inputs = {}
+    kept = curves._vertex_canonical
+
+    def record(tri, text, trace=None):
+        inputs.setdefault((tri, text), trace)
+        return kept(tri, text, trace)
+
+    for w in (workloads.Scale(), workloads.Acceptance(), workloads.FreshPairs()):
+        data = json.loads(json.dumps(w.generate(101, 0)))
+        with monkeypatch.context() as m:
+            m.setattr(curves, "_vertex_canonical", record)
+            w.run(w.load(data))
+    decided = 0
+    for (tri, text), trace in inputs.items():
+        decided += _assert_string_closure(tri, text, trace)[1]
+    assert len(inputs) > 1000 and decided > 500

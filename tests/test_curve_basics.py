@@ -336,6 +336,43 @@ def test_validate_word_messages():
             curves.validate_word(tri, word)
 
 
+def test_string_check_of_reduced_words_matches_validate_word():
+    # Cyclically reduced words of random letters, and of random walks
+    # that leave a triangle through a random side, which are valid paths
+    # but for the step closing them: the string check must accept or
+    # raise exactly as `validate_word` does.
+    rng = random.Random(35)
+    for g in (2, 3):
+        tri = standard_triangulation(g)
+        tables = curves._translate_tables(tri)
+        top = 3 * tri.num_triangles
+        outcomes = set()
+        for _ in range(400):
+            if rng.random() < 0.5:
+                word = [rng.randrange(top) for _ in range(rng.randint(1, 12))]
+            else:
+                word = [rng.randrange(top)]
+                for _ in range(rng.randint(1, 12)):
+                    base = word[-1] - word[-1] % 3
+                    sides = [x for x in range(base, base + 3) if x != word[-1]]
+                    word.append(tri.mate[rng.choice(sides)])
+            text = cyclic_reduce_text(encode(word), tables.flip)
+            if not text:
+                continue
+            expected = _error(lambda: curves.validate_word(tri, decode(text)))
+            assert _error(lambda: curves._validate_reduced(tri, tables, text)) == expected
+            outcomes.add(expected)
+        assert outcomes == {None, "consecutive letters do not share a triangle"}
+
+
+def _error(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_curve_json_round_trip():
     tri = standard_triangulation(2)
     for spec in ([0], [1]):
@@ -384,8 +421,11 @@ def traces(monkeypatch):
 
 
 def test_from_weights_reuses_the_trace_of_kept_weights(traces):
-    # Vertex-minimal weights are traced once, besides the swaps their
-    # closure checks; the generators' closures check none.
+    # Vertex-minimal weights are traced once, besides the closure words
+    # after the first that the closure traces: the closure of the traced
+    # cycle reads its positions off that trace, where the closure of
+    # the bare word traces the word first.  The generators' closures
+    # trace nothing.
     for genus in (2, 3, 4):
         tri = standard_triangulation(genus)
         gens = handle_curves(tri) + [chain_connector(tri, k) for k in range(genus - 1)]
@@ -397,21 +437,21 @@ def test_from_weights_reuses_the_trace_of_kept_weights(traces):
             made = list(traces)
             traces.clear()
             vertex_canonical(tri, c.word)
-            assert made == [c.weights] + traces
+            assert made == [c.weights] + traces[1:]
             if c in gens:
                 assert made == [c.weights]
 
 
 def test_from_weights_retraces_pushed_weights(traces):
-    # A normal curve isotopic to a_0 across the vertex: its trace, the
-    # closure's check of the pushed word, and the round trip of the
-    # weights the push gave.
+    # A normal curve isotopic to a_0 across the vertex: its trace, which
+    # also decides the push, and the round trip of the weights the push
+    # gave.
     tri = standard_triangulation(2)
     a = handle_curves(tri)[0]
     pushed = (1, 0, 2, 2, 1, 2, 2, 2, 2)
     traces.clear()
     assert CurveClass.from_weights(tri, pushed) == a
-    assert traces == [pushed, a.weights, a.weights]
+    assert traces == [pushed, a.weights]
 
 
 def test_round_trip_fails_on_the_reused_trace(traces):

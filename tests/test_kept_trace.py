@@ -14,7 +14,9 @@ tracer's cycles in that form.
 `from_weights` does not check the words it reads off a trace, which
 are valid reduced dual paths by construction, so every word of a class
 built by `from_weights` or `from_json` must pass `validate_word`, and
-`validate_word` must run on words from callers only.
+the check of canonical words (`curves._validate_reduced`, which runs
+`validate_word`'s letter loop only on a word it refuses) must run on
+words from callers only.
 """
 
 from array import array
@@ -91,15 +93,15 @@ def test_only_words_from_callers_are_validated(monkeypatch):
     tri = TRIS[2]
     a, b = handle_curves(tri)[:2]
     checked = []
-    kept = curves.validate_word
+    kept = curves._validate_reduced
 
-    def probe(t, word):
-        checked.append(word)
-        kept(t, word)
+    def probe(t, tables, text):
+        checked.append(text)
+        kept(t, tables, text)
 
-    monkeypatch.setattr(curves, "validate_word", probe)
+    monkeypatch.setattr(curves, "_validate_reduced", probe)
     twisted = ops.twist(a, b, 1)
-    assert checked == [twisted.word]
+    assert checked == list(twisted.texts)
     checked.clear()
     assert CurveClass.from_weights(tri, twisted.weights) == twisted
     assert CurveClass.from_json(a.to_json()) == a

@@ -34,7 +34,7 @@ from cbgraph.surface import standard_triangulation
 SRC = Path(cbgraph.__file__).parent
 ABOVE_OPS = {"cut", "cb", "projections"}
 PRIVATE_IMPORTS = {("cut.py", "_Tracer")}
-REDUCED_ARRAYS = {"cross", "other", "positive", "succ", "pred", "arc", "strand_of", "firsts"}
+REDUCED_ARRAYS = {"cross", "other", "positive", "succ", "pred", "chord", "strand_of", "firsts"}
 
 
 def _tree(name):

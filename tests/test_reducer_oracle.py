@@ -1,8 +1,11 @@
 """The worklist reducer against the rescanning one, crossing for crossing.
 
-Both reducers run on separate but identical drawings; they must merge
-the same arcs in the same order, and leave the same crossing sequences,
-the same arcs and the same surviving crossings.  With three or more
+Both reducers run on separate but identical drawings; they must remove
+the same crossings in the same order, and leave the same crossing
+sequences, the same arcs and the same surviving crossings.  The
+rescanning reducer merges arcs by free reduction, the worklist reducer
+reads them as slices of the strand's letters, so equal arcs also show
+that the merge never cancels a letter.  With three or more
 curves the result depends on the removal order, which the worklist
 must keep equal to the rescan's.  `Drawing` holds at most two curves,
 so those sets are drawn by the rational-coordinate oracle drawing.
@@ -16,8 +19,8 @@ import reducer_oracle
 from drawing_oracle import FractionDrawing
 from reducer_oracle import RescanReduced
 
-from cbgraph import ops, position
-from cbgraph.geom import Drawing
+from cbgraph import ops
+from cbgraph.geom import Crossing, Drawing
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.position import Reduced
 from cbgraph.surface import standard_triangulation
@@ -47,18 +50,19 @@ def _strand_lists(reduced):
         assert all(reduced.strand_of[h] == m for h in kept)
         assert [succ[h] for h in kept] == kept[1:] + kept[:1]
         assert [pred[h] for h in kept] == kept[-1:] + kept[:-1]
-        out.append(([cross[h] for h in kept], [reduced.arc[h] for h in kept]))
+        out.append(([cross[h] for h in kept], [reduced.arc(h) for h in kept]))
     return out
+
+
+def _names(drawing):
+    """Names of crossings by their ends, the same across identical drawings."""
+    at = {s: i for i, s in enumerate(drawing.strands)}
+    return lambda x: (at[x.s1], x.k1, x.p1, at[x.s2], x.k2, x.p2)
 
 
 def _snapshot(reduced):
     """Seqs, arcs and alive flags with crossings named by their ends."""
-    strands = reduced.drawing.strands
-    at = {s: i for i, s in enumerate(strands)}
-
-    def name(x):
-        return (at[x.s1], x.k1, x.p1, at[x.s2], x.k2, x.p2)
-
+    name = _names(reduced.drawing)
     lists = _strand_lists(reduced)
     seqs = [[name(x) for x in seq] for seq, _ in lists]
     arcs = [arcs for _, arcs in lists]
@@ -66,29 +70,37 @@ def _snapshot(reduced):
     return seqs, arcs, alive
 
 
-def _run(module, reducer, tri, curves):
-    """Reduce a fresh drawing, recording the merged arcs in removal order."""
-    merged = []
-    merge = module.free_reduce
+def _run(reducer, tri, curves):
+    """Reduce a fresh drawing, recording the crossings in removal order.
 
-    def record(word, mate):
-        merged.append(merge(word, mate))
-        return merged[-1]
+    Each crossing is recast as a `Crossing` whose `alive` setter logs
+    the crossing when cleared; the layout is the same, so the reducers
+    see no difference.
+    """
+    drawing = (Drawing if len(curves) <= 2 else FractionDrawing)(tri, curves)
+    name, removed = _names(drawing), []
+    slot = Crossing.alive
 
-    module.free_reduce = record
-    draw = Drawing if len(curves) <= 2 else FractionDrawing
-    try:
-        return reducer(draw(tri, curves)), merged
-    finally:
-        module.free_reduce = merge
+    def clear(x, value):
+        if not value:
+            removed.append(name(x))
+        slot.__set__(x, value)
+
+    logged = type(
+        "LoggedCrossing", (Crossing,), {"__slots__": (), "alive": property(slot.__get__, clear)}
+    )
+    for x in drawing.crossings:
+        x.__class__ = logged
+    return reducer(drawing), removed
 
 
 def _assert_same(tri, curves):
-    old, old_merges = _run(reducer_oracle, RescanReduced, tri, curves)
-    new, new_merges = _run(position, Reduced, tri, curves)
-    assert new_merges == old_merges
+    old, old_removed = _run(RescanReduced, tri, curves)
+    new, new_removed = _run(Reduced, tri, curves)
+    assert new_removed == old_removed
     expected = _snapshot(old)
     assert _snapshot(new) == expected
+    assert len(old_removed) == expected[2].count(False)
     return expected[2].count(False) // 2
 
 
