@@ -21,7 +21,7 @@
 #
 # Per-process tables are unbounded `functools.lru_cache`s too, keyed by
 # genus or triangulation and never cleared: `surface.standard_triangulation`,
-# `suites._fixtures`, `oracles._levels`, the letter and relator tables of
+# `suites._fixtures`, `oracles._levels`, the doubled vertex-link texts of
 # `dehn` and the translate tables of `curves`; `kernel._blocks_at` keeps up to
 # 256 compiled patterns.
 #

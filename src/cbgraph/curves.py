@@ -563,7 +563,13 @@ class CurveClass:
             if text and ord(max(text)) >= top:
                 bad = next(x for x in map(ord, text) if x >= top)
                 raise ValueError(f"unknown letter {bad}")
-            canon, trace = _vertex_canonical(tri, text)
+            try:
+                canon, trace = _vertex_canonical(tri, text)
+            except ValueError:
+                # The closure retraces its swaps, so a word that is no
+                # dual path can fail there first: name its own fault.
+                _validate_reduced(tri, tables, cyclic_reduce_text(text, tables.flip))
+                raise
             _validate_reduced(tri, tables, _nontrivial(canon))
             reduced.append(canon)
         return _matched(tri, reduced, *(trace if len(reduced) == 1 and trace else ()))

@@ -1,115 +1,41 @@
-"""Word problem for the fundamental group of the closed surface.
+"""Whether a simple closed dual loop is null-homotopic on the surface.
 
-Free homotopy data is read off a drawing as the sequence of polygon
-sides a path crosses, with signs.  The surface group presentation has
-one relator: the boundary word of the 4g-gon, extracted here as the
-side crossings of the vertex-linking curve.  The relator is C'(1/8)
-small cancellation (length 4g, pieces of length 1), so Dehn's greedy
-shortening decides triviality.
+The surface minus its vertex v retracts to the dual graph, where each
+free homotopy class has one cyclically reduced closed path, up to
+rotation (Stallings, "Topology of finite graphs", 1983).  A simple loop
+that is null on the surface bounds a disc (Epstein, "Curves on
+2-manifolds and isotopies", 1966).  A disc that misses v makes the loop
+trivial off v; one that holds v makes it freely homotopic off v to the
+vertex link or its reverse, which bound the disc around v.  So a simple
+loop is null exactly when its cyclic reduction is empty or a rotation
+of the link or of its reverse.
 
-Any order of replacements decides.  A replacement swaps a cyclic factor
-longer than half a relator for the inverse of the shorter rest, so it
-keeps the conjugacy class and shortens the word.  By Greendlinger's
-lemma (Lyndon–Schupp, Combinatorial Group Theory, Ch. V), every
-nonempty cyclically reduced word that is trivial in a C'(1/6) group has
-a cyclic factor longer than half a relator, so the shortening reaches
-the empty word from a trivial word whichever factor each step replaces,
-and never from a nontrivial one.
-
-A factor longer than half of some rotation r of the relator or its
-inverse starts with the first 2g + 1 letters of r, so `_pieces` maps
-those prefixes to the inverse of the rest of r.  The prefixes are
-distinct: two rotations that shared a prefix of two or more letters
-would have a piece of that length, and pieces have length 1.
-
-Letters are nonzero ints: +e / -e+... encoded as (e + 1) and -(e + 1)
-for side edge e, so inversion is negation.
+The loop must be simple, and both kinds asked about are: the loop of a
+bigon candidate of `position.Reduced`, whose corners are adjacent along
+both strands, so that its two arcs, pieces of simple strands, meet only
+there; and a boundary circle of the ribbon in `ops.neighborhood_profile`,
+the boundary of a thin neighbourhood of the union that misses v.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from cbgraph.kernel import cyclic_reduce, free_reduce
-from cbgraph.surface import Triangulation, standard_triangulation
+from cbgraph.kernel import cyclic_reduce, encode, reverse_word
+from cbgraph.surface import Triangulation
 
 
 @lru_cache(maxsize=None)
-def _letters(tri: Triangulation) -> tuple[int, ...]:
-    """Generator letter of each directed crossing, 0 for a diagonal.
-
-    Positive direction of side edge e is entering via its first listed
-    incidence, so the sign of a side letter is read from `first`.
-    """
-    out = []
-    for lam, e in enumerate(tri.side_edge):
-        if e >= 2 * tri.genus:
-            out.append(0)
-        else:
-            out.append((e + 1) if tri.first[lam] else -(e + 1))
-    return tuple(out)
+def _link_texts(tri: Triangulation) -> tuple[str, str]:
+    """The vertex link and its reverse, each encoded and doubled."""
+    link = tri.vertex_link
+    return encode(link) * 2, encode(reverse_word(link, tri.mate)) * 2
 
 
-def path_word(tri: Triangulation, lams) -> tuple[int, ...]:
-    """Side-generator word of a path given by directed crossings."""
-    letters = _letters(tri)
-    return free_reduce(
-        [x for x in map(letters.__getitem__, lams) if x], _inverse(tri.genus)
-    )
-
-
-@lru_cache(maxsize=None)
-def _inverse(genus: int) -> dict[int, int]:
-    # Inversion of the side letters, as the kernel's `mate` table.
-    return {x: -x for e in range(1, 2 * genus + 1) for x in (e, -e)}
-
-
-@lru_cache(maxsize=None)
-def _relators(genus: int) -> tuple[tuple[int, ...], ...]:
-    tri = standard_triangulation(genus)
-    r = path_word(tri, tri.vertex_link)
-    if len(r) != 4 * genus:
-        raise RuntimeError("vertex link does not give the polygon relator")
-    rots = set()
-    for base in (r, tuple(-x for x in reversed(r))):
-        for i in range(len(base)):
-            rots.add(base[i:] + base[:i])
-    return tuple(rots)
-
-
-@lru_cache(maxsize=None)
-def _pieces(genus: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """First 2g + 1 letters of each relator rotation -> inverse of its rest."""
-    k = 2 * genus + 1
-    rots = _relators(genus)
-    pieces = {rel[:k]: tuple(-x for x in reversed(rel[k:])) for rel in rots}
-    if len(pieces) != len(rots):
-        raise RuntimeError("relator rotations share a prefix longer than a piece")
-    return pieces
-
-
-def is_trivial(genus: int, word) -> bool:
-    """Whether a side-generator word is null-homotopic (Dehn's algorithm).
-
-    Each step replaces the first cyclic factor, by start position, that
-    is more than half a relator; see the module docstring for why the
-    order does not change the answer.
-    """
-    k = 2 * genus + 1
-    get = _pieces(genus).get
-    inverse = _inverse(genus)
-    w = cyclic_reduce(word, inverse)
-    while w:
-        n = len(w)
-        if n < k:
-            # Too short to contain more than half a relator: nontrivial.
-            return False
-        ww = w + w
-        for i in range(n):
-            rest = get(ww[i : i + k])
-            if rest is not None:
-                w = cyclic_reduce(ww[i + k : i + n] + rest, inverse)
-                break
-        else:
-            return False
-    return True
+def is_trivial(tri: Triangulation, loop) -> bool:
+    """Whether a simple closed dual loop is null-homotopic on the surface."""
+    w = cyclic_reduce(loop, tri.mate)
+    if len(w) != len(tri.vertex_link):
+        return not w
+    text = encode(w)
+    return any(text in doubled for doubled in _link_texts(tri))

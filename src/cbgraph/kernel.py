@@ -62,9 +62,9 @@ def cyclic_reduce(word, mate):
     ends are stripped once while they cancel; linear in the length.  The
     result is cyclically reduced, but it need not be the rotation that
     repeated left-to-right passes would leave.  Every caller passes it
-    through `canonical_cyclic`, tests it for emptiness or runs Dehn's
-    algorithm on it, which decides the whole conjugacy class, so no
-    answer depends on the rotation.
+    through `canonical_cyclic`, tests it for emptiness or looks it up
+    among all rotations of the vertex link, so no answer depends on the
+    rotation.
     """
     out = free_reduce(word, mate)
     i, j = 0, len(out) - 1

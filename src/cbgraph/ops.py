@@ -287,9 +287,7 @@ def neighborhood_profile(curves) -> NeighborhoodProfile:
         return prof
 
     words = reduced.boundary_words()
-    flags = [
-        not dehn.is_trivial(tri.genus, dehn.path_word(tri, w)) for w in words
-    ]
+    flags = [not dehn.is_trivial(tri, w) for w in words]
     capped = flags.count(False)
     essential = [w for w, f in zip(words, flags) if f]
     chi_filled = prof.chi_uncapped + capped

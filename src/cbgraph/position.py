@@ -2,7 +2,8 @@
 
 A bigon between two drawn curves has its two corner crossings adjacent
 along both strands, and the loop formed by its two arcs is
-null-homotopic on the closed surface (decided by Dehn's algorithm).
+null-homotopic on the closed surface: its arcs are the same path, or
+the loop runs once around the vertex (`dehn.is_trivial`).
 For a pair of curves an innermost piece of an offending disk is such a
 clean bigon, so removing these until none remain leaves the pair in
 minimal position.  Removal is pure bookkeeping: the two crossings are
@@ -80,13 +81,18 @@ class Reduced:
 
     def _loop_is_trivial(self, alpha, beta_forward, beta) -> bool:
         # alpha runs x -> y on one strand; beta runs x -> y (forward) or
-        # y -> x on the other.
+        # y -> x on the other.  Both are reduced, so the loop is trivial
+        # off the vertex exactly when they are the same path.
         mate = self.tri.mate
         if beta_forward:
+            if alpha == beta:
+                return True
             loop = alpha + reverse_word(beta, mate)
         else:
+            if beta == reverse_word(alpha, mate):
+                return True
             loop = alpha + beta
-        return dehn.is_trivial(self.tri.genus, dehn.path_word(self.tri, loop))
+        return dehn.is_trivial(self.tri, loop)
 
     def _reduce(self):
         drawing = self.drawing

@@ -4,7 +4,9 @@ This is the straightforward reducer `cbgraph.position.Reduced` replaced:
 after every removal it rescans all strands from position 0 and finds
 positions by linear search.  It is quadratic, so tests use it on short
 curves only, to check that the worklist reducer removes the same
-bigons in the same order.
+bigons in the same order.  It decides a bigon candidate by Dehn's
+algorithm (`dehn_oracle`), so the same comparison checks the free
+reduction `Reduced` decides it by.
 
 It keeps, per strand, the list of surviving crossings and the list of
 arcs after them.  The two walks over a reduced pair that
@@ -17,7 +19,8 @@ union-find over strands that `Reduced.connected` replaced.
 
 from __future__ import annotations
 
-from cbgraph import dehn
+import dehn_oracle
+
 from cbgraph.geom import Crossing, Drawing, Strand
 from cbgraph.kernel import free_reduce, reverse_word
 
@@ -47,7 +50,7 @@ class RescanReduced:
             loop = alpha + reverse_word(beta, mate)
         else:
             loop = alpha + beta
-        return dehn.is_trivial(self.tri.genus, dehn.path_word(self.tri, loop))
+        return dehn_oracle.loop_is_trivial(self.tri, loop)
 
     def _find_bigon(self):
         for s1, seq in self.seqs.items():

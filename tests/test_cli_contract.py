@@ -312,5 +312,13 @@ def test_cli_contract(case):
     check_contract(*case)
 
 
+def test_a_word_that_is_no_dual_path_names_its_fault():
+    word = list(TRI.vertex_link[:10]) + [0]
+    code, err = run_case("complex build", 5, ("curves", 2, "word"), word)
+    assert code == 2
+    message = "consecutive letters do not share a triangle"
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": message}}
+
+
 def test_negative_slope_as_its_own_argument():
     assert run_case("farey i", 3, None, "-1/2") == (0, "")

@@ -336,6 +336,16 @@ def test_validate_word_messages():
             curves.validate_word(tri, word)
 
 
+def test_a_word_that_is_no_dual_path_is_refused_for_that():
+    # A run of ten link letters, then a letter outside the last one's
+    # triangle: the closure's retrace of the run fails first, yet the
+    # error names the triangle condition, as it does for (0, 10).
+    tri = standard_triangulation(2)
+    for word in ((0, 10), tri.vertex_link[:10] + (0,)):
+        with pytest.raises(ValueError, match="^consecutive letters do not share a triangle$"):
+            CurveClass.from_word(tri, word)
+
+
 def test_string_check_of_reduced_words_matches_validate_word():
     # Cyclically reduced words of random letters, and of random walks
     # that leave a triangle through a random side, which are valid paths

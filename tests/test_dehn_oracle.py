@@ -1,11 +1,15 @@
-"""Dehn's algorithm by prefix lookup agrees with the window scan it replaced.
+"""Dehn's algorithm by prefix lookup agrees with the window scan, and
+free reduction against the vertex link agrees with both on the loops
+that `cbgraph` asks about.
 
-`dehn.is_trivial` finds a factor longer than half a relator by looking
-up each (2g + 1)-letter window of the doubled word in `dehn._pieces`;
-`dehn_oracle.is_trivial` is the old scan of every relator rotation at
-every position.  Both decide the same word problem, so they must agree
-on random words built to reach both answers and on every loop that bigon
-removal and the neighbourhood boundaries actually ask about.
+`dehn_oracle.is_trivial` finds a factor longer than half a relator by
+looking up each (2g + 1)-letter window of the doubled word in
+`dehn_oracle._pieces`; `dehn_oracle.window_scan_is_trivial` scans every
+relator rotation at every position.  Both decide the same word problem,
+so they must agree on random words built to reach both answers.
+`cbgraph.dehn.is_trivial` decides only simple dual loops, so it is
+compared with them on every loop that bigon removal and the
+neighbourhood boundaries actually ask about.
 """
 
 import itertools
@@ -15,6 +19,7 @@ import dehn_oracle
 import pytest
 
 from cbgraph import dehn, ops, position
+from cbgraph.kernel import cyclic_reduce, reverse_word
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
 
@@ -26,7 +31,7 @@ def _letter(rng, genus):
 def _random_word(rng, genus):
     """A product of relator rotations, conjugated relators, near-relators
     and free letters."""
-    rels = dehn._relators(genus)
+    rels = dehn_oracle._relators(genus)
     free = rng.random() < 0.5
     word = []
     for _ in range(rng.randint(1, 4)):
@@ -51,39 +56,50 @@ def test_prefix_lookup_agrees_with_the_window_scan(genus):
     trivial = 0
     for _ in range(1000):
         word = _random_word(rng, genus)
-        want = dehn_oracle.is_trivial(genus, word)
-        assert dehn.is_trivial(genus, word) == want, word
+        want = dehn_oracle.window_scan_is_trivial(genus, word)
+        assert dehn_oracle.is_trivial(genus, word) == want, word
         trivial += want
     assert 200 < trivial < 800
 
 
 @pytest.mark.parametrize("genus", (2, 3, 4, 5, 6))
 def test_one_piece_per_relator_rotation(genus):
-    pieces = dehn._pieces(genus)
-    assert len(pieces) == len(dehn._relators(genus)) == 8 * genus
+    pieces = dehn_oracle._pieces(genus)
+    assert len(pieces) == len(dehn_oracle._relators(genus)) == 8 * genus
     for prefix, rest in pieces.items():
         assert len(prefix) == 2 * genus + 1 and len(rest) == 2 * genus - 1
-        assert dehn.is_trivial(genus, prefix + tuple(-x for x in reversed(rest)))
+        word = prefix + tuple(-x for x in reversed(rest))
+        assert dehn_oracle.is_trivial(genus, word)
+        assert dehn_oracle.window_scan_is_trivial(genus, word)
 
 
 def test_drawn_loops_and_ribbon_boundaries_agree(monkeypatch):
-    # Every word Dehn's algorithm is asked about while seeded generator
-    # pairs are reduced and profiled: the bigon loops of `Reduced` and
-    # the boundary circles of the neighbourhoods.
-    asked, loops = [], [0]
-    decide, loop = dehn.is_trivial, position.Reduced._loop_is_trivial
+    """Every loop asked about while seeded generator pairs are reduced
+    and profiled: the bigon candidates of `Reduced` and the boundary
+    circles of the neighbourhoods, each answer against Dehn's algorithm.
 
-    def recorded(genus, word):
-        out = decide(genus, word)
-        asked.append((genus, tuple(word), out))
+    Recording only the side-generator words handed to Dehn's algorithm
+    no longer sees every loop: a candidate whose arcs are the same path
+    is decided without a call, and a call takes the dual loop itself.
+    So both `Reduced._loop_is_trivial` and `dehn.is_trivial` are
+    recorded, and the three ways to answer must each be met: equal
+    arcs, a reduction to the vertex link, and a nontrivial loop.
+    """
+    asked, loops = [], []
+    decide, loop_test = dehn.is_trivial, position.Reduced._loop_is_trivial
+
+    def recorded(tri, loop):
+        out = decide(tri, loop)
+        asked.append((tri, tuple(loop), out))
         return out
 
-    def counted_loop(self, *args):
-        loops[0] += 1
-        return loop(self, *args)
+    def recorded_loop(self, alpha, beta_forward, beta):
+        out = loop_test(self, alpha, beta_forward, beta)
+        loops.append((self.tri, alpha, beta_forward, beta, out))
+        return out
 
     monkeypatch.setattr(dehn, "is_trivial", recorded)
-    monkeypatch.setattr(position.Reduced, "_loop_is_trivial", counted_loop)
+    monkeypatch.setattr(position.Reduced, "_loop_is_trivial", recorded_loop)
     rng = random.Random(1509)
     for g in (2, 3, 4):
         tri = standard_triangulation(g)
@@ -99,7 +115,20 @@ def test_drawn_loops_and_ribbon_boundaries_agree(monkeypatch):
             ops.neighborhood_profile([c])
         for c, d in itertools.combinations(pool, 2):
             ops.neighborhood_profile([c, d])
-    assert loops[0] > 100 and len(asked) > loops[0]
-    assert {out for _, _, out in asked} == {True, False}
-    for genus, word, out in asked:
-        assert dehn_oracle.is_trivial(genus, word) == out, (genus, word)
+    assert len(loops) > 100 and len(asked) > len(loops)
+    outcomes = set()
+    for tri, alpha, beta_forward, beta, out in loops:
+        mate = tri.mate
+        if not beta_forward:
+            beta = reverse_word(beta, mate)
+        loop = alpha + reverse_word(beta, mate)
+        assert dehn_oracle.loop_is_trivial(tri, loop) == out, (tri.genus, loop)
+        if alpha == beta:
+            outcomes.add("equal arcs")
+    for tri, loop, out in asked:
+        assert dehn_oracle.loop_is_trivial(tri, loop) == out, (tri.genus, loop)
+        if not out:
+            outcomes.add("nontrivial")
+        elif cyclic_reduce(loop, tri.mate):
+            outcomes.add("vertex link")
+    assert outcomes == {"equal arcs", "vertex link", "nontrivial"}

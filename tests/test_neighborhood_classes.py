@@ -12,7 +12,7 @@ import random
 import dehn_oracle
 import pytest
 
-from cbgraph import dehn, ops
+from cbgraph import ops
 from cbgraph.curves import CurveClass
 from cbgraph.geom import Drawing
 from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves
@@ -41,8 +41,7 @@ def _eager(curves):
     tri = curves[0].tri
     reduced = Reduced(Drawing(tri, curves))
     words = reduced.boundary_words()
-    g = tri.genus
-    essential = [w for w in words if not dehn_oracle.is_trivial(g, dehn.path_word(tri, w))]
+    essential = [w for w in words if not dehn_oracle.loop_is_trivial(tri, w)]
     return sorted({CurveClass.from_word(tri, w) for w in essential})
 
 

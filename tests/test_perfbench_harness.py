@@ -35,3 +35,19 @@ def test_layers_install_trace_and_remove():
     assert metrics["geom.Drawing.calls"] == 2
     assert metrics["geom.crossings"] == 2
     assert kernel.BACKEND == "python"
+
+
+def test_the_null_homotopy_span_sees_calls():
+    # `dehn.is_trivial` is measured under its module's name; the
+    # boundary circles of a crossing pair's neighbourhood must reach it,
+    # so the span cannot go dead unnoticed.
+    tri = standard_triangulation(2)
+    a, b = handle_curves(tri)[:2]
+    layers = Layers(Tracer())
+    installed = layers.install()
+    try:
+        prof = ops.neighborhood_profile([a, b])
+    finally:
+        installed.remove()
+    assert prof.boundary_components == 1
+    assert layers.metrics()["dehn.is_trivial.calls"] > 0
