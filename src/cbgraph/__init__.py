@@ -21,9 +21,9 @@
 #
 # Per-process tables are unbounded `functools.lru_cache`s too, keyed by
 # genus or triangulation and never cleared: `surface.standard_triangulation`,
-# `suites._fixtures`, `oracles._levels`, the doubled vertex-link texts of
-# `dehn` and the translate tables of `curves`; `kernel._blocks_at` keeps up to
-# 256 compiled patterns.
+# `suites._fixtures`, `oracles._levels` and `curves.translate_tables`, the
+# one set of text tables that the pair layers read; `kernel._blocks_at`
+# keeps up to 256 compiled patterns.
 #
 # Besides the memos, `ops.LAST_PAIR` holds the last curve pair drawn, its
 # drawing and its bigon reduction, which the pair operations share; it

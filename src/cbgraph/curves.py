@@ -25,6 +25,8 @@ least rotation and the letter counts per edge are string operations on
 to the vertex link turns the same way at every corner, so the link's
 two successor tables are the turn tables `ahead` and `back`, and the
 runs are found by one `str.translate` of the encoded word per direction.
+`translate_tables` builds them once per triangulation for every layer
+that reads words.
 
 The letter counts per edge are exactly the normal coordinates, and
 tracing those coordinates through the triangles recovers the components,
@@ -68,13 +70,7 @@ from operator import eq
 from typing import NamedTuple
 
 from cbgraph import MEMO_ENTRIES
-from cbgraph.kernel import (
-    canonical_text,
-    cyclic_reduce_text,
-    decode,
-    encode,
-    reverse_word,
-)
+from cbgraph.kernel import canonical_cyclic, cyclic_reduce, decode, encode, reverse_word
 from cbgraph.surface import Triangulation, standard_triangulation
 
 MAX_VERTEX_CLOSURE = 20000  # words `vertex_canonical` may reach from one input
@@ -186,16 +182,20 @@ def _validate_reduced(tri: Triangulation, tables: _Tables, text: str) -> None:
     string speed.
 
     No letter of a cyclically reduced word is followed by its mate, so
-    it has no backtrack and only the triangle condition can fail: the
-    mate of each next letter must lie in the letter's triangle.  That is
-    one comparison of two translations, the triangles of the letters
-    against the triangles of their mates rotated by one.  When they
-    differ, `validate_word` runs its letter loop and raises its own
-    message.
+    it has no backtrack and only the triangle condition (`chains`) can
+    fail.  When it does, `validate_word` runs its letter loop and raises
+    its own message.
     """
-    mates = text.translate(tables.mate_triangle)
-    if text.translate(tables.triangle) != mates[1:] + mates[:1]:
+    if not chains(tables, text):
         validate_word(tri, decode(text))
+
+
+def chains(tables: _Tables, text: str) -> bool:
+    """Whether the mate of each next letter of a cyclic encoded word lies
+    in the letter's triangle: one comparison of two translations, the
+    triangles of the letters against those of their mates rotated by one."""
+    mates = text.translate(tables.mate_triangle)
+    return text.translate(tables.triangle) == mates[1:] + mates[:1]
 
 
 class _Tables(NamedTuple):
@@ -211,14 +211,15 @@ class _Tables(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _translate_tables(tri: Triangulation) -> _Tables:
-    link = tri.vertex_link
+def translate_tables(tri: Triangulation) -> _Tables:
+    """The tables of `tri`, built once per triangulation."""
+    flip, link = encode(tri.mate), encode(tri.vertex_link)
     directions = (
-        (encode(tri.ahead), encode(link) * 2),
-        (encode(tri.back), encode(reverse_word(link, tri.mate)) * 2),
+        (encode(tri.ahead), link * 2),
+        (encode(tri.back), reverse_word(link, flip) * 2),
     )
     return _Tables(
-        encode(tri.mate),
+        flip,
         encode(tri.side_edge),
         encode(range(tri.num_edges)),
         encode(x // 3 for x in range(3 * tri.num_triangles)),
@@ -231,7 +232,7 @@ def _same_cycle(text: str, other: str, flip: str) -> bool:
     """Whether two encoded cyclic words agree up to rotation and reversal."""
     if len(text) != len(other):
         return False
-    r = other[::-1].translate(flip)
+    r = reverse_word(other, flip)
     return text in other + other or text in r + r
 
 
@@ -333,17 +334,18 @@ def _vertex_canonical(tri: Triangulation, encoded: str, trace=None):
     encoded text, and the trace of the answer's weights as (weights,
     cycles) if the closure traced it, else None.  `trace`, if given, is
     that pair for `encoded`."""
-    tables = _translate_tables(tri)
+    tables = translate_tables(tri)
     flip = tables.flip
-    start = cyclic_reduce_text(encoded, flip)
-    if not start:
+    first = canonical_cyclic(encoded, flip)
+    if not first:
         return "", None
     n = len(tri.vertex_link)
     min_len = n // 2
-    first = canonical_text(start, flip)
     seen, refused = {first}, set()
-    # The least traced word so far, and its trace.
-    least, kept = (first, trace) if trace is not None and start is encoded else (None, None)
+    # The least traced word so far, and its trace: that of `encoded`
+    # when reduction left its length, and so its weights, alone.
+    given = trace is not None and len(first) == len(encoded)
+    least, kept = (first, trace) if given else (None, None)
     frontier = [first]
     while frontier:
         nxt = []
@@ -389,8 +391,8 @@ def _swap(text: str, i: int, k: int, dbl: str, flip: str) -> str:
     the rest of the link, whose direction's letters doubled are `dbl`."""
     j = dbl.find(text[i])
     n = len(dbl) // 2
-    swapped = dbl[j + k : j + n][::-1].translate(flip) + (text[i:] + text[:i])[k:]
-    return canonical_text(cyclic_reduce_text(swapped, flip), flip)
+    swapped = reverse_word(dbl[j + k : j + n], flip) + (text[i:] + text[:i])[k:]
+    return canonical_cyclic(swapped, flip)
 
 
 def _trace(tri: Triangulation, tables: _Tables, text: str):
@@ -414,7 +416,7 @@ def _aligned(flip: str, text: str, cycles):
     if not cycles or len(cycles) != 1 or len(cycles[0][0]) != len(text):
         return None
     (t, pos), = cycles
-    for t, pos in ((t, pos), (t[::-1].translate(flip), pos[::-1])):
+    for t, pos in ((t, pos), (reverse_word(t, flip), pos[::-1])):
         k = (t + t).find(text)
         if k >= 0:
             return pos[k:] + pos[:k]
@@ -452,7 +454,7 @@ def _text_weights(tables: _Tables, texts) -> tuple[int, ...]:
 
 
 def word_weights(tri: Triangulation, words) -> tuple[int, ...]:
-    return _text_weights(_translate_tables(tri), map(encode, words))
+    return _text_weights(translate_tables(tri), map(encode, words))
 
 
 def read_file(path) -> str:
@@ -557,7 +559,7 @@ class CurveClass:
         (`_validate_reduced`).
         """
         top = 3 * tri.num_triangles
-        tables = _translate_tables(tri)
+        tables = translate_tables(tri)
         reduced = []
         for text in texts:
             if text and ord(max(text)) >= top:
@@ -568,7 +570,7 @@ class CurveClass:
             except ValueError:
                 # The closure retraces its swaps, so a word that is no
                 # dual path can fail there first: name its own fault.
-                _validate_reduced(tri, tables, cyclic_reduce_text(text, tables.flip))
+                _validate_reduced(tri, tables, cyclic_reduce(text, tables.flip))
                 raise
             _validate_reduced(tri, tables, _nontrivial(canon))
             reduced.append(canon)
@@ -607,7 +609,7 @@ class CurveClass:
         """The components in traced order, each with its own trace: the
         same letters from the same least point, its positions ranked
         among its own points on each edge."""
-        tables = _translate_tables(self.tri)
+        tables = translate_tables(self.tri)
         edge = tables.edge
         out = []
         for text, pos, canon in self.trace:
@@ -679,7 +681,7 @@ def _matched(tri: Triangulation, texts, weights=None, cycles=None) -> CurveClass
     it traces the summed weights.  The class keeps the cycles matched,
     each with its text, as its `trace`.
     """
-    tables = _translate_tables(tri)
+    tables = translate_tables(tri)
     unmatched = list(texts)
     summed = _text_weights(tables, texts)
     if summed != weights:

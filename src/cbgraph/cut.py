@@ -21,7 +21,7 @@ from collections import Counter, deque
 from functools import lru_cache
 
 from cbgraph import MEMO_ENTRIES, ops
-from cbgraph.curves import CurveClass, _Tracer
+from cbgraph.curves import CurveClass, _Tracer, translate_tables
 from cbgraph.kernel import reverse_word
 from cbgraph.surface import Triangulation
 
@@ -192,6 +192,7 @@ class CutComplex:
         simple curve (the shared tree prefix cancels on reduction).
         """
         tri = self.tri
+        flip = translate_tables(tri).flip
         root = self._cells_of[region][0]
         adj = {}
         locals_ = []
@@ -199,13 +200,13 @@ class CutComplex:
             if self.regions.find(c1) != region:
                 continue
             # (t2, s2) is the edge's second incidence, so every gluing
-            # counts +1 along its letter fwd.
+            # counts +1 along its letter fwd, kept as encoded text.
             fwd = 3 * t2 + s2
-            locals_.append((gi, c1, c2, e, fwd))
-            adj.setdefault(c1, []).append((c2, e, 1, gi, fwd))
-            adj.setdefault(c2, []).append((c1, e, -1, gi, tri.mate[fwd]))
+            locals_.append((gi, c1, c2, e, chr(fwd)))
+            adj.setdefault(c1, []).append((c2, e, 1, gi, chr(fwd)))
+            adj.setdefault(c2, []).append((c1, e, -1, gi, flip[fwd]))
         vec = {root: [0] * tri.num_edges}
-        path = {root: ()}
+        path = {root: ""}
         tree = set()
         queue = deque([root])
         while queue:
@@ -216,7 +217,7 @@ class CutComplex:
                 v = list(vec[cur])
                 v[e] += sign
                 vec[nxt] = v
-                path[nxt] = path[cur] + (letter,)
+                path[nxt] = path[cur] + letter
                 tree.add(gi)
                 queue.append(nxt)
         for gi, c1, c2, e, fwd in locals_:
@@ -226,8 +227,8 @@ class CutComplex:
             loop[e] += 1
             if not any(loop):
                 continue
-            word = path[c1] + (fwd,) + reverse_word(path[c2], tri.mate)
-            return CurveClass.from_word(tri, word)
+            word = path[c1] + fwd + reverse_word(path[c2], flip)
+            return CurveClass.from_texts(tri, [word])
         raise ValueError("region carries no nonseparating curve")
 
 
@@ -279,11 +280,12 @@ def dual_curve(a: CurveClass, avoid) -> CurveClass:
     text, pos, _ = cc._trace[cc.component_index(a)]
     outer, inner = cc._arc_cells(ord(text[0]), pos[0])
 
+    flip = translate_tables(tri).flip
     adj = {}
     for c1, c2, e, t2, s2 in cc.gluings:
         fwd = 3 * t2 + s2
-        adj.setdefault(c1, []).append((c2, fwd))
-        adj.setdefault(c2, []).append((c1, tri.mate[fwd]))
+        adj.setdefault(c1, []).append((c2, chr(fwd)))
+        adj.setdefault(c2, []).append((c1, flip[fwd]))
     prev = {inner: None}
     queue = deque([inner])
     while queue and outer not in prev:
@@ -299,5 +301,4 @@ def dual_curve(a: CurveClass, avoid) -> CurveClass:
     while prev[cell] is not None:
         cell, letter = prev[cell]
         word.append(letter)
-    word.reverse()
-    return CurveClass.from_word(tri, word)
+    return CurveClass.from_texts(tri, ["".join(reversed(word))])

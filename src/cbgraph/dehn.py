@@ -15,27 +15,24 @@ bigon candidate of `position.Reduced`, whose corners are adjacent along
 both strands, so that its two arcs, pieces of simple strands, meet only
 there; and a boundary circle of the ribbon in `ops.neighborhood_profile`,
 the boundary of a thin neighbourhood of the union that misses v.
+
+A loop is encoded text, as `Reduced` gives it; the link and its reverse,
+doubled so that every rotation is a substring, are read from
+`curves.translate_tables`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from cbgraph.kernel import cyclic_reduce, encode, reverse_word
+from cbgraph.curves import translate_tables
+from cbgraph.kernel import cyclic_reduce
 from cbgraph.surface import Triangulation
 
 
-@lru_cache(maxsize=None)
-def _link_texts(tri: Triangulation) -> tuple[str, str]:
-    """The vertex link and its reverse, each encoded and doubled."""
-    link = tri.vertex_link
-    return encode(link) * 2, encode(reverse_word(link, tri.mate)) * 2
-
-
-def is_trivial(tri: Triangulation, loop) -> bool:
-    """Whether a simple closed dual loop is null-homotopic on the surface."""
-    w = cyclic_reduce(loop, tri.mate)
+def is_trivial(tri: Triangulation, loop: str) -> bool:
+    """Whether a simple closed dual loop, encoded as text, is
+    null-homotopic on the surface."""
+    tables = translate_tables(tri)
+    w = cyclic_reduce(loop, tables.flip)
     if len(w) != len(tri.vertex_link):
         return not w
-    text = encode(w)
-    return any(text in doubled for doubled in _link_texts(tri))
+    return any(w in doubled for _, doubled in tables.directions)

@@ -5,7 +5,8 @@ triangulation edge get distinct integer indices (the two curves stacked
 in blocks per edge, components in traced order), and every passage
 through a triangle is a chord between two of those boundary points.
 The letters and indices come from the trace each `CurveClass` keeps
-(`CurveClass.trace`), so drawing traces no curve.
+(`CurveClass.trace`), so drawing traces no curve; a strand keeps the
+trace's text, decoded only into the chord arrays indexed below.
 Reading the three sides of a triangle counterclockwise turns every
 point into an integer position on a circle, and all the drawing needs
 is combinatorial in those positions:
@@ -23,8 +24,9 @@ is combinatorial in those positions:
   counterclockwise distance from a to that endpoint.
 
 The drawing records, per component strand, the cyclic sequence of
-crossings with parameters, signs, and the directed-crossing subwords
-between consecutive crossings, which is everything the curve operations
+crossings with their chords, parameters and signs; the directed-crossing
+subword between two consecutive crossings is the slice of the strand's
+text between their chords.  That is everything the curve operations
 (bigon reduction, twisting, surgery, neighborhoods) consume.  A crossing
 holds its two strands and a strand only the indices of its crossings,
 so a drawing has no reference cycle and is freed as soon as its last
@@ -39,6 +41,7 @@ from collections import defaultdict
 from functools import partial
 from operator import add
 
+from cbgraph.curves import chains, translate_tables
 from cbgraph.kernel import decode
 from cbgraph.surface import Triangulation
 
@@ -55,7 +58,8 @@ MAX_DRAWN_CROSSINGS = 2_500_000
 class Strand:
     """One drawn component: letters, edge indices, and its crossings.
 
-    `letters` is a tuple and `keys` an `array("I")`: per letter, the
+    `letters` is the component's trace text (`CurveClass.trace`), one
+    code point per letter, and `keys` an `array("I")`: per letter, the
     index of its crossing point on its edge, counted across both curves
     of the drawing.  `order` is an `array("I")` of the indices in
     `Drawing.crossings` of the strand's crossings in strand order: by
@@ -67,7 +71,7 @@ class Strand:
     def __init__(self, curve: int, comp: int, letters, keys):
         self.curve = curve
         self.comp = comp
-        self.letters = tuple(letters)
+        self.letters = letters
         self.keys = keys
         self.order = None  # filled by Drawing
 
@@ -130,7 +134,7 @@ class Drawing:
         # lo - g in the other (r = totals[e] - 1 - g).
         width = max(totals) + 1
         circle = 3 * width
-        first, mate, edge = tri.first, tri.mate, tri.side_edge
+        first, edge = tri.first, tri.side_edge
         slots = [0, width, 2 * width] * tri.num_triangles
         lo = [base if f else base + totals[e] - 1 for base, f, e in zip(slots, first, edge)]
 
@@ -142,6 +146,7 @@ class Drawing:
         # per triangle, in the order the curve first visits them, its
         # chord numbers.  Curve 0's keys are its trace's position
         # arrays, shared and not copied; curve 1's are offset past them.
+        tables = translate_tables(tri)
         self.strands = strands = []
         chords = []
         for ci, c in enumerate(self.curves):
@@ -150,23 +155,20 @@ class Drawing:
             entry_keys, exit_keys = array("I"), array("I")
             buckets = defaultdict(_chord_numbers)
             for mi, (text, pos, _) in enumerate(c.trace):
+                if not chains(tables, text):
+                    raise RuntimeError("strand letters do not chain")
                 letters = decode(text)
                 keys = array("I", [off[edge[x]] + p for x, p in zip(letters, pos)]) if ci else pos
-                nxt = [mate[y] for y in letters[1:]]
-                nxt.append(mate[letters[0]])
-                triangles = [x // 3 for x in letters]
-                if triangles != [y // 3 for y in nxt]:
-                    raise RuntimeError("strand letters do not chain")
                 base = len(entries)
                 firsts.append(base)
-                for i, t in enumerate(triangles, base):
+                for i, t in enumerate(decode(text.translate(tables.triangle)), base):
                     buckets[t].append(i)
                 entries += letters
-                exits += nxt
+                exits += decode((text[1:] + text[:1]).translate(tables.flip))
                 entry_keys += keys
                 exit_keys += keys[1:]
                 exit_keys.append(keys[0])
-                own.append(Strand(ci, mi, letters, keys))
+                own.append(Strand(ci, mi, text, keys))
             strands += own
             chords.append((own, firsts, entries, exits, entry_keys, exit_keys, buckets))
 
@@ -191,18 +193,6 @@ class Drawing:
         """Crossings in cyclic order along the strand."""
         crossings = self.crossings
         return [crossings[i] for i in strand.order]
-
-    def arc_letters(self, strand: Strand, x: Crossing, y: Crossing):
-        """Directed crossings traversed from x to y along the strand.
-
-        x and y must be consecutive crossings of the strand (y may equal
-        x when it is the only one).
-        """
-        kx, px, _, _ = x.strand_data(strand)
-        ky, py, _, _ = y.strand_data(strand)
-        if (kx, px) < (ky, py):
-            return strand.letters[kx + 1 : ky + 1]
-        return strand.letters[kx + 1 :] + strand.letters[: ky + 1]
 
     def raw_count(self, ci: int, cj: int) -> int:
         """Drawn crossings between curves ci and cj (none when ci == cj).

@@ -1,18 +1,15 @@
-"""The hot word operations.
+"""The hot word operations, one function each, on encoded text.
 
-Words are cyclic sequences of small int letters.  Letters carry an
+Words are cyclic sequences of small int letters, encoded as a `str`
+with one code point per letter, so letters lie in 0..0x10FFFF.
+`encode` and `decode` convert through `array("I")` and UTF-32, without
+a Python step per letter; the package decodes only where int letters
+leave as public output or become array indices.  Letters carry an
 involution `mate`: traversing a letter backwards gives its mate, and
-the pattern x, mate(x) is a backtrack.  Reduction takes `mate` as a
-sequence or a dict and walks the word once; the canonical form takes a
-sequence.
-
-The `*_text` forms take a word encoded as a `str`, one code point per
-letter, so letters lie in 0..0x10FFFF.  `encode` and `decode` convert
-through `array("I")` and UTF-32, without a Python step per letter.
-There the mate is a `str.translate` table `flip` (the character at x
-is mate(x)), and the per-letter work runs in string operations.  The
-least rotation and the canonical form exist once, on text; the tuple
-entry points encode, call them and decode.
+the pattern x, mate(x) is a backtrack.  The mate is a `str.translate`
+table `flip` (the character at x is mate(x)), so reversal is a
+reversed slice translated by `flip` and the per-letter work runs in
+string operations.
 """
 
 from __future__ import annotations
@@ -44,46 +41,39 @@ def decode(text: str) -> tuple[int, ...]:
     return tuple(array("I", text.encode(_UTF32, "surrogatepass")))
 
 
-def free_reduce(word, mate):
-    """Remove backtracks (x followed by mate[x]) in one stack pass."""
-    out = []
-    for x in word:
-        if out and x == mate[out[-1]]:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def cyclic_reduce(word, mate):
-    """Remove backtracks (x followed by mate[x]) cyclically.
-
-    `free_reduce` cancels the backtracks of the linear word, then the
-    ends are stripped once while they cancel; linear in the length.  The
-    result is cyclically reduced, but it need not be the rotation that
-    repeated left-to-right passes would leave.  Every caller passes it
-    through `canonical_cyclic`, tests it for emptiness or looks it up
-    among all rotations of the vertex link, so no answer depends on the
-    rotation.
-    """
-    out = free_reduce(word, mate)
-    i, j = 0, len(out) - 1
-    while j > i and out[i] == mate[out[j]]:
-        i, j = i + 1, j - 1
-    return out[i : j + 1]
-
-
-def cyclic_reduce_text(text: str, flip: str) -> str:
-    """`cyclic_reduce` of an encoded word.
+def cyclic_reduce(text: str, flip: str) -> str:
+    """Remove backtracks (x followed by mate(x)) cyclically.
 
     Translating the word by `flip` and comparing it with the word
     rotated by one finds a backtrack, the cyclic one included, without
-    a Python step per letter.  A word without one is its own reduction;
-    only a word with one is decoded for the stack pass.
+    a Python step per letter; a word without one is its own reduction.
+    Otherwise one stack pass cancels the backtracks of the linear word
+    (a letter cancels the top of the stack when that is its mate), then
+    the ends are stripped once while they cancel; linear in the length.
+    The result is cyclically reduced, but it need not be the rotation
+    that repeated left-to-right passes would leave.  Every caller passes
+    it through `canonical_cyclic`, tests it for emptiness or looks it up
+    among all rotations of the vertex link, so no answer depends on the
+    rotation.
     """
-    if True in map(eq, text.translate(flip), text[1:] + text[:1]):
-        return encode(cyclic_reduce(decode(text), decode(flip)))
-    return text
+    mates = text.translate(flip)
+    if True not in map(eq, mates, text[1:] + text[:1]):
+        return text
+    out = []
+    for x, y in zip(text, mates):
+        if out and out[-1] == y:
+            out.pop()
+        else:
+            out.append(x)
+    i, j = 0, len(out) - 1
+    while j > i and out[i] == flip[ord(out[j])]:
+        i, j = i + 1, j - 1
+    return "".join(out[i : j + 1])
+
+
+def reverse_word(text: str, flip: str) -> str:
+    """The same path traversed backwards."""
+    return text[::-1].translate(flip)
 
 
 @lru_cache(maxsize=256)
@@ -93,7 +83,7 @@ def _blocks_at(least: str):
     return re.compile(f"{e}+[^{e}]+").findall
 
 
-def min_rotation_text(text: str) -> str:
+def min_rotation(text: str) -> str:
     """Lexicographically minimal rotation of an encoded word, by
     least-letter blocks.
 
@@ -139,33 +129,9 @@ def min_rotation_text(text: str) -> str:
     return text[k:] + text[:k]
 
 
-def min_rotation(word):
-    """Lexicographically minimal rotation (`min_rotation_text`)."""
-    return decode(min_rotation_text(encode(word)))
-
-
-def reverse_word(word, mate):
-    """The same cyclic path traversed backwards."""
-    return tuple(mate[x] for x in reversed(word))
-
-
-def canonical_text(text: str, flip: str) -> str:
-    """Minimal rotation over both traversal directions of a cyclically
-    reduced encoded word; `flip` is the mate table."""
-    a = min_rotation_text(text)
-    b = min_rotation_text(text[::-1].translate(flip))
-    return a if a <= b else b
-
-
-def canonical_reduced(word, mate):
-    """Minimal rotation over both traversal directions of a reduced word.
-
-    The word must already be cyclically reduced; `canonical_cyclic`
-    reduces it first.  `mate` is a sequence here.
-    """
-    return decode(canonical_text(encode(word), encode(mate)))
-
-
-def canonical_cyclic(word, mate):
+def canonical_cyclic(text: str, flip: str) -> str:
     """Minimal rotation over both traversal directions, after reduction."""
-    return canonical_reduced(cyclic_reduce(word, mate), mate)
+    w = cyclic_reduce(text, flip)
+    a = min_rotation(w)
+    b = min_rotation(reverse_word(w, flip))
+    return a if a <= b else b

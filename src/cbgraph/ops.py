@@ -5,11 +5,12 @@ drawn curve with the twisting curve inserts a full pass around the
 twisting curve, in the direction given by the crossing sign, which is
 exactly the image under the annulus twist homeomorphism (excess
 crossings insert cancelling passes, so minimal position is not needed).
-The image is spliced as encoded text from the kept traces of both
-curves, joined once and handed to `CurveClass.from_texts`.
+The image is spliced from the drawn strands' text (`Strand.letters`),
+its length checked against `MAX_TWIST_LETTERS` first, joined once and
+handed to `CurveClass.from_texts`.
 Intersection numbers come from exhaustive bigon removal; the boundary
 of a regular neighborhood is the ribbon walk of the reduced pair,
-`Reduced.boundary_words`.
+`Reduced.boundary_words`, whose texts go to `CurveClass.from_texts`.
 
 The exact answers whose inputs repeat are memoised per process in
 bounded `functools.lru_cache`s of `MEMO_ENTRIES` entries: the geometric
@@ -63,10 +64,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from cbgraph import MEMO_ENTRIES, dehn
-from cbgraph.curves import CurveClass
+from cbgraph.curves import CurveClass, translate_tables
 from cbgraph.geom import Drawing
-from cbgraph.kernel import encode
+from cbgraph.kernel import reverse_word
 from cbgraph.position import Reduced
+
+# Letters a twist's image may have, checked before it is spliced; the
+# scale benchmark's twisted words run to about 24,000 letters.
+MAX_TWIST_LETTERS = 10**7
 
 
 class PairRecord:
@@ -170,27 +175,32 @@ def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
     if not drawing.crossings:
         # The twist is supported near `along`, which c is drawn apart from.
         return c
-    flip = encode(tri.mate)
+    # Each crossing adds |power| passes of along's letters to c's.
+    size = sum(map(len, c.texts)) + abs(power) * len(drawing.crossings) * len(along.texts[0])
+    if size > MAX_TWIST_LETTERS:
+        raise RuntimeError(
+            f"twist exceeded MAX_TWIST_LETTERS = {MAX_TWIST_LETTERS}: power {power}"
+            f" would give an image of {size} letters"
+        )
+    flip = translate_tables(tri).flip
     texts = []
     for s in drawing.strands:
         if s.curve != ic:
             continue
-        # Splice a pass around `along` into the word after the chord of
-        # each crossing, in strand order, with the sign seen from c.  A
-        # strand's trace text is its `letters` encoded; a pass is a
-        # rotation of along's, reversed through the mate table when the
-        # sign and the power disagree.
-        text = drawing.curves[ic].trace[s.comp][0]
+        # Splice a pass around `along` into the text after the chord of
+        # each crossing, in strand order, with the sign seen from c: a
+        # rotation of along's text, reversed when sign and power disagree.
+        text = s.letters
         parts, done = [], 0
         for x in drawing.strand_sequence(s):
             k, _, sd, sign = x.strand_data(s)
             parts.append(text[done : k + 1])
             done = k + 1
             kd = x.strand_data(sd)[0]
-            around = drawing.curves[sd.curve].trace[sd.comp][0]
+            around = sd.letters
             rot = around[kd + 1 :] + around[: kd + 1]
             if sign * power < 0:
-                rot = rot[::-1].translate(flip)
+                rot = reverse_word(rot, flip)
             parts.append(rot * abs(power))
         parts.append(text[done:])
         texts.append("".join(parts))
@@ -208,7 +218,7 @@ def band_sum(a: CurveClass, b: CurveClass) -> CurveClass:
     # With one crossing the neighborhood is a punctured torus, whatever
     # the drawing order: its boundary is the one circle of the ribbon walk.
     (word,) = reduced.boundary_words()
-    return CurveClass.from_word(a.tri, word)
+    return CurveClass.from_texts(a.tri, [word])
 
 
 class NeighborhoodProfile:
@@ -246,7 +256,7 @@ class NeighborhoodProfile:
     def boundary_classes(self) -> list[CurveClass] | None:
         if self._classes is None and self._essential is not None:
             self._classes = sorted(
-                {CurveClass.from_word(self._tri, w) for w in self._essential}
+                {CurveClass.from_texts(self._tri, [w]) for w in self._essential}
             )
         return self._classes
 

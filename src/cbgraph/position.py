@@ -14,7 +14,8 @@ crossings around it: the strand's letters never change, and they are a
 traced cycle, cyclically reduced, so any stretch of them is reduced and
 a merge has nothing to cancel.  An arc is therefore read as a slice of
 the strand's letters, between the chords of its end crossings, and not
-kept.
+kept.  The letters are the strand's trace text, so arcs, and the words
+the walks below build from them, are `str`s.
 
 The removal order is fixed: the bigon removed next is always the first
 one met by a left-to-right scan of the strands in drawing order.
@@ -55,6 +56,7 @@ import heapq
 from array import array
 
 from cbgraph import dehn
+from cbgraph.curves import translate_tables
 from cbgraph.geom import Drawing
 from cbgraph.kernel import reverse_word
 
@@ -71,25 +73,25 @@ class Reduced:
     it lies on.  `succ[h]` and `pred[h]` link the surviving halves of
     each strand cyclically; they are valid only while `cross[h].alive`,
     which removal clears.  `arc(h)` is the directed crossings from h to
-    `succ[h]`, a slice of the strand's letters.
+    `succ[h]`, a slice of the strand's text; `flip` reverses arcs.
     """
 
     def __init__(self, drawing: Drawing):
         self.drawing = drawing
         self.tri = drawing.tri
+        self.flip = translate_tables(drawing.tri).flip
         self._reduce()
 
     def _loop_is_trivial(self, alpha, beta_forward, beta) -> bool:
         # alpha runs x -> y on one strand; beta runs x -> y (forward) or
         # y -> x on the other.  Both are reduced, so the loop is trivial
         # off the vertex exactly when they are the same path.
-        mate = self.tri.mate
         if beta_forward:
             if alpha == beta:
                 return True
-            loop = alpha + reverse_word(beta, mate)
+            loop = alpha + reverse_word(beta, self.flip)
         else:
-            if beta == reverse_word(alpha, mate):
+            if beta == reverse_word(alpha, self.flip):
                 return True
             loop = alpha + beta
         return dehn.is_trivial(self.tri, loop)
@@ -183,7 +185,7 @@ class Reduced:
                         queued[g] = 1
                         heapq.heappush(heap, g)
 
-    def _letters(self, h: int, k: int) -> tuple[int, ...]:
+    def _letters(self, h: int, k: int) -> str:
         """The strand's letters from half h forward to half k of the
         same strand, once around when k is h.
 
@@ -194,7 +196,7 @@ class Reduced:
         a, b = self.chord[h] + 1, self.chord[k] + 1
         return letters[a:b] if h < k else letters[a:] + letters[:b]
 
-    def arc(self, h: int) -> tuple[int, ...]:
+    def arc(self, h: int) -> str:
         """The directed crossings from half h to its successor."""
         return self._letters(h, self.succ[h])
 
@@ -215,7 +217,7 @@ class Reduced:
                     todo.append(t)
         return len(reached) == len(firsts) - 1
 
-    def boundary_words(self) -> list[tuple[int, ...]]:
+    def boundary_words(self) -> list[str]:
         """Boundary circle words of the regular neighbourhood of the union.
 
         First both directions of each strand without a surviving
@@ -223,13 +225,13 @@ class Reduced:
         increasing number and each direction (forward first), the circle
         leaving it, unless an earlier circle passed that way.
         """
-        mate = self.tri.mate
+        flip = self.flip
         cross, other, positive = self.cross, self.other, self.positive
         succ, pred, firsts, arc = self.succ, self.pred, self.firsts, self.arc
         words = []
         for m, s in enumerate(self.drawing.strands):
             if not any(cross[h].alive for h in range(firsts[m], firsts[m + 1])):
-                words += [s.letters, reverse_word(s.letters, mate)]
+                words += [s.letters, reverse_word(s.letters, flip)]
         seen = bytearray(2 * len(cross))  # (half, forward) as 2 * half + forward
         for h0, x in enumerate(cross):
             if not x.alive:
@@ -241,15 +243,15 @@ class Reduced:
                 while not seen[2 * h + forward]:
                     seen[2 * h + forward] = 1
                     if forward:
-                        word += arc(h)
+                        word.append(arc(h))
                         k = succ[h]
                     else:
                         k = pred[h]
-                        word += reverse_word(arc(k), mate)
+                        word.append(reverse_word(arc(k), flip))
                     # Arrived at k: turn onto the crossing's other strand.
                     h = other[k]
                     forward ^= positive[k]
-                words.append(tuple(word))
+                words.append("".join(word))
         return words
 
     def arc_closures(self, curve: int):
@@ -266,13 +268,13 @@ class Reduced:
         """
         if [s.curve for s in self.drawing.strands] != [0, 1]:
             raise ValueError("arc closures need a pair of connected curves")
-        mate, other, succ, positive = self.tri.mate, self.other, self.succ, self.positive
+        flip, other, succ, positive = self.flip, self.other, self.succ, self.positive
         along = self._letters
         for h in range(self.firsts[curve], self.firsts[curve + 1]):
             if not self.cross[h].alive:
                 continue
             k = succ[h]
             x, y, beta = other[h], other[k], along(h, k)
-            fwd = along(y, x) if x != y else ()
-            words = (beta + fwd, beta + reverse_word(along(x, y), mate))
+            fwd = along(y, x) if x != y else ""
+            words = (beta + fwd, beta + reverse_word(along(x, y), flip))
             yield beta, words, positive[h] != positive[k]

@@ -25,6 +25,7 @@ from cbgraph.cb import Containment, contains, small_cb
 from cbgraph.curves import CurveClass
 from cbgraph.cut import CutComplex
 from cbgraph.farey import Slope, farey_distance
+from cbgraph.kernel import decode
 from cbgraph.model import EmbeddedToriModel
 
 MAX_WITNESS_HEIGHT = 64
@@ -105,7 +106,7 @@ def _project(sel: SideSelector, b: CurveClass) -> frozenset[CurveClass]:
     tri = a.tri
     out = set()
     for _, words, _ in ops.reduced_pair(a, b).arc_closures(1):
-        kept = [c for c in (CurveClass.from_word(tri, w) for w in words) if c != a]
+        kept = [c for c in (CurveClass.from_texts(tri, [w]) for w in words) if c != a]
         if not kept:
             continue
         # Both circles of one arc lie in the arc's side; test one.
@@ -132,11 +133,11 @@ def innermost_surgery(a: CurveClass, b: CurveClass) -> dict:
     tri = a.tri
     records = []
     for idx, (beta, words, returning) in enumerate(ops.reduced_pair(a, b).arc_closures(1)):
-        pair = tuple(CurveClass.from_word(tri, w) for w in words)
+        pair = tuple(CurveClass.from_texts(tri, [w]) for w in words)
         cost = ops.intersect(pair[0], a) + ops.intersect(pair[1], a)
         records.append((not returning, cost, idx, beta, pair))
     _, _, _, beta, pair = min(records)
-    return {"b_arc": beta, "candidates": pair}
+    return {"b_arc": decode(beta), "candidates": pair}
 
 
 class TorusBasis:

@@ -15,7 +15,9 @@ the string closure that the run-by-run closure replaced: it built a
 swap for every start and length inside each run of at least half the
 link (`parallel_runs`), and retraced every new swap to decide whether
 it was an isotopy.  It is kept as it was, calling the kept tables
-under their names in `cbgraph.curves`.  `StepTracer` is the normal arc
+under their names in `cbgraph.curves` and the text word functions of
+`cbgraph.kernel`; the tuple closures call their tuple forms in
+`tuple_words`.  `StepTracer` is the normal arc
 tracer that calls a method per step and builds a (letter, position)
 tuple per crossing, where the kept one reads per-letter tables and
 writes each cycle straight into the kept form; `compact_trace` writes
@@ -39,24 +41,19 @@ from array import array
 from functools import lru_cache
 from operator import eq
 
+from tuple_words import canonical_cyclic, canonical_reduced, cyclic_reduce, reverse_word
+
+from cbgraph import kernel
 from cbgraph.curves import (
     MAX_VERTEX_CLOSURE,
     _same_cycle,
     _text_weights,
-    _translate_tables,
+    translate_tables,
     validate_word,
     word_weights,
 )
 from cbgraph.curves import trace_components as flat_trace_components
-from cbgraph.kernel import (
-    canonical_cyclic,
-    canonical_reduced,
-    canonical_text,
-    cyclic_reduce,
-    cyclic_reduce_text,
-    encode,
-    reverse_word,
-)
+from cbgraph.kernel import encode
 from cbgraph.surface import Triangulation
 
 
@@ -338,14 +335,14 @@ def parallel_runs(text: str, succ: str, n: int, min_len: int):
 def string_vertex_canonical(tri: Triangulation, encoded: str) -> str:
     """`vertex_canonical` of an encoded word, such as a traced cycle,
     as encoded text."""
-    tables = _translate_tables(tri)
+    tables = translate_tables(tri)
     flip = tables.flip
-    start = cyclic_reduce_text(encoded, flip)
+    start = kernel.cyclic_reduce(encoded, flip)
     if not start:
         return ""
     n = len(tri.vertex_link)
     min_len = n // 2
-    seen = {canonical_text(start, flip)}
+    seen = {kernel.canonical_cyclic(start, flip)}
     frontier = list(seen)
     while frontier:
         nxt = []
@@ -356,7 +353,7 @@ def string_vertex_canonical(tri: Triangulation, encoded: str) -> str:
                     j = dbl.find(text[i])
                     for kk in range(min_len, k + 1):
                         swapped = dbl[j + kk : j + n][::-1].translate(flip) + anchored[kk:]
-                        cand = canonical_text(cyclic_reduce_text(swapped, flip), flip)
+                        cand = kernel.canonical_cyclic(swapped, flip)
                         if cand in seen:
                             continue
                         if cand:

@@ -31,14 +31,18 @@ distinct: two rotations that shared a prefix of two or more letters
 would have a piece of that length, and pieces have length 1.
 
 Letters are nonzero ints: +e / -e+... encoded as (e + 1) and -(e + 1)
-for side edge e, so inversion is negation.
+for side edge e, so inversion is negation.  `loop_is_trivial` takes a
+dual loop as encoded text, as `cbgraph.dehn.is_trivial` does, and the
+reductions are the tuple forms of `tuple_words`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from cbgraph.kernel import cyclic_reduce, free_reduce
+from tuple_words import cyclic_reduce, free_reduce
+
+from cbgraph.kernel import decode
 from cbgraph.surface import Triangulation, standard_triangulation
 
 
@@ -123,9 +127,10 @@ def is_trivial(genus: int, word) -> bool:
     return True
 
 
-def loop_is_trivial(tri: Triangulation, loop) -> bool:
-    """Whether a closed dual path is null-homotopic on the surface."""
-    return is_trivial(tri.genus, path_word(tri, loop))
+def loop_is_trivial(tri: Triangulation, loop: str) -> bool:
+    """Whether a closed dual path, encoded as text, is null-homotopic on
+    the surface."""
+    return is_trivial(tri.genus, path_word(tri, decode(loop)))
 
 
 def window_scan_is_trivial(genus: int, word) -> bool:

@@ -7,7 +7,9 @@ every pair of chords in a triangle by Cramer's rule in `Fraction`s and
 respaces the points when it meets a degeneracy.  It accepts any number
 of curves.  Tests require the integer drawing to give the same
 crossings, signs and crossing orders, and use this one to draw the
-three- and four-curve sets that exercise bigon-removal order.
+three- and four-curve sets that exercise bigon-removal order.  Its
+strands hold their letters as encoded text, as the integer drawing's
+do.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 from canonical_oracle import StepTracer
 from cbgraph.geom import Crossing, Strand
+from cbgraph.kernel import encode
 from cbgraph.surface import Triangulation
 from polygon_oracle import polygon_vertices
 
@@ -63,7 +66,7 @@ class FractionDrawing:
                     e = tri.side_edge[lam]
                     g = offsets[ci][e] + pos
                     keys.append(Fraction(g * spread + 1, totals[e] * spread + 1))
-                self.strands.append(Strand(ci, mi, letters, keys))
+                self.strands.append(Strand(ci, mi, encode(letters), keys))
 
         verts = polygon_vertices(tri.genus)
         corner_cache = {}
@@ -91,9 +94,9 @@ class FractionDrawing:
         for s in self.strands:
             n = len(s)
             for k in range(n):
-                lam = s.letters[k]
+                lam = ord(s.letters[k])
                 t, slot = tri.side_of(lam)
-                lam2 = s.letters[(k + 1) % n]
+                lam2 = ord(s.letters[(k + 1) % n])
                 e2 = tri.side_edge[lam2]
                 t2b, slot2b = tri.side_of(tri.mate[lam2])
                 if t2b != t:
@@ -151,7 +154,7 @@ class FractionDrawing:
             out.extend(x for _, x in lst)
         return out
 
-    def arc_letters(self, strand: Strand, x: Crossing, y: Crossing):
+    def arc_letters(self, strand: Strand, x: Crossing, y: Crossing) -> str:
         """Directed crossings traversed from x to y along the strand.
 
         x and y must be consecutive crossings of the strand (y may equal
@@ -163,7 +166,7 @@ class FractionDrawing:
         if kx == ky and (x is y or px < py):
             if x is y:
                 return strand.letters[kx + 1 :] + strand.letters[: kx + 1]
-            return ()
+            return ""
         ks = []
         k = (kx + 1) % n
         while True:
@@ -171,7 +174,7 @@ class FractionDrawing:
             if k == ky:
                 break
             k = (k + 1) % n
-        return tuple(strand.letters[k] for k in ks)
+        return "".join(strand.letters[k] for k in ks)
 
     def raw_count(self, ci: int, cj: int) -> int:
         return sum(

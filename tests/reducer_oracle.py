@@ -15,14 +15,33 @@ those lists: the ribbon walk turns by a crossing's rotation of
 (strand, direction) darts, and an arc's closures are found by the
 positions of its ends in the other strand's list.  `connected` is the
 union-find over strands that `Reduced.connected` replaced.
+
+Arcs and words are encoded text, as `Reduced` gives them; a merge is
+freely reduced as a tuple (`tuple_words.free_reduce`).  `arc_letters`
+is the arc reader that `Drawing` kept for this oracle;
+`FractionDrawing` walks its chords with its own.
 """
 
 from __future__ import annotations
 
 import dehn_oracle
+from tuple_words import free_reduce
 
 from cbgraph.geom import Crossing, Drawing, Strand
-from cbgraph.kernel import free_reduce, reverse_word
+from cbgraph.kernel import decode, encode, reverse_word
+
+
+def arc_letters(strand: Strand, x: Crossing, y: Crossing) -> str:
+    """Directed crossings traversed from x to y along the strand.
+
+    x and y must be consecutive crossings of the strand (y may equal
+    x when it is the only one).
+    """
+    kx, px, _, _ = x.strand_data(strand)
+    ky, py, _, _ = y.strand_data(strand)
+    if (kx, px) < (ky, py):
+        return strand.letters[kx + 1 : ky + 1]
+    return strand.letters[kx + 1 :] + strand.letters[: ky + 1]
 
 
 class RescanReduced:
@@ -31,23 +50,22 @@ class RescanReduced:
     def __init__(self, drawing: Drawing):
         self.drawing = drawing
         self.tri = drawing.tri
+        self.flip = encode(drawing.tri.mate)
         self.seqs: dict[Strand, list[Crossing]] = {}
-        self.arcs: dict[Strand, list[tuple[int, ...]]] = {}
+        self.arcs: dict[Strand, list[str]] = {}
+        read = getattr(drawing, "arc_letters", arc_letters)
         for s in drawing.strands:
             seq = drawing.strand_sequence(s)
             self.seqs[s] = seq
             n = len(seq)
-            self.arcs[s] = [
-                drawing.arc_letters(s, seq[i], seq[(i + 1) % n]) for i in range(n)
-            ]
+            self.arcs[s] = [read(s, seq[i], seq[(i + 1) % n]) for i in range(n)]
         self._reduce()
 
     def _loop_is_trivial(self, alpha, beta_forward, beta) -> bool:
         # alpha runs x -> y on one strand; beta runs x -> y (forward) or
         # y -> x on the other.
-        mate = self.tri.mate
         if beta_forward:
-            loop = alpha + reverse_word(beta, mate)
+            loop = alpha + reverse_word(beta, self.flip)
         else:
             loop = alpha + beta
         return dehn_oracle.loop_is_trivial(self.tri, loop)
@@ -93,7 +111,7 @@ class RescanReduced:
             self.arcs[s] = []
             return
         prev = (i - 1) % n
-        merged = free_reduce(arcs[prev] + arcs[i] + arcs[j], self.tri.mate)
+        merged = encode(free_reduce(decode(arcs[prev] + arcs[i] + arcs[j]), self.tri.mate))
         keep = [k for k in range(n) if k not in (i, j)]
         new_seq = [seq[k] for k in keep]
         new_arcs = [arcs[k] for k in keep]
@@ -128,11 +146,12 @@ class RescanReduced:
 
 def ribbon_boundary_words(tri, reduced, strands):
     """Boundary circle words of the regular neighborhood of the strands."""
+    flip = encode(tri.mate)
     words = []
     for s in strands:
         if not reduced.seqs[s]:
-            words.append(tuple(s.letters))
-            words.append(reverse_word(tuple(s.letters), tri.mate))
+            words.append(s.letters)
+            words.append(reverse_word(s.letters, flip))
 
     def rotation(x):
         if x.sign > 0:
@@ -155,9 +174,7 @@ def ribbon_boundary_words(tri, reduced, strands):
                         word.extend(reduced.arcs[s][p])
                         y = reduced.seqs[s][(p + 1) % n]
                     else:
-                        word.extend(
-                            reverse_word(reduced.arcs[s][(p - 1) % n], tri.mate)
-                        )
+                        word.extend(reverse_word(reduced.arcs[s][(p - 1) % n], flip))
                         y = reduced.seqs[s][(p - 1) % n]
                     # Arrived at y travelling direction d along s; reverse,
                     # then take the next departing dart counterclockwise.
@@ -165,7 +182,7 @@ def ribbon_boundary_words(tri, reduced, strands):
                     i = rot.index((s, -d))
                     s, d = rot[(i + 1) % 4]
                     x = y
-                words.append(tuple(word))
+                words.append("".join(word))
     return words
 
 
@@ -184,13 +201,9 @@ def arc_candidates(tri, reduced, sa, sb, idx):
     jx, jy = seq_a.index(x), seq_a.index(y)
     fwd_len = (jx - jy) % m
     bwd_len = m if x is y else (jy - jx) % m
-    alpha_fwd = tuple(
-        lam for t in range(fwd_len) for lam in arcs_a[(jy + t) % m]
-    )
-    alpha_bwd = tuple(
-        lam for t in range(bwd_len) for lam in arcs_a[(jx + t) % m]
-    )
-    return beta, (beta + alpha_fwd, beta + reverse_word(alpha_bwd, tri.mate))
+    alpha_fwd = "".join(arcs_a[(jy + t) % m] for t in range(fwd_len))
+    alpha_bwd = "".join(arcs_a[(jx + t) % m] for t in range(bwd_len))
+    return beta, (beta + alpha_fwd, beta + reverse_word(alpha_bwd, encode(tri.mate)))
 
 
 def arc_closures(tri, reduced):

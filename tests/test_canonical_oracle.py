@@ -25,7 +25,7 @@ words than its closure holds.
 `kernel.min_rotation` must return Booth's rotation on short words over
 few letters, on random words, on the P^k Q words where cutting at
 single least letters would go quadratic, and on every encoded word
-`kernel.min_rotation_text` is given while the scale ladders are built.
+`kernel.min_rotation` is given while the scale ladders are built.
 """
 
 import contextlib
@@ -37,12 +37,13 @@ import sys
 from pathlib import Path
 
 import canonical_oracle as oracle
+import tuple_words
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbgraph import curves, kernel, ops
 from cbgraph.curves import CurveClass, _Tracer, vertex_canonical, word_weights
-from cbgraph.kernel import canonical_text, cyclic_reduce_text, decode, encode, reverse_word
+from cbgraph.kernel import decode, encode
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
 
@@ -100,10 +101,10 @@ def _rule_against_retrace(tri, text):
     traces to one cycle equal to itself, (the innermost rule's verdict,
     the retrace's).
     """
-    tables = curves._translate_tables(tri)
+    tables = curves.translate_tables(tri)
     flip, n = tables.flip, len(tri.vertex_link)
-    start = cyclic_reduce_text(text, flip)
-    seen = {canonical_text(start, flip)} if start else set()
+    start = kernel.cyclic_reduce(text, flip)
+    seen = {kernel.canonical_cyclic(start, flip)} if start else set()
     frontier, verdicts = list(seen), []
     while frontier:
         nxt = []
@@ -159,7 +160,7 @@ def _push(c, word):
 
 def test_vertex_link_is_null():
     for tri in TRIS.values():
-        for w in (tri.vertex_link, reverse_word(tri.vertex_link, tri.mate)):
+        for w in (tri.vertex_link, tuple_words.reverse_word(tri.vertex_link, tri.mate)):
             assert vertex_canonical(tri, w) == ()
             assert oracle.vertex_canonical(tri, w) == ()
 
@@ -291,7 +292,7 @@ def test_twist_words_agree(genus, data):
 def test_min_rotation_on_all_short_words():
     for n in range(10):
         for w in itertools.product(range(3), repeat=n):
-            assert kernel.min_rotation(w) == oracle.min_rotation(w), w
+            assert tuple_words.min_rotation(w) == oracle.min_rotation(w), w
 
 
 def test_min_rotation_on_random_words():
@@ -302,7 +303,7 @@ def test_min_rotation_on_random_words():
     for _ in range(3000):
         alphabet = rng.choice((range(2), range(4), range(42), special))
         w = [rng.choice(alphabet) for _ in range(rng.randint(0, 80))]
-        assert kernel.min_rotation(w) == oracle.min_rotation(w), w
+        assert tuple_words.min_rotation(w) == oracle.min_rotation(w), w
 
 
 def test_min_rotation_on_powers_with_one_defect():
@@ -312,10 +313,10 @@ def test_min_rotation_on_powers_with_one_defect():
     for k in (1, 2, 3, 10, 1000):
         for p, q in shapes:
             for w in (p * k + q, q + p * k, p * k):
-                assert kernel.min_rotation(w) == oracle.min_rotation(w)
+                assert tuple_words.min_rotation(w) == oracle.min_rotation(w)
     for p, q in shapes:
         w = p * 10**5 + q
-        assert kernel.min_rotation(w) == oracle.min_rotation(w)
+        assert tuple_words.min_rotation(w) == oracle.min_rotation(w)
 
 
 def _scale_ladders():
@@ -393,7 +394,7 @@ def _assert_one_swap_per_run(tri, text):
     """Every swap the retracing closure built from a cyclically reduced
     encoded word, (i, kk) for each kk of each run start i, reduces to
     the swap of the maximal run holding i, capped at the link."""
-    tables = curves._translate_tables(tri)
+    tables = curves.translate_tables(tri)
     flip, n = tables.flip, len(tri.vertex_link)
     for succ, dbl in tables.directions:
         runs = list(curves._maximal_runs(text, succ, n, n // 2))
@@ -411,7 +412,7 @@ def test_every_swap_inside_a_maximal_run_reduces_to_its_swap(genus, data):
     # random corner in either direction, between random letters; the
     # word is reduced, so a run may shrink or merge with another.
     tri = TRIS[genus]
-    tables = curves._translate_tables(tri)
+    tables = curves.translate_tables(tri)
     n = len(tri.vertex_link)
     letters = st.lists(st.integers(0, 3 * tri.num_triangles - 1), max_size=5)
     pieces = []
@@ -421,7 +422,7 @@ def test_every_swap_inside_a_maximal_run_reduces_to_its_swap(genus, data):
         size = data.draw(st.integers(n // 2, 2 * n + 3), label="length")
         pieces.append(encode(data.draw(letters, label="between")))
         pieces.append((dbl * 3)[j : j + size])
-    text = cyclic_reduce_text("".join(pieces), tables.flip)
+    text = kernel.cyclic_reduce("".join(pieces), tables.flip)
     _assert_one_swap_per_run(tri, text)
     got = _outcome(lambda t, w: curves._vertex_canonical(t, w)[0], tri, text)
     assert got == _outcome(oracle.string_vertex_canonical, tri, text)
@@ -436,7 +437,7 @@ def test_runs_longer_than_the_link_reduce_to_one_swap(monkeypatch):
     kept = curves._traces_to_itself
     monkeypatch.setattr(curves, "_traces_to_itself", lambda *a: retraced.append(a) or kept(*a))
     for tri in (TRIS[2], TRIS[3]):
-        tables = curves._translate_tables(tri)
+        tables = curves.translate_tables(tri)
         n = len(tri.vertex_link)
         for succ, dbl in tables.directions:
             words = [dbl[:n] * power for power in (1, 2, 3)]
@@ -447,7 +448,7 @@ def test_runs_longer_than_the_link_reduce_to_one_swap(monkeypatch):
                     x = next(chr(y) for y in range(3 * tri.num_triangles) if chr(y) not in ends)
                     words.append(run + x)
             for text in words:
-                assert cyclic_reduce_text(text, tables.flip) == text
+                assert kernel.cyclic_reduce(text, tables.flip) == text
                 _assert_one_swap_per_run(tri, text)
                 got = _outcome(lambda t, w: curves._vertex_canonical(t, w)[0], tri, text)
                 assert got == _outcome(oracle.string_vertex_canonical, tri, text)
@@ -458,13 +459,13 @@ def test_min_rotation_on_scale_ladder_inputs(monkeypatch):
     # Every word the closure canonicalises while the scale ladders are
     # built; it rotates encoded words, so those are recorded.
     inputs = []
-    kept = kernel.min_rotation_text
+    kept = kernel.min_rotation
 
     def record(text):
         inputs.append(text)
         return kept(text)
 
-    monkeypatch.setattr(kernel, "min_rotation_text", record)
+    monkeypatch.setattr(kernel, "min_rotation", record)
     _scale_ladders()
     assert max(map(len, inputs)) == 5484
     for text in inputs:

@@ -322,3 +322,19 @@ def test_a_word_that_is_no_dual_path_names_its_fault():
 
 def test_negative_slope_as_its_own_argument():
     assert run_case("farey i", 3, None, "-1/2") == (0, "")
+
+
+def test_a_twist_power_past_the_letter_bound_exits_3():
+    # The image's letter count is checked before the splice, so a power
+    # of 10^12 ends in one error record naming the bound, not in a
+    # MemoryError traceback.
+    twist = {"base": {"handle": 0}, "along": {"handle": 1}, "power": 10**12}
+    recipe = {"genus": 2, "checks": [], "curves": [{"twist": twist}]}
+    code, err = run_case("complex build", 5, (), recipe)
+    assert code == 3
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "RuntimeError"
+    assert f"MAX_TWIST_LETTERS = {ops.MAX_TWIST_LETTERS}" in error["message"]
+    assert "power 1000000000000" in error["message"]
+    assert "3000000000002 letters" in error["message"]

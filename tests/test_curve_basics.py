@@ -6,21 +6,19 @@ from pathlib import Path
 
 import pytest
 
-from cbgraph.kernel import (
-    canonical_cyclic,
-    canonical_reduced,
-    cyclic_reduce,
-    cyclic_reduce_text,
-    decode,
-    encode,
-    min_rotation,
-    reverse_word,
-)
-from cbgraph import curves, ops, surface
+from cbgraph import curves, kernel, ops, surface
+from cbgraph.kernel import decode, encode
 from cbgraph.curves import CurveClass, trace_components, vertex_canonical, word_weights
 from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves, partner_side
 from cbgraph.surface import Triangulation, standard_triangulation
 from canonical_oracle import rescanning_cyclic_reduce
+from tuple_words import (
+    canonical_cyclic,
+    canonical_reduced,
+    cyclic_reduce,
+    min_rotation,
+    reverse_word,
+)
 
 
 def test_triangulation_counts():
@@ -99,25 +97,33 @@ def test_triangulation_checksum_stable():
 
 # Synthetic involution for kernel tests: mate pairs 2i <-> 2i+1.
 MATE = tuple(x ^ 1 for x in range(10))
+FLIP = encode(MATE)
+
+
+def _kernel_reduce(w):
+    """`kernel.cyclic_reduce` of an int-tuple word, decoded."""
+    return decode(kernel.cyclic_reduce(encode(w), FLIP))
 
 
 def test_cyclic_reduce():
-    assert cyclic_reduce((), MATE) == ()
-    assert cyclic_reduce((0, 1), MATE) == ()
-    assert cyclic_reduce((2, 0, 1, 4), MATE) == (2, 4)
-    assert cyclic_reduce((0, 2, 3, 1), MATE) == ()
-    assert cyclic_reduce((1, 4, 0), MATE) == (4,)
-    assert cyclic_reduce((0, 2, 0, 2), MATE) == (0, 2, 0, 2)
-    # A conjugate u.c.u^-1 with a long u strips back to c, and to nothing
-    # when c is empty.
-    u = (0, 2, 4, 6, 8) * 400
-    c = (3, 5)
-    assert cyclic_reduce(u + c + reverse_word(u, MATE), MATE) == c
-    assert cyclic_reduce(u + reverse_word(u, MATE), MATE) == ()
-    assert cyclic_reduce(u + (0, 1) + c + reverse_word(u, MATE), MATE) == c
-    # A nested cancellation u.u^-1 inside the word, with |u| = 4000.
-    u = (0, 2, 4, 6, 8) * 800
-    assert cyclic_reduce((3,) + u + reverse_word(u, MATE) + (5,), MATE) == (3, 5)
+    # The kernel's text pass, and the tuple copy that the oracles use.
+    for reduce in (_kernel_reduce, lambda w: cyclic_reduce(w, MATE)):
+        assert reduce(()) == ()
+        assert reduce((0, 1)) == ()
+        assert reduce((2, 0, 1, 4)) == (2, 4)
+        assert reduce((0, 2, 3, 1)) == ()
+        assert reduce((1, 4, 0)) == (4,)
+        assert reduce((0, 2, 0, 2)) == (0, 2, 0, 2)
+        # A conjugate u.c.u^-1 with a long u strips back to c, and to
+        # nothing when c is empty.
+        u = (0, 2, 4, 6, 8) * 400
+        c = (3, 5)
+        assert reduce(u + c + reverse_word(u, MATE)) == c
+        assert reduce(u + reverse_word(u, MATE)) == ()
+        assert reduce(u + (0, 1) + c + reverse_word(u, MATE)) == c
+        # A nested cancellation u.u^-1 inside the word, with |u| = 4000.
+        u = (0, 2, 4, 6, 8) * 800
+        assert reduce((3,) + u + reverse_word(u, MATE) + (5,)) == (3, 5)
 
 
 def _nested_word(rng):
@@ -132,7 +138,8 @@ def _nested_word(rng):
 
 
 def test_cyclic_reduce_is_a_rotation_of_the_rescanning_oracle():
-    # Every word of length <= 7 over 6 letters, then random longer ones.
+    # Every word of length <= 7 over 6 letters, then random longer ones,
+    # through the kernel; the tuple copy must give the same rotation.
     words = itertools.chain.from_iterable(
         itertools.product(range(6), repeat=n) for n in range(8)
     )
@@ -140,7 +147,8 @@ def test_cyclic_reduce_is_a_rotation_of_the_rescanning_oracle():
     longer = [_nested_word(rng) for _ in range(500)]
     longer += [tuple(rng.randrange(10) for _ in range(400)) for _ in range(100)]
     for w in itertools.chain(words, longer):
-        got, want = cyclic_reduce(w, MATE), rescanning_cyclic_reduce(w, MATE)
+        got, want = _kernel_reduce(w), rescanning_cyclic_reduce(w, MATE)
+        assert got == cyclic_reduce(w, MATE), w
         assert len(got) == len(want), w
         assert got == want or any(
             got == want[i:] + want[:i] for i in range(1, len(want))
@@ -158,12 +166,11 @@ def test_encoded_words_round_trip():
 def test_cyclic_reduce_text_is_cyclic_reduce():
     # Reduced words skip the stack pass; the others must not.
     rng = random.Random(17)
-    flip = encode(MATE)
     words = [_nested_word(rng) for _ in range(200)]
     words += [tuple(rng.randrange(10) for _ in range(rng.randint(0, 12))) for _ in range(300)]
     words += [cyclic_reduce(w, MATE) for w in words]
     for w in words:
-        assert decode(cyclic_reduce_text(encode(w), flip)) == cyclic_reduce(w, MATE)
+        assert _kernel_reduce(w) == cyclic_reduce(w, MATE)
 
 
 def test_min_rotation_matches_bruteforce():
@@ -196,6 +203,7 @@ def test_canonical_reduced_is_canonical_cyclic_on_reduced_words():
     for w in words:
         r = cyclic_reduce(w, MATE)
         assert canonical_reduced(r, MATE) == canonical_cyclic(r, MATE) == canonical_cyclic(w, MATE)
+        assert decode(kernel.canonical_cyclic(encode(w), FLIP)) == canonical_cyclic(w, MATE)
 
 
 def _weights_on(tri, edges):
@@ -354,7 +362,7 @@ def test_string_check_of_reduced_words_matches_validate_word():
     rng = random.Random(35)
     for g in (2, 3):
         tri = standard_triangulation(g)
-        tables = curves._translate_tables(tri)
+        tables = curves.translate_tables(tri)
         top = 3 * tri.num_triangles
         outcomes = set()
         for _ in range(400):
@@ -366,7 +374,7 @@ def test_string_check_of_reduced_words_matches_validate_word():
                     base = word[-1] - word[-1] % 3
                     sides = [x for x in range(base, base + 3) if x != word[-1]]
                     word.append(tri.mate[rng.choice(sides)])
-            text = cyclic_reduce_text(encode(word), tables.flip)
+            text = kernel.cyclic_reduce(encode(word), tables.flip)
             if not text:
                 continue
             expected = _error(lambda: curves.validate_word(tri, decode(text)))

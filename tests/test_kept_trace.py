@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from cbgraph import curves, ops
 from cbgraph.curves import CurveClass, _Tracer
-from cbgraph.kernel import canonical_cyclic, decode
+from cbgraph.kernel import canonical_cyclic, decode, encode
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
 
@@ -45,7 +45,7 @@ def _assert_kept(c):
     assert sorted(map(decode, matched)) == list(c.words)
     for (text, _), canon in zip(expected, matched):
         assert type(canon) is str and any(canon is t for t in c.texts)
-        assert canonical_cyclic(decode(text), c.tri.mate) == decode(canon)
+        assert canonical_cyclic(text, encode(c.tri.mate)) == canon
 
 
 def _rebuilt(c):

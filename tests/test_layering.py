@@ -17,6 +17,15 @@ tells an edge's first side by comparing an entry of `sides` with a
 `position` knows how a reduced pair is stored: `ops` and `projections`
 read it through `Reduced`'s methods and name none of its arrays, and no
 module reads the per-strand lists and positions it once kept.
+
+Words have one representation, encoded text, and `kernel` holds one
+function per word operation and no int-tuple twin.  `decode` is imported
+only where int letters leave as public output or become array indices:
+`curves` (`CurveClass.words`, `vertex_canonical`, `trace_components`),
+`projections` (the `b_arc` of `innermost_surgery`) and `geom` (the chord
+arrays of `Drawing._build`).  No module outside `kernel` defines a word
+function: none defines a function under a kernel function's name or a
+twin's, and none reverses a word inline by `[::-1].translate`.
 """
 
 import ast
@@ -35,6 +44,9 @@ SRC = Path(cbgraph.__file__).parent
 ABOVE_OPS = {"cut", "cb", "projections"}
 PRIVATE_IMPORTS = {("cut.py", "_Tracer")}
 REDUCED_ARRAYS = {"cross", "other", "positive", "succ", "pred", "chord", "strand_of", "firsts"}
+DECODERS = {"curves.py", "projections.py", "geom.py"}
+WORD_FUNCTIONS = {"encode", "decode", "cyclic_reduce", "reverse_word", "min_rotation", "canonical_cyclic"}
+TWINS = {"free_reduce", "canonical_reduced", "cyclic_reduce_text", "min_rotation_text", "canonical_text"}
 
 
 def _tree(name):
@@ -225,3 +237,56 @@ def test_only_position_reads_the_halves_of_a_reduced_pair():
     tri = standard_triangulation(2)
     reduced = Reduced(Drawing(tri, handle_curves(tri)[:2]))
     assert not [n for n in ("seqs", "arcs", "_index", "index") if hasattr(reduced, n)]
+
+
+def _defined(name):
+    return {
+        node.name
+        for node in ast.walk(_tree(name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_kernel_has_one_function_per_word_operation():
+    public = {n for n in _defined("kernel.py") if not n.startswith("_")}
+    assert public == WORD_FUNCTIONS
+
+
+def test_only_the_output_edges_decode():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        if "decode" in _imported_names(path.name) or any(
+            isinstance(node, ast.Attribute) and node.attr == "decode"
+            and ast.unparse(node.value) == "kernel"
+            for node in ast.walk(_tree(path.name))
+        ):
+            found.add(path.name)
+    assert found <= DECODERS, sorted(found)
+
+
+def _reverses_inline(node):
+    # `word[::-1].translate(flip)`, the body of `kernel.reverse_word`.
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "translate"
+        and isinstance(node.func.value, ast.Subscript)
+        and ast.unparse(node.func.value.slice) == "::-1"
+    )
+
+
+def test_no_module_outside_kernel_defines_a_word_function():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        found += [f"{path.name} {n}" for n in _defined(path.name) & (WORD_FUNCTIONS | TWINS)]
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(_tree(path.name))
+            if _reverses_inline(node)
+        ]
+    assert not found, found
+    assert not _defined("kernel.py") & TWINS

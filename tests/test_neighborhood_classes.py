@@ -2,7 +2,7 @@
 
 `NeighborhoodProfile.boundary_classes` keeps the essential boundary
 words and builds their classes only when the field is read.  The
-classes must equal the eager construction, sorted `from_word` of the
+classes must equal the eager construction, sorted `from_texts` of the
 essential circles, and a two-curve punctured-torus test, which reads
 only connectivity, genus and the boundary count, must build none.
 """
@@ -22,16 +22,16 @@ from cbgraph.surface import standard_triangulation
 
 @pytest.fixture
 def built(monkeypatch):
-    """The classes `CurveClass.from_words` returns, in call order."""
+    """The classes `CurveClass.from_texts` returns, in call order."""
     out = []
-    kept = CurveClass.__dict__["from_words"]
+    kept = CurveClass.__dict__["from_texts"]
 
-    def counted(cls, tri, words):
-        c = kept.__func__(cls, tri, words)
+    def counted(cls, tri, texts):
+        c = kept.__func__(cls, tri, texts)
         out.append(c)
         return c
 
-    monkeypatch.setattr(CurveClass, "from_words", classmethod(counted))
+    monkeypatch.setattr(CurveClass, "from_texts", classmethod(counted))
     return out
 
 
@@ -42,7 +42,7 @@ def _eager(curves):
     reduced = Reduced(Drawing(tri, curves))
     words = reduced.boundary_words()
     essential = [w for w in words if not dehn_oracle.loop_is_trivial(tri, w)]
-    return sorted({CurveClass.from_word(tri, w) for w in essential})
+    return sorted({CurveClass.from_texts(tri, [w]) for w in essential})
 
 
 def _unions(rng, tri):

@@ -11,6 +11,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+from conftest import MEMOS  # noqa: E402
 from spans import Layers, Tracer  # noqa: E402
 
 from cbgraph import geom, kernel, ops  # noqa: E402
@@ -40,14 +41,25 @@ def test_layers_install_trace_and_remove():
 def test_the_null_homotopy_span_sees_calls():
     # `dehn.is_trivial` is measured under its module's name; the
     # boundary circles of a crossing pair's neighbourhood must reach it,
-    # so the span cannot go dead unnoticed.
+    # so the span cannot go dead unnoticed.  The kernel's text functions
+    # carry the names that the spans bind, so one cold pass of the pair
+    # operations reaches every one of them too.
     tri = standard_triangulation(2)
     a, b = handle_curves(tri)[:2]
+    for memo in MEMOS:
+        memo.cache_clear()
+    ops.LAST_PAIR.clear()
     layers = Layers(Tracer())
     installed = layers.install()
     try:
         prof = ops.neighborhood_profile([a, b])
+        c = ops.twist(b, a, 1)
+        assert ops.intersect(a, c) == 1
     finally:
         installed.remove()
     assert prof.boundary_components == 1
-    assert layers.metrics()["dehn.is_trivial.calls"] > 0
+    metrics = layers.metrics()
+    spans = ("cyclic_reduce", "reverse_word", "min_rotation", "canonical_cyclic")
+    calls = {name: metrics[f"kernel.{name}.calls"] for name in spans}
+    calls["dehn.is_trivial"] = metrics["dehn.is_trivial.calls"]
+    assert min(calls.values()) >= 1, calls

@@ -301,7 +301,7 @@ def test_every_arc_candidate_builds_a_class(genus, data):
     assume(ops.intersect(a, b) > 0)
     for _, words, _ in ops.reduced_pair(a, b).arc_closures(1):
         for w in words:
-            assert CurveClass.from_word(tri, w).is_connected
+            assert CurveClass.from_texts(tri, [w]).is_connected
 
 
 def _push(c, word):

@@ -8,8 +8,8 @@ listed incidence of each edge, one of each letter and its mate.
 """
 
 import link_oracle
+from tuple_words import reverse_word
 
-from cbgraph.kernel import reverse_word
 from cbgraph.surface import Triangulation
 
 TRIS = [Triangulation(g) for g in range(2, 13)]
