@@ -30,16 +30,19 @@ that reads words.
 
 The letter counts per edge are exactly the normal coordinates, and
 tracing those coordinates through the triangles recovers the components,
-which doubles as an embeddedness check.  The traced cycles are matched
-to the canonical words by substring tests on the encoded words, so each
-word is canonicalised once.  A curve built from normal coordinates
-(`from_weights`, and so `from_json`) is traced once to find its words,
-which are canonicalised and matched to the trace as text.  The round
-trip reuses that trace unless a push across the vertex changed the
-weights.  A trace has one form, each cycle's letters encoded as a `str`
-and its positions as an `array("I")`; the class keeps it, each cycle
-matched to the canonical text it runs, as `CurveClass.trace`, which
-`geom` and `cut` read.
+which doubles as an embeddedness check.  The arcs at each corner of a
+triangle are counted by `corner_counts`, which the tracer and `cut`
+both read.  The traced cycles are matched to the canonical words by
+substring tests on the encoded words, so each word is canonicalised
+once.  A curve built from normal coordinates (`from_weights`, and so
+`from_json`) is traced once to find its words, which are canonicalised
+and matched to the trace as text; the weight sum, the number of letters
+traced, is bounded by `MAX_CURVE_LETTERS` first.  The round trip reuses
+that trace unless a push across the vertex changed the weights.  A
+trace has one form, each cycle's letters encoded as a `str` and its
+positions as an `array("I")`; the class keeps it, each cycle matched to
+the canonical text it runs, as `CurveClass.trace`, which `geom` and
+`cut` read.
 
 A class stores its words only as that text, `CurveClass.texts`: below
 256 letters (genus up to 21) a `str` holds one byte per letter, where a
@@ -74,6 +77,27 @@ from cbgraph.kernel import canonical_cyclic, cyclic_reduce, decode, encode, reve
 from cbgraph.surface import Triangulation, standard_triangulation
 
 MAX_VERTEX_CLOSURE = 20000  # words `vertex_canonical` may reach from one input
+MAX_CURVE_LETTERS = 10**7  # letters `from_weights` may trace, as `ops.MAX_TWIST_LETTERS`
+
+
+def corner_counts(tri: Triangulation, weights) -> list[tuple[int, int, int]]:
+    """Arc counts at the corners of each triangle of nonnegative weights.
+
+    Corner k lies between sides k-1 and k and holds half the sum less
+    the opposite weight.  The matching conditions (even sum, triangle
+    inequalities) are exactly nonnegativity here.
+    """
+    corners = []
+    for a, b, c in tri.triangles:
+        x, y, z = weights[a], weights[b], weights[c]
+        total = x + y + z
+        if total % 2:
+            raise ValueError("odd weight sum in a triangle")
+        half = total // 2
+        if half < x or half < y or half < z:
+            raise ValueError("triangle inequality violated by weights")
+        corners.append((half - y, half - z, half - x))
+    return corners
 
 
 class _Tracer:
@@ -86,20 +110,7 @@ class _Tracer:
             raise ValueError("weight vector has wrong length")
         if any(x < 0 for x in w):
             raise ValueError("negative weight")
-        # Arc counts at the corners of each triangle: corner k lies between
-        # sides k-1 and k and holds half the sum less the opposite weight.
-        # The matching conditions (even sum, triangle inequalities) are
-        # exactly nonnegativity here.
-        self.corners = corners = []
-        for a, b, c in tri.triangles:
-            x, y, z = w[a], w[b], w[c]
-            total = x + y + z
-            if total % 2:
-                raise ValueError("odd weight sum in a triangle")
-            half = total // 2
-            if half < x or half < y or half < z:
-                raise ValueError("triangle inequality violated by weights")
-            corners.append((half - y, half - z, half - x))
+        self.corners = corner_counts(tri, w)
 
     def components(self) -> list[tuple[str, array]]:
         """All traced components as (letters, positions) cycles.
@@ -526,11 +537,17 @@ class CurveClass:
         """The multicurve with these normal coordinates, memoised per process.
 
         The weights must be ints: a float or bool equal to one would
-        otherwise read the memo entry of that int.
+        otherwise read the memo entry of that int.  Their sum, the
+        letters traced, is checked against `MAX_CURVE_LETTERS` first.
         """
         weights = tuple(weights)
         if not all(type(x) is int for x in weights):
             raise ValueError(f"weights must be ints, not {list(weights)!r}")
+        if sum(weights) > MAX_CURVE_LETTERS:
+            raise RuntimeError(
+                f"curve exceeded MAX_CURVE_LETTERS = {MAX_CURVE_LETTERS}:"
+                f" its weights sum to {sum(weights)} letters"
+            )
         return _from_weights(tri, weights)
 
     @classmethod

@@ -1,13 +1,18 @@
 """Cutting the surface along a disjoint curve system.
 
 The normal arcs of the system chop every triangle into corner cells and
-one central cell; gluing cells across the triangulation edges (interval
-by interval, parameters reversed) assembles the complement regions.
+one central cell (`curves.corner_counts` gives the arcs at each
+corner).  Gluing cells across the triangulation edges (interval by
+interval, parameters reversed) makes one cell graph, built once per
+complex: each cell lists its gluings in gluing order.  The complement
+regions are the graph's components, each named by its first cell.
 Each region is a graph of disks glued along boundary arcs, so its
 Euler characteristic is #cells - #gluings, plus one for the region
 that keeps the triangulation vertex; every curve component donates one
 boundary circle to the region on each of its two sides, and genus
-follows from chi = 2 - 2h - b.
+follows from chi = 2 - 2h - b.  A curve inside a region
+(`nonseparating_in_region`) and a curve across a component
+(`dual_curve`) are read off breadth-first trees of the same graph.
 
 All of it is integer cell bookkeeping.  Whether a curve lies in the
 punctured-torus side of a separating curve is read off its algebraic
@@ -21,73 +26,64 @@ from collections import Counter, deque
 from functools import lru_cache
 
 from cbgraph import MEMO_ENTRIES, ops
-from cbgraph.curves import CurveClass, _Tracer, translate_tables
+from cbgraph.curves import CurveClass, corner_counts, translate_tables
 from cbgraph.kernel import reverse_word
 from cbgraph.surface import Triangulation
 
 CENTRAL = -1
 
 
-class _Regions:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
-
-
 class CutComplex:
-    """The surface cut along a disjoint multicurve system."""
+    """The surface cut along a disjoint multicurve system.
+
+    `adjacent` maps each cell to its gluings in gluing order, as
+    (cell, edge, +1 or -1, letter): the letter is that of the edge's
+    second incidence crossed from the first side (+1), or its mate
+    crossed back (-1).  `region` maps each cell to its region.
+    """
 
     def __init__(self, tri: Triangulation, system: CurveClass | None):
         self.tri = tri
         self.system = system
         weights = system.weights if system else (0,) * tri.num_edges
-        self.corners = _Tracer(tri, weights).corners
-        self.regions = _Regions()
-        for t in range(tri.num_triangles):
-            self.regions.add((t, CENTRAL))
-            for k in range(3):
-                for j in range(self.corners[t][k]):
-                    self.regions.add((t, k, j))
+        self.corners = corner_counts(tri, weights)
+        cells = []
+        for t, counts in enumerate(self.corners):
+            cells.append((t, CENTRAL))
+            cells += [(t, k, j) for k in range(3) for j in range(counts[k])]
 
         # Glue cells interval-by-interval across every edge.
+        flip = translate_tables(tri).flip
+        self.adjacent = {cell: [] for cell in cells}
         self.gluings = []
         for e in range(tri.num_edges):
             (t1, s1), (t2, s2) = tri.sides[e]
             w = weights[e]
+            fwd = 3 * t2 + s2
             for i in range(w + 1):
                 c1 = self._interval_cell(t1, s1, i, w)
                 c2 = self._interval_cell(t2, s2, w - i, w)
-                self.regions.union(c1, c2)
+                self.adjacent[c1].append((c2, e, 1, chr(fwd)))
+                self.adjacent[c2].append((c1, e, -1, flip[fwd]))
                 self.gluings.append((c1, c2, e, t2, s2))
 
-        cells_of = {}
-        for cell in self.regions.parent:
-            cells_of.setdefault(self.regions.find(cell), []).append(cell)
-        glue_count = Counter(self.regions.find(c1) for c1, *_ in self.gluings)
-        self.chi = {r: len(cs) - glue_count[r] for r, cs in cells_of.items()}
-        self._cells_of = cells_of
+        self.region = {}
+        for cell in cells:
+            if cell not in self.region:
+                self.region.update(dict.fromkeys(self._tree(cell), cell))
+        cell_count = Counter(self.region.values())
+        glue_count = Counter(self.region[c1] for c1, *_ in self.gluings)
+        self.chi = {r: n - glue_count[r] for r, n in cell_count.items()}
 
         # All triangle corners are the one vertex of the triangulation;
         # it survives the cut as an interior point of a single region and
         # contributes +1 there (cells away from it are glued along arcs
         # with free endpoints, which the cells-minus-gluings count covers).
-        vertex_cells = set()
-        for t in range(tri.num_triangles):
-            for k in range(3):
-                cell = (t, k, 0) if self.corners[t][k] > 0 else (t, CENTRAL)
-                vertex_cells.add(self.regions.find(cell))
+        vertex_cells = {
+            self.region[(t, k, 0) if counts[k] else (t, CENTRAL)]
+            for t, counts in enumerate(self.corners)
+            for k in range(3)
+        }
         if len(vertex_cells) != 1:
             raise RuntimeError("vertex corners landed in several regions")
         self.vertex_region = vertex_cells.pop()
@@ -99,7 +95,7 @@ class CutComplex:
         self.component_sides = []
         self._trace = system.trace if system else ()
         for text, pos, _ in self._trace:
-            pair = tuple(map(self.regions.find, self._arc_cells(ord(text[0]), pos[0])))
+            pair = tuple(self.region[c] for c in self._arc_cells(ord(text[0]), pos[0]))
             self.component_sides.append(pair)
             for r in pair:
                 self.boundary[r] += 1
@@ -113,22 +109,29 @@ class CutComplex:
         return (t, (slot + 1) % 3, w - i)
 
     def _arc_cells(self, lam, pos):
-        # One passage of a component: a corner arc separating a
-        # corner-side cell from the next cell inward.
+        # The cells on the two sides of one passage of a component, the
+        # one toward the corner its arc cuts off first.
         tri = self.tri
-        t, s_in = tri.side_of(lam)
-        n = self.corners[t]
-        e = tri.side_edge[lam]
-        w = self.system.weights[e]
-        # Recover the triangle-frame position of the entry point.
+        t, slot = tri.side_of(lam)
+        w = self.system.weights[tri.side_edge[lam]]
+        # The triangle-frame position of the entry point.
         p = pos if tri.first[lam] else w - 1 - pos
-        if p < n[s_in]:
-            corner, a = s_in, p + 1
-        else:
-            corner, a = (s_in + 1) % 3, w - p
-        outer = (t, corner, a - 1)
-        inner = (t, corner, a) if a < n[corner] else (t, CENTRAL)
-        return outer, inner
+        below, above = (self._interval_cell(t, slot, i, w) for i in (p, p + 1))
+        return (below, above) if p < self.corners[t][slot] else (above, below)
+
+    def _tree(self, root, stop=None) -> dict:
+        """Breadth-first tree of the cell graph from root, until it
+        reaches stop: each cell reached to its parent followed by the
+        rest of the gluing record that reached it, root to None."""
+        prev = {root: None}
+        queue = deque([root])
+        while queue and stop not in prev:
+            cur = queue.popleft()
+            for nxt, *step in self.adjacent[cur]:
+                if nxt not in prev:
+                    prev[nxt] = (cur, *step)
+                    queue.append(nxt)
+        return prev
 
     def component_index(self, c: CurveClass) -> int:
         """Index in the system's trace of the component isotopic to c."""
@@ -167,11 +170,10 @@ class CutComplex:
         if not c.is_connected:
             raise ValueError("region lookup needs a connected curve")
         if self.system is None:
-            return self.regions.find((0, CENTRAL))
-        comps = [self.system] if self.system.is_connected else self.system.components()
-        if any(c == x for x in comps):
+            return self.region[(0, CENTRAL)]
+        if c.texts[0] in self.system.texts:
             raise ValueError("curve is a component of the system itself")
-        trace = disjoint_union(comps + [c]).trace
+        trace = disjoint_union([self.system, c]).trace
         anchor = next(((ord(t[0]), p[0]) for t, p, w in trace if w == c.texts[0]), None)
         if anchor is None:
             raise RuntimeError("curve not found in the joint trace")
@@ -181,8 +183,7 @@ class CutComplex:
         lam, below = anchor
         e = self.tri.side_edge[lam]
         t1, s1 = self.tri.sides[e][0]
-        cell = self._interval_cell(t1, s1, below, self.system.weights[e])
-        return self.regions.find(cell)
+        return self.region[self._interval_cell(t1, s1, below, self.system.weights[e])]
 
     def nonseparating_in_region(self, region) -> CurveClass:
         """An essential nonseparating curve embedded inside the region.
@@ -192,43 +193,25 @@ class CutComplex:
         simple curve (the shared tree prefix cancels on reduction).
         """
         tri = self.tri
-        flip = translate_tables(tri).flip
-        root = self._cells_of[region][0]
-        adj = {}
-        locals_ = []
-        for gi, (c1, c2, e, t2, s2) in enumerate(self.gluings):
-            if self.regions.find(c1) != region:
+        vec, path = {}, {}
+        for cell, step in self._tree(region).items():
+            if step is None:
+                vec[cell], path[cell] = [0] * tri.num_edges, ""
                 continue
-            # (t2, s2) is the edge's second incidence, so every gluing
-            # counts +1 along its letter fwd, kept as encoded text.
-            fwd = 3 * t2 + s2
-            locals_.append((gi, c1, c2, e, chr(fwd)))
-            adj.setdefault(c1, []).append((c2, e, 1, gi, chr(fwd)))
-            adj.setdefault(c2, []).append((c1, e, -1, gi, flip[fwd]))
-        vec = {root: [0] * tri.num_edges}
-        path = {root: ""}
-        tree = set()
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nxt, e, sign, gi, letter in adj.get(cur, []):
-                if nxt in vec:
-                    continue
-                v = list(vec[cur])
-                v[e] += sign
-                vec[nxt] = v
-                path[nxt] = path[cur] + letter
-                tree.add(gi)
-                queue.append(nxt)
-        for gi, c1, c2, e, fwd in locals_:
-            if gi in tree:
+            parent, e, sign, letter = step
+            vec[cell] = v = list(vec[parent])
+            v[e] += sign
+            path[cell] = path[parent] + letter
+        # A gluing counts +1 along the letter of its edge's second
+        # incidence (t2, s2); those of the tree close no loop.
+        for c1, c2, e, t2, s2 in self.gluings:
+            if c1 not in vec:
                 continue
             loop = [a - b for a, b in zip(vec[c1], vec[c2])]
             loop[e] += 1
-            if not any(loop):
-                continue
-            word = path[c1] + fwd + reverse_word(path[c2], flip)
-            return CurveClass.from_texts(tri, [word])
+            if any(loop):
+                back = reverse_word(path[c2], translate_tables(tri).flip)
+                return CurveClass.from_texts(tri, [path[c1] + chr(3 * t2 + s2) + back])
         raise ValueError("region carries no nonseparating curve")
 
 
@@ -275,30 +258,15 @@ def dual_curve(a: CurveClass, avoid) -> CurveClass:
     tri = a.tri
     if not a.is_connected:
         raise ValueError("dual_curve needs a connected curve")
-    union = disjoint_union([a, *avoid])
-    cc = CutComplex(tri, union)
+    cc = CutComplex(tri, disjoint_union([a, *avoid]))
     text, pos, _ = cc._trace[cc.component_index(a)]
     outer, inner = cc._arc_cells(ord(text[0]), pos[0])
-
-    flip = translate_tables(tri).flip
-    adj = {}
-    for c1, c2, e, t2, s2 in cc.gluings:
-        fwd = 3 * t2 + s2
-        adj.setdefault(c1, []).append((c2, chr(fwd)))
-        adj.setdefault(c2, []).append((c1, flip[fwd]))
-    prev = {inner: None}
-    queue = deque([inner])
-    while queue and outer not in prev:
-        cur = queue.popleft()
-        for nxt, letter in adj.get(cur, []):
-            if nxt not in prev:
-                prev[nxt] = (cur, letter)
-                queue.append(nxt)
+    prev = cc._tree(inner, outer)
     if outer not in prev:
         raise ValueError("the two sides of the curve do not meet in the complement")
     word = []
     cell = outer
     while prev[cell] is not None:
-        cell, letter = prev[cell]
+        cell, *_, letter = prev[cell]
         word.append(letter)
     return CurveClass.from_texts(tri, ["".join(reversed(word))])

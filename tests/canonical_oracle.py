@@ -31,8 +31,9 @@ its result.  `min_rotation` is Booth's linear-time least rotation (K. S.
 Booth, "Lexicographically least circular substrings", IPL 1980), a loop
 over the letters that the block-ranking `cbgraph.kernel.min_rotation`
 replaced; the two must return the same rotation.  `corner_counts` is
-the per-triangle corner rule that `cbgraph.curves._Tracer` now computes
-inline; the tracer's corner table and errors must match it.
+the per-triangle corner rule that `cbgraph.curves.corner_counts` now
+computes for a whole weight vector; the tracer's corner table, read
+from it, and the tracer's errors must match it.
 """
 
 from __future__ import annotations

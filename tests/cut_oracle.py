@@ -59,11 +59,11 @@ class SpanCutComplex(CutComplex):
         from collections import deque
 
         tri = self.tri
-        root = self._cells_of[region][0]
+        root = region  # a region is named by its first cell
         adj = {}
         local = []
         for gi, (c1, c2, e, t2, s2) in enumerate(self.gluings):
-            if self.regions.find(c1) != region:
+            if self.region[c1] != region:
                 continue
             sign = 1 if tri.sides[e][1] == (t2, s2) else -1
             local.append((gi, c1, c2, e, sign))

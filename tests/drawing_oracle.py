@@ -3,8 +3,11 @@
 This is the drawing `cbgraph.geom.Drawing` replaced: it places rational
 points on the triangulation edges, draws every passage through a
 triangle as a straight chord in the convex rational 4g-gon, solves
-every pair of chords in a triangle by Cramer's rule in `Fraction`s and
-respaces the points when it meets a degeneracy.  It accepts any number
+every pair of chords in a triangle by Cramer's rule and respaces the
+points when it meets a degeneracy.  The chords of a triangle are
+scaled to integers by the least common denominator of their
+endpoints, so each pair is decided in integers and a crossing's
+parameters become `Fraction`s only when the chords cross.  It accepts any number
 of curves.  Tests require the integer drawing to give the same
 crossings, signs and crossing orders, and use this one to draw the
 three- and four-curve sets that exercise bigon-removal order.  Its
@@ -15,6 +18,7 @@ do.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from canonical_oracle import StepTracer
 from cbgraph.geom import Crossing, Strand
@@ -25,10 +29,6 @@ from polygon_oracle import polygon_vertices
 
 class DegenerateDrawing(Exception):
     """A chord hit a chord endpoint or a collinear chord; respace and retry."""
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 class FractionDrawing:
@@ -68,28 +68,8 @@ class FractionDrawing:
                     keys.append(Fraction(g * spread + 1, totals[e] * spread + 1))
                 self.strands.append(Strand(ci, mi, encode(letters), keys))
 
-        verts = polygon_vertices(tri.genus)
-        corner_cache = {}
-
-        def corners(t):
-            got = corner_cache.get(t)
-            if got is None:
-                got = (verts[0], verts[t + 1], verts[t + 2])
-                corner_cache[t] = got
-            return got
-
-        def coords(t, lam_edge, key, slot):
-            # Point with canonical-frame parameter `key` on the edge at
-            # `slot` of triangle t, in polygon coordinates.
-            a = corners(t)[slot]
-            b = corners(t)[(slot + 1) % 3]
-            e = lam_edge
-            p = key if self.tri.sides[e][0] == (t, slot) else 1 - key
-            return (a[0] + p * (b[0] - a[0]), a[1] + p * (b[1] - a[1]))
-
-        # Chord endpoints: chord k of a strand runs inside the triangle of
-        # letter k, from point k (entry) to point k+1 (exit).
-        self._chords = {}
+        # Chord k of a strand runs inside the triangle of letter k, from
+        # point k (entry) to point k+1 (exit): (slot, edge, key) each.
         by_triangle = {}
         for s in self.strands:
             n = len(s)
@@ -97,42 +77,58 @@ class FractionDrawing:
                 lam = ord(s.letters[k])
                 t, slot = tri.side_of(lam)
                 lam2 = ord(s.letters[(k + 1) % n])
-                e2 = tri.side_edge[lam2]
                 t2b, slot2b = tri.side_of(tri.mate[lam2])
                 if t2b != t:
                     raise RuntimeError("strand letters do not chain")
-                p = coords(t, tri.side_edge[lam], s.keys[k], slot)
-                q = coords(t, e2, s.keys[(k + 1) % n], slot2b)
-                self._chords[(s, k)] = (p, q)
-                by_triangle.setdefault(t, []).append((s, k))
+                start = slot, tri.side_edge[lam], s.keys[k]
+                end = slot2b, tri.side_edge[lam2], s.keys[(k + 1) % n]
+                by_triangle.setdefault(t, []).append((s, k, (start, end)))
 
+        verts = polygon_vertices(tri.genus)
         self.crossings = []
         for t, chords in by_triangle.items():
-            for i in range(len(chords)):
-                s1, k1 = chords[i]
-                a, b = self._chords[(s1, k1)]
+            # Clear the triangle's denominators: its corners times their
+            # common denominator, and a side point a + p(b - a) times the
+            # common denominator `m` of its keys.  Each chord is then an
+            # integer start point and direction, each pair is decided by
+            # integer cross products, and a parameter is n / den.
+            corners = (verts[0], verts[t + 1], verts[t + 2])
+            d = lcm(*(x.denominator for v in corners for x in v))
+            corners = [(int(x * d), int(y * d)) for x, y in corners]
+            m = lcm(*(key.denominator for _, _, ends in chords for _, _, key in ends))
+
+            def point(slot, e, key):
+                (ax, ay), (bx, by) = corners[slot], corners[(slot + 1) % 3]
+                pm = key.numerator * (m // key.denominator)
+                if tri.sides[e][0] != (t, slot):
+                    pm = m - pm
+                return ax * m + pm * (bx - ax), ay * m + pm * (by - ay)
+
+            lines = []
+            for _, _, (start, end) in chords:
+                (px, py), (qx, qy) = point(*start), point(*end)
+                lines.append((px, py, qx - px, qy - py))
+            for i, (s1, k1, _) in enumerate(chords):
+                ax, ay, ux, uy = lines[i]
                 for j in range(i + 1, len(chords)):
-                    s2, k2 = chords[j]
+                    s2, k2, _ = chords[j]
                     if s1.curve == s2.curve:
                         continue
-                    c, d = self._chords[(s2, k2)]
-                    d1 = (b[0] - a[0], b[1] - a[1])
-                    d2 = (d[0] - c[0], d[1] - c[1])
-                    den = d1[0] * d2[1] - d1[1] * d2[0]
+                    cx, cy, vx, vy = lines[j]
+                    rx, ry = cx - ax, cy - ay
+                    den = ux * vy - uy * vx
                     if den == 0:
-                        if _cross(a, b, c) == 0:
+                        if ux * ry - uy * rx == 0:
                             raise DegenerateDrawing
                         continue
-                    # Solve a + p1*d1 = c + p2*d2 exactly (Cramer).
-                    rx, ry = c[0] - a[0], c[1] - a[1]
-                    p1 = Fraction(rx * d2[1] - ry * d2[0], den)
-                    p2 = Fraction(rx * d1[1] - ry * d1[0], den)
-                    if p1 in (0, 1) or p2 in (0, 1):
+                    # Solve a + p1*u = c + p2*v (Cramer), p1 = n1 / den.
+                    sign = 1 if den > 0 else -1
+                    den, n1, n2 = sign * den, sign * (rx * vy - ry * vx), sign * (rx * uy - ry * ux)
+                    if n1 in (0, den) or n2 in (0, den):
                         raise DegenerateDrawing
-                    if 0 < p1 < 1 and 0 < p2 < 1:
-                        sign = 1 if den > 0 else -1
+                    if 0 < n1 < den and 0 < n2 < den:
                         self.crossings.append(
-                            Crossing(s1, k1, p1, s2, k2, p2, sign)
+                            Crossing(s1, k1, Fraction(n1, den), s2, k2, Fraction(n2, den), sign)
                         )
 
         # Per strand and chord, [(param, Crossing)] sorted.

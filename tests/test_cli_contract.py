@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbgraph import cli, ops
+from cbgraph import cli, curves, ops
 from cbgraph.cb import small_cb
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation
@@ -338,3 +338,17 @@ def test_a_twist_power_past_the_letter_bound_exits_3():
     assert f"MAX_TWIST_LETTERS = {ops.MAX_TWIST_LETTERS}" in error["message"]
     assert "power 1000000000000" in error["message"]
     assert "3000000000002 letters" in error["message"]
+
+
+def test_a_curve_record_past_the_letter_bound_exits_3(monkeypatch):
+    # The weight sum is checked before tracing, so nine weights near
+    # 10^7 end at once in one error record naming the bound.  With the
+    # bound at 2, A (2 letters) loads and B (3 letters) does not.
+    monkeypatch.setattr(curves, "MAX_CURVE_LETTERS", 2)
+    code, err = run_case("curve i", -1, None, None)
+    assert code == 3
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "RuntimeError"
+    assert "MAX_CURVE_LETTERS = 2" in error["message"]
+    assert "sum to 3 letters" in error["message"]

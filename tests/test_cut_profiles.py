@@ -94,6 +94,23 @@ def test_signed_weights_vanish_exactly_for_separating():
     assert not any(signed_weights(W))
 
 
+def test_region_containing_on_a_two_component_system():
+    # W cuts off the torus that holds A and B; cutting along A as well
+    # leaves a pair of pants, the region on both sides of A, beside the
+    # torus across W that holds C and D.
+    cc = cut.CutComplex(TRI, cut.disjoint_union([W, A]))
+    for c in (W, A):
+        with pytest.raises(ValueError, match="component of the system itself"):
+            cc.region_containing(c)
+    with pytest.raises(ValueError, match="system is not pairwise disjoint"):
+        cc.region_containing(B)
+    (pants,) = set(cc.sides_of(A))
+    (torus,) = set(cc.sides_of(W)) - {pants}
+    assert (cc.region_genus(pants), cc.region_genus(torus)) == (0, 1)
+    for c in (C, D, ops.twist(C, D, 1)):
+        assert cc.region_containing(c) == torus
+
+
 @pytest.mark.parametrize("genus", range(2, 13))
 def test_gluings_count_along_the_second_incidence(genus):
     # `nonseparating_in_region` counts every gluing +1 along the letter

@@ -9,8 +9,8 @@ cutting layers read the trace a `CurveClass` keeps.  Nothing loads
 and nothing imports `fractions`: slopes are integer pairs, and curves
 are authored by the polygon sides they cross.
 
-No module reaches into another's private names, but `cut`, which reads
-the corner table of `curves._Tracer`.  The turn tables and first
+No module reaches into another's private names: `cut` reads the corner
+table from the public `curves.corner_counts`.  The turn tables and first
 incidences of the triangulation are owned by `surface`: no other module
 tells an edge's first side by comparing an entry of `sides` with a
 (triangle, slot) pair, but reads `Triangulation.first`.  Only
@@ -42,7 +42,6 @@ from cbgraph.surface import standard_triangulation
 
 SRC = Path(cbgraph.__file__).parent
 ABOVE_OPS = {"cut", "cb", "projections"}
-PRIVATE_IMPORTS = {("cut.py", "_Tracer")}
 REDUCED_ARRAYS = {"cross", "other", "positive", "succ", "pred", "chord", "strand_of", "firsts"}
 DECODERS = {"curves.py", "projections.py", "geom.py"}
 WORD_FUNCTIONS = {"encode", "decode", "cyclic_reduce", "reverse_word", "min_rotation", "canonical_cyclic"}
@@ -183,7 +182,7 @@ def test_no_module_imports_a_private_name():
             and node.value.id in modules
             and _private(node.attr)
         ]
-    assert set(found) <= PRIVATE_IMPORTS, sorted(set(found) - PRIVATE_IMPORTS)
+    assert not found, sorted(set(found))
 
 
 def _reads_sides(node):
