@@ -1,12 +1,16 @@
 """Finite fragments of the compression-body graph and torus complexes.
 
 A fragment stores explicit vertices (marked compression bodies or
-curves), its adjacency, and for torus complexes the simplices up to a
+curves), its edges, and for torus complexes the simplices up to a
 dimension bound, together with the provenance that regenerates it.
 Compression-body fragments only admit vertex sets on which containment
 is decidable in both directions, so the fragment is exactly the induced
-subgraph, never an approximation.  Clique and chromatic numbers are
-computed exactly by branch and bound (fragments stay small).
+subgraph, never an approximation.
+
+Each fragment builds its adjacency `adj` once, per vertex the frozenset
+of its neighbours, and every graph query reads it.  Clique and chromatic
+numbers are exact: branch and bound, and one DSATUR search (D. Brélaz,
+CACM 22, 1979) from the clique lower bound, behind one size guard.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ MAX_EXACT_VERTICES = 64
 class ComplexFragment:
     """An explicit finite piece of one of the curve-based complexes."""
 
-    __slots__ = ("kind", "vertices", "edges", "simplices", "provenance")
+    __slots__ = ("kind", "vertices", "edges", "simplices", "provenance", "adj")
 
     def __init__(self, kind, vertices, edges, simplices=(), provenance=None):
         self.kind = kind
@@ -31,20 +35,16 @@ class ComplexFragment:
         self.edges = frozenset(tuple(sorted(e)) for e in edges)
         self.simplices = tuple(sorted(tuple(sorted(s)) for s in simplices))
         self.provenance = dict(provenance or {})
+        self.adj = _adjacency(len(self.vertices), self.edges)
 
     def __len__(self):
         return len(self.vertices)
 
     def adjacent(self, i: int, j: int) -> bool:
-        return tuple(sorted((i, j))) in self.edges
+        return j in self.adj[i]
 
     def neighbors(self, i: int) -> list[int]:
-        return sorted(
-            j for j in range(len(self.vertices)) if j != i and self.adjacent(i, j)
-        )
-
-    def index(self, v) -> int:
-        return self.vertices.index(v)
+        return sorted(self.adj[i])
 
     def __repr__(self):
         return (
@@ -63,6 +63,8 @@ class ComplexFragment:
 
     @classmethod
     def from_json(cls, data: dict | str) -> "ComplexFragment":
+        """The fragment of a record, its graph taken as given: edge and
+        simplex indices are checked, but not re-derived from the vertices."""
         data = json_record(data, "fragment", "kind", "vertices", "edges", "simplices")
         vertices = json_field(data, "fragment", "vertices", list, None)
         return cls(
@@ -107,19 +109,17 @@ def build_cb_fragment(bodies, provenance=None) -> ComplexFragment:
         if b.derived_type.is_trivial:
             raise ValueError("the trivial body is not a vertex of the graph")
     edges = []
-    for i, u in enumerate(bodies):
-        for j in range(i + 1, len(bodies)):
-            v = bodies[j]
-            fwd = contains(u, v)
-            bwd = contains(v, u)
-            if Containment.TRUE in (fwd, bwd):
-                # Containment is strict, so the other direction is settled.
-                edges.append((i, j))
-            elif Containment.UNDECIDED in (fwd, bwd):
-                raise ValueError(
-                    f"containment undecided between vertices {i} and {j}: "
-                    f"{_named(u)} vs {_named(v)}"
-                )
+    for (i, u), (j, v) in combinations(enumerate(bodies), 2):
+        fwd = contains(u, v)
+        # Containment is strict, so a TRUE settles the other direction.
+        bwd = fwd if fwd is Containment.TRUE else contains(v, u)
+        if Containment.TRUE in (fwd, bwd):
+            edges.append((i, j))
+        elif Containment.UNDECIDED in (fwd, bwd):
+            raise ValueError(
+                f"containment undecided between vertices {i} and {j}: "
+                f"{_named(u)} vs {_named(v)}"
+            )
     return ComplexFragment("cb", bodies, edges, provenance=provenance)
 
 
@@ -130,11 +130,10 @@ def _named(body) -> str:
     return f"{body.derived_type!r} with system weights {weights}"
 
 
-def links(f: ComplexFragment, v) -> dict:
-    """Uplink (strictly containing) and downlink (strictly contained) of v."""
+def links(f: ComplexFragment, i: int) -> dict:
+    """Uplink (strictly containing) and downlink (strictly contained) of vertex i."""
     if f.kind != "cb":
         raise ValueError("links are defined on compression-body fragments")
-    i = f.index(v) if not isinstance(v, int) else v
     u = f.vertices[i]
     up, down = [], []
     for j in f.neighbors(i):
@@ -150,98 +149,92 @@ def links(f: ComplexFragment, v) -> dict:
 
 def is_join(f: ComplexFragment, part_a, part_b) -> bool:
     """Whether the two parts span a join: every cross pair is an edge."""
-    return all(f.adjacent(i, j) for i in part_a for j in part_b)
+    return all(f.adj[i].issuperset(part_b) for i in part_a)
 
 
 def induced(f: ComplexFragment, indices) -> tuple[int, frozenset]:
     """Plain (n, edges) graph induced on the given vertex indices."""
-    indices = list(indices)
     pos = {v: k for k, v in enumerate(indices)}
     edges = frozenset(
-        (pos[i], pos[j])
-        for i, j in f.edges
-        if i in pos and j in pos
+        (pos[i], pos[j]) for i in pos for j in f.adj[i] if j in pos and pos[i] < pos[j]
     )
-    return len(indices), edges
+    return len(pos), edges
 
 
-def _as_graph(g) -> tuple[int, list[set[int]]]:
-    """Vertex count and adjacency sets of a fragment or an (n, edges) pair."""
-    if isinstance(g, ComplexFragment):
-        n, edges = len(g.vertices), g.edges
-    else:
-        n, edges = g
+def _adjacency(n: int, edges) -> tuple[frozenset[int], ...]:
+    """Per vertex below n, the frozenset of its neighbours."""
     adj = [set() for _ in range(n)]
     for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
-    return n, adj
+    return tuple(map(frozenset, adj))
+
+
+def _as_graph(g) -> tuple[frozenset[int], ...]:
+    """The adjacency of a fragment or an (n, edges) pair, within the exact bound."""
+    n = len(g.vertices) if isinstance(g, ComplexFragment) else g[0]
+    if n > MAX_EXACT_VERTICES:
+        raise ValueError(
+            f"graph exceeds MAX_EXACT_VERTICES = {MAX_EXACT_VERTICES}: it has {n} vertices"
+        )
+    return g.adj if isinstance(g, ComplexFragment) else _adjacency(*g)
 
 
 def clique_number(g) -> int:
     """Exact maximum clique size via branch and bound."""
-    n, adj = _as_graph(g)
-    if n > MAX_EXACT_VERTICES:
-        raise ValueError("graph too large for exact clique search")
+    return _clique(_as_graph(g))
+
+
+def _clique(adj) -> int:
     best = 0
 
-    def grow(clique, candidates):
+    def grow(size, candidates):
         nonlocal best
-        if not candidates:
-            best = max(best, len(clique))
+        best = max(best, size)
+        if size + len(candidates) <= best:
             return
-        if len(clique) + len(candidates) <= best:
-            return
-        cands = sorted(candidates, key=lambda v: -len(adj[v] & candidates))
-        for v in cands:
-            grow(clique + [v], candidates & adj[v])
+        for v in sorted(candidates, key=lambda v: -len(adj[v] & candidates)):
+            grow(size + 1, candidates & adj[v])
             candidates = candidates - {v}
-            if len(clique) + len(candidates) <= best:
+            if size + len(candidates) <= best:
                 return
 
-    grow([], set(range(n)))
+    grow(0, set(range(len(adj))))
     return best
 
 
 def chromatic_number(g) -> int:
-    """Exact chromatic number, seeded by the clique lower bound."""
-    n, adj = _as_graph(g)
-    if n > MAX_EXACT_VERTICES:
-        raise ValueError("graph too large for exact coloring search")
-    if n == 0:
-        return 0
-    order = sorted(range(n), key=lambda v: -len(adj[v]))
+    """Exact chromatic number by DSATUR branch and bound: the uncoloured
+    vertex seeing the most colours (then of largest degree) takes each
+    colour its neighbours lack, or a new one below the best colouring so
+    far, until a colouring meets the clique number."""
+    adj = _as_graph(g)
+    n = len(adj)
+    lower = _clique(adj)
+    best = n
+    colour = {}
 
-    def colorable(k: int) -> bool:
-        colors = {}
+    def seen(v):
+        return {colour[u] for u in adj[v] if u in colour}
 
-        def assign(pos: int) -> bool:
-            if pos == n:
-                return True
-            v = order[pos]
-            used = {colors[u] for u in adj[v] if u in colors}
-            # Break color symmetry: allow one fresh color at most.
-            fresh_done = False
-            for c in range(k):
-                if c in used:
-                    continue
-                is_fresh = c not in colors.values()
-                if is_fresh and fresh_done:
-                    break
-                if is_fresh:
-                    fresh_done = True
-                colors[v] = c
-                if assign(pos + 1):
-                    return True
-                del colors[v]
-            return False
+    def search(used):
+        nonlocal best
+        if len(colour) == n:
+            best = used
+            return
+        left = (u for u in range(n) if u not in colour)
+        v = max(left, key=lambda u: (len(seen(u)), len(adj[u])))
+        taken = seen(v)
+        for c in range(used + 1):
+            if max(used, c + 1) >= best or best == lower:
+                break
+            if c not in taken:
+                colour[v] = c
+                search(max(used, c + 1))
+                del colour[v]
 
-        return assign(0)
-
-    k = max(clique_number(g), 1)
-    while not colorable(k):
-        k += 1
-    return k
+    search(0)
+    return best
 
 
 def build_tc_fragment(curves, max_dim: int = 3, provenance=None) -> ComplexFragment:
@@ -256,16 +249,14 @@ def build_tc_fragment(curves, max_dim: int = 3, provenance=None) -> ComplexFragm
     for i, j in combinations(range(len(curves)), 2):
         if ops.common_punctured_torus([curves[i], curves[j]]):
             edges.append((i, j))
-    edge_set = {tuple(e) for e in edges}
-    simplices = []
-    for size in range(3, max_dim + 2):
-        for combo in combinations(range(len(curves)), size):
-            if any(
-                tuple(sorted(p)) not in edge_set for p in combinations(combo, 2)
-            ):
-                continue
-            if ops.common_punctured_torus([curves[k] for k in combo]):
-                simplices.append(combo)
+    adj = _adjacency(len(curves), edges)
+    simplices = [
+        combo
+        for size in range(3, max_dim + 2)
+        for combo in combinations(range(len(curves)), size)
+        if all(j in adj[i] for i, j in combinations(combo, 2))
+        and ops.common_punctured_torus([curves[k] for k in combo])
+    ]
     return ComplexFragment("tc", curves, edges, simplices, provenance)
 
 
@@ -274,13 +265,12 @@ def empty_triangles(f: ComplexFragment) -> set[tuple[int, int, int]]:
     if f.kind != "tc":
         raise ValueError("empty triangles live in torus-complex fragments")
     filled = {s for s in f.simplices if len(s) == 3}
-    out = set()
-    for combo in combinations(range(len(f.vertices)), 3):
-        if combo in filled:
-            continue
-        if all(f.adjacent(i, j) for i, j in combinations(combo, 2)):
-            out.add(combo)
-    return out
+    return {
+        (i, j, k)
+        for i, j in f.edges
+        for k in f.adj[i] & f.adj[j]
+        if k > j and (i, j, k) not in filled
+    }
 
 
 def empty_triangle_family(a, b, d, powers) -> list[tuple]:
@@ -361,19 +351,11 @@ def is_comparability(f: ComplexFragment) -> bool:
     it is the comparability graph of containment; containment raises
     the height, and a fragment of CB(S) must pass.
     """
-    n = len(f.vertices)
+    if not height_coloring_is_proper(f):
+        return False
     heights = [v.height for v in f.vertices]
-    for i, j in f.edges:
-        if heights[i] == heights[j]:
+    for j, around in enumerate(f.adj):
+        higher = [k for k in around if heights[k] > heights[j]]
+        if not all(f.adj[i].issuperset(higher) for i in around if heights[i] < heights[j]):
             return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (
-                    f.adjacent(i, j)
-                    and f.adjacent(j, k)
-                    and heights[i] < heights[j] < heights[k]
-                    and not f.adjacent(i, k)
-                ):
-                    return False
     return True

@@ -463,6 +463,17 @@ def test_fragment_without_kind_exits_2(capsys, tmp_path):
     assert error == {"type": "ValueError", "message": "fragment record lacks the key 'kind'"}
 
 
+def test_fragment_graph_is_taken_as_given(capsys, tmp_path):
+    # Edges are index-checked on load but not re-derived from the
+    # vertices: three copies of a_0 joined in a triangle load as such.
+    record = complexes.build_tc_fragment([A]).to_json()
+    record["vertices"] *= 3
+    record["edges"] = [[0, 1], [0, 2], [1, 2]]
+    (tmp_path / "fragment.json").write_text(json.dumps(record))
+    argv = ["complex", "analyze", "--in", str(tmp_path), "--checks", "chromatic"]
+    assert _run_json(capsys, argv) == {"kind": "tc", "chromatic": {"clique": 3, "chromatic": 3}}
+
+
 def test_unknown_analyze_check_exits_2(capsys, tmp_path):
     record = complexes.build_tc_fragment([A, C]).to_json()
     (tmp_path / "fragment.json").write_text(json.dumps(record))

@@ -352,3 +352,16 @@ def test_a_curve_record_past_the_letter_bound_exits_3(monkeypatch):
     assert error["type"] == "RuntimeError"
     assert "MAX_CURVE_LETTERS = 2" in error["message"]
     assert "sum to 3 letters" in error["message"]
+
+
+def test_a_fragment_past_the_exact_bound_names_it():
+    # The one size guard of the exact searches names its bound and the
+    # vertex count of the record that hit it.
+    record = dict(FRAGMENT, vertices=[A.to_json()] * 65, edges=[], simplices=[])
+    code, err = run_case("complex analyze", 3, (), record)
+    assert code == 2
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ValueError"
+    assert "MAX_EXACT_VERTICES = 64" in error["message"]
+    assert "65 vertices" in error["message"]

@@ -1,9 +1,10 @@
 import random
 from itertools import combinations
 
+import graph_oracle
 import pytest
 
-from cbgraph import complexes, ops
+from cbgraph import cb, complexes, ops
 from cbgraph.cb import MarkedCB, small_cb
 from cbgraph.complexes import (
     ComplexFragment,
@@ -77,6 +78,29 @@ def test_chromatic_matches_bruteforce_on_random_graphs():
         assert clique_number((n, edges)) <= best
 
 
+def _agrees_with_oracle(g):
+    assert clique_number(g) == graph_oracle.clique_number(g), g
+    assert chromatic_number(g) == graph_oracle.chromatic_number(g), g
+
+
+def test_graph_searches_match_the_oracle_on_small_graphs():
+    for n in range(6):
+        for g in graph_oracle.labelled_graphs(n):
+            _agrees_with_oracle(g)
+
+
+def test_graph_searches_match_the_oracle_on_random_graphs():
+    for g in graph_oracle.random_graphs(seed=39, count=150, max_n=12):
+        _agrees_with_oracle(g)
+
+
+def test_graph_searches_on_mycielski_m4():
+    m4 = graph_oracle.mycielski(3)
+    assert m4[0] == 23 and len(m4[1]) == 71
+    assert clique_number(m4) == 2 == graph_oracle.clique_number(m4)
+    assert chromatic_number(m4) == 5 == graph_oracle.chromatic_number(m4)
+
+
 def test_anti_connected():
     # A graph is anti-connected (its complement is connected) exactly
     # when no split of its vertices into two nonempty parts is a join.
@@ -124,6 +148,21 @@ def test_cb_fragment_chain():
     assert is_join(frag, mid["up"], mid["down"])
     assert links(frag, 2)["up"] == []
     assert links(frag, 0)["down"] == []
+
+
+def test_cb_fragment_asks_one_direction_after_a_containment(monkeypatch):
+    # Containment is strict: once contains(u, v) is TRUE, contains(v, u)
+    # is not asked.  Each of the chain's three pairs nests forward.
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return cb.contains(u, v)
+
+    monkeypatch.setattr(complexes, "contains", counted)
+    frag = build_cb_fragment(_chain_bodies())
+    assert frag.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert len(calls) == 3
 
 
 def test_cb_fragment_small_bodies():

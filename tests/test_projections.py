@@ -42,6 +42,16 @@ def test_side_selector_validation():
     assert SEL_R.complex is SEL_L.complex
 
 
+@pytest.mark.parametrize("pair, genera", [((2, 3), (1, 2)), ((0, 1), (2, 1))])
+def test_named_sides_of_separating_band_sums(pair, genera):
+    # Pins which side `CutComplex._arc_cells` lists first, so which side
+    # `--side left` names: a swap of the two cells on either side of a
+    # passage swaps the first pair here and leaves the second alone.
+    h = handle_curves(standard_triangulation(3))
+    sel = pj.SideSelector(ops.band_sum(*(h[k] for k in pair)), "left")
+    assert (sel.genus, sel.other().genus) == genera
+
+
 def test_project_disjoint_cases():
     sides = [pj.project(SEL_L, A), pj.project(SEL_R, A)]
     assert sorted(len(s) for s in sides) == [0, 1]
