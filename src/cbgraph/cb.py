@@ -241,26 +241,25 @@ class Containment(Enum):
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
-def _placement(tri, ordered: tuple, a) -> tuple[bool, bool, bool]:
+def _placement(tri, ordered: tuple, a) -> tuple[bool, bool]:
     """How the curve a sits in the capped surface compressed along `ordered`.
 
-    Returns (separates, eligible, repairable): `separates` within its
-    capped component, `eligible` when compressing a adds exactly one to
-    the height (essential in a torus component, or separating a capped
-    component into two positive-genus pieces), `repairable` when the
-    standard-form repair (inserting a punctured-torus boundary around a)
-    applies.  Memoised per process on the ordered system and a.
+    Returns (eligible, repairable): `eligible` when compressing a adds
+    exactly one to the height (essential in a torus component, or
+    separating a capped component into two positive-genus pieces),
+    `repairable` when the standard-form repair (inserting a
+    punctured-torus boundary around a) applies.  Memoised per process on
+    the ordered system and a.
     """
     union = cut.disjoint_union(ordered + (a,))
     cc = cut.CutComplex(tri, union)
     rp, rm = cc.sides_of(a)
     if rp != rm:
-        gp, gm = cc.region_genus(rp), cc.region_genus(rm)
-        return True, gp >= 1 and gm >= 1, False
+        return cc.region_genus(rp) >= 1 and cc.region_genus(rm) >= 1, False
     # Regluing a returns its capped component, of genus one more than
     # the cut region's.
     g_comp = cc.region_genus(rp) + 1
-    return False, g_comp == 1, g_comp >= 2
+    return g_comp == 1, g_comp >= 2
 
 
 class MarkedCB:
@@ -292,20 +291,14 @@ class MarkedCB:
             rounds += 1
             if rounds > 4 * len(curves) + 8:
                 raise RuntimeError("standard form ordering did not stabilize")
-            placed = False
             key = tuple(ordered)
-            for a in remaining:
-                separates, eligible, repairable = _placement(tri, key, a)
-                if eligible:
-                    ordered.append(a)
-                    remaining.remove(a)
-                    placed = True
-                    break
-            if placed:
+            a = next((a for a in remaining if _placement(tri, key, a)[0]), None)
+            if a is not None:
+                ordered.append(a)
+                remaining.remove(a)
                 continue
             for a in remaining:
-                separates, eligible, repairable = _placement(tri, key, a)
-                if not repairable:
+                if not _placement(tri, key, a)[1]:
                     continue
                 others = ordered + [x for x in remaining if x != a]
                 try:
@@ -318,9 +311,8 @@ class MarkedCB:
                 if any(ops.intersect(b, x) != 0 for x in others + [a]):
                     continue
                 remaining.insert(0, b)
-                placed = True
                 break
-            if not placed:
+            else:
                 raise ValueError("system admits no standard-form ordering")
 
         self.system = tuple(ordered)

@@ -131,16 +131,20 @@ def _named(body) -> str:
 
 
 def links(f: ComplexFragment, i: int) -> dict:
-    """Uplink (strictly containing) and downlink (strictly contained) of vertex i."""
+    """Uplink (strictly containing) and downlink (strictly contained) of vertex i.
+
+    Containment raises the height, so a neighbour is asked only the
+    direction its height allows.
+    """
     if f.kind != "cb":
         raise ValueError("links are defined on compression-body fragments")
     u = f.vertices[i]
     up, down = [], []
     for j in f.neighbors(i):
         w = f.vertices[j]
-        if contains(u, w) is Containment.TRUE:
+        if w.height >= u.height and contains(u, w) is Containment.TRUE:
             up.append(j)
-        elif contains(w, u) is Containment.TRUE:
+        elif w.height <= u.height and contains(w, u) is Containment.TRUE:
             down.append(j)
         else:
             raise RuntimeError("fragment edge without a containment direction")

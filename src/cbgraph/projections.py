@@ -9,10 +9,17 @@ produced by splicing the arc's dual word with the two complementary
 arcs of a, exactly as in a band sum (`Reduced.arc_closures`); circles
 parallel to a are discarded.
 None is inessential, as it would bound a bigon of a and b, which are in
-minimal position, so a word that fails to build a class raises.  When
-the capped side is a torus the projected curves are graded by slopes
-through an in-side dual basis, giving exact Farey diameters and distance
-witnesses.
+minimal position, so a word that fails to build a class raises.  The
+pair is drawn in sorted order, as `ops.intersect` draws it: a projection
+is a set of isotopy classes, which every minimal-position drawing of the
+pair yields alike (Masur–Minsky, *Geometry of the complex of curves II*,
+2000).
+
+A side selector is the one object per side: it carries the cut complex,
+the region and, on a genus-1 side, the side's slope chart, an embedded
+torus model on a curve of the region and a dual curve of it.  The
+projected curves are graded by the chart's slopes, giving exact Farey
+diameters and distance witnesses.
 """
 
 from __future__ import annotations
@@ -35,10 +42,10 @@ class SideSelector:
     """One complementary component Sigma_F of a separating curve.
 
     Selectors are equal when their curve and side are: those two
-    determine the cut complex and the region.
+    determine the cut complex, the region and the chart.
     """
 
-    __slots__ = ("curve", "side", "complex", "region")
+    __slots__ = ("curve", "side", "complex", "region", "_chart")
 
     def __init__(self, curve: CurveClass, side: str):
         if not curve.is_connected or not curve.is_separating:
@@ -53,12 +60,23 @@ class SideSelector:
         self.complex = complex
         left, right = complex.sides_of(curve)
         self.region = left if side == "left" else right
+        self._chart = None
         if self.genus < 1:
             raise RuntimeError("side of a separating curve must have genus >= 1")
 
     @property
     def genus(self) -> int:
         return self.complex.region_genus(self.region)
+
+    @property
+    def chart(self) -> EmbeddedToriModel:
+        """The slope chart of a genus-1 side, built on first read."""
+        if self._chart is None:
+            if self.genus != 1:
+                raise ValueError("slope charts need a genus-1 side")
+            alpha = self.complex.nonseparating_in_region(self.region)
+            self._chart = EmbeddedToriModel(alpha, cut.dual_curve(alpha, [self.curve]))
+        return self._chart
 
     def other(self) -> "SideSelector":
         """The selector of the other side, sharing this one's cut complex."""
@@ -105,7 +123,7 @@ def _project(sel: SideSelector, b: CurveClass) -> frozenset[CurveClass]:
 
     tri = a.tri
     out = set()
-    for _, words, _ in ops.reduced_pair(a, b).arc_closures(1):
+    for _, words, _ in ops.reduced_pair(*sorted((a, b))).arc_closures(int(b > a)):
         kept = [c for c in (CurveClass.from_texts(tri, [w]) for w in words) if c != a]
         if not kept:
             continue
@@ -140,51 +158,17 @@ def innermost_surgery(a: CurveClass, b: CurveClass) -> dict:
     return {"b_arc": decode(beta), "candidates": pair}
 
 
-class TorusBasis:
-    """Dual curve pair spanning a genus-1 side, with its slope chart.
-
-    Slopes are read off through algebraic intersection with the basis;
-    the sign convention is calibrated once against the side's embedded
-    torus model, so slope charts and curve realization agree exactly.
-    """
-
-    __slots__ = ("selector", "alpha", "beta", "model", "_eps")
-
-    def __init__(self, sel: SideSelector):
-        if sel.genus != 1:
-            raise ValueError("slope charts need a genus-1 side")
-        self.selector = sel
-        self.alpha = sel.complex.nonseparating_in_region(sel.region)
-        self.beta = cut.dual_curve(self.alpha, [sel.curve])
-        self.model = EmbeddedToriModel(alpha=self.alpha, beta=self.beta)
-        one_one = self.model.image(Slope(1, 1))
-        p = ops.algebraic_intersect(one_one, self.beta)
-        q = ops.algebraic_intersect(one_one, self.alpha)
-        self._eps = 1 if (p > 0) == (q > 0) else -1
-
-    def slope_of(self, c: CurveClass) -> Slope:
-        p = ops.algebraic_intersect(c, self.beta)
-        q = self._eps * ops.algebraic_intersect(c, self.alpha)
-        if p == 0 and q == 0:
-            raise ValueError("curve pairs trivially with the side basis")
-        return Slope(p, q)
-
-    def realize(self, s: Slope) -> CurveClass:
-        return self.model.image(s)
+def projection_slopes(sel: SideSelector, b: CurveClass) -> set[Slope]:
+    return {sel.chart.slope_of(c) for c in project(sel, b)}
 
 
-def projection_slopes(sel: SideSelector, b: CurveClass, basis=None) -> set[Slope]:
-    basis = basis or TorusBasis(sel)
-    return {basis.slope_of(c) for c in project(sel, b)}
-
-
-def diam_witness(sel: SideSelector, b: CurveClass, basis: TorusBasis) -> Slope:
+def diam_witness(sel: SideSelector, b: CurveClass) -> Slope:
     """First slope by height at Farey distance >= 2 from the projection.
 
     Slopes of height max(|p|, q) = h are tested at step h, in `Slope`
     order; every lower slope failed at an earlier step.
     """
-    slopes = projection_slopes(sel, b, basis)
+    slopes = projection_slopes(sel, b)
     for h in range(1, MAX_WITNESS_HEIGHT + 1):
         for c in _slopes_of_height(h):
             if all(farey_distance(c, s) >= 2 for s in slopes):
@@ -202,34 +186,34 @@ def _slopes_of_height(h: int):
                 yield Slope(p, q)
 
 
-def surjdisc_witness(a: CurveClass, b: CurveClass, container) -> CurveClass | None:
+def surjdisc_witness(sel: SideSelector, b: CurveClass, container) -> CurveClass | None:
     """A projected curve of b that is a meridian of the piece beyond S[a].
 
-    The container must certifiably contain S[a]; the piece beyond S[a]
-    is read off the container's marking curves in each side of a.  The
-    containment of S[b] may be left open by the certifier: the point of
-    the search is that returning None refutes it, so only a certified
-    non-containment makes the query meaningless.
+    Here a is the selector's curve; the left side is searched before the
+    right, whichever side `sel` names.  The container must certifiably
+    contain S[a]; the piece beyond S[a] is read off the container's
+    marking curves in each side of a.  The containment of S[b] may be
+    left open by the certifier: the point of the search is that
+    returning None refutes it, so only a certified non-containment makes
+    the query meaningless.
     """
-    if not (a.is_connected and a.is_separating):
-        raise ValueError("the base curve must be connected and separating")
+    a = sel.curve
     if contains(small_cb(a), container) is not Containment.TRUE:
         raise ValueError("container does not certifiably contain S[a]")
     if contains(small_cb(b), container) is Containment.FALSE:
         raise ValueError("container certifiably excludes S[b]")
     others = [c for c in container.system if c != a]
-    left = SideSelector(a, "left")
-    for sel in (left, left.other()):
+    other = sel.other()
+    for side in (sel, other) if sel.side == "left" else (other, sel):
         marks = [
             c
             for c in others
             if ops.intersect(c, a) == 0
-            and c != a
-            and sel.complex.region_containing(c) == sel.region
+            and side.complex.region_containing(c) == side.region
         ]
         if not marks:
             continue
-        for m in sorted(project(sel, b)):
+        for m in sorted(project(side, b)):
             if m in marks:
                 return m
     return None

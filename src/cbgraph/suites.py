@@ -402,7 +402,6 @@ def check_projection_diameter(rng, recipe):
     w = ops.band_sum(handles[0], handles[1])
     sel_l = pj.SideSelector(w, "left")
     sels = {"left": sel_l, "right": sel_l.other()}
-    bases = {side: pj.TorusBasis(sel) for side, sel in sels.items()}
     bad = []
     instances = 0
     oracle_checked = 0
@@ -411,7 +410,7 @@ def check_projection_diameter(rng, recipe):
         word = _random_twist_word(rng, gens, rng.randint(1, 4))
         b = _apply_word(word, conn)
         side = rng.choice(("left", "right"))
-        sel, basis = sels[side], bases[side]
+        sel = sels[side]
         instances += 1
         ps = pj.project(sel, b)
         n = ops.intersect(b, w)
@@ -436,20 +435,20 @@ def check_projection_diameter(rng, recipe):
             oracle_checked += 1
             if ps != oracle:
                 bad.append(("oracle", side, repr(b)))
-        slopes = pj.projection_slopes(sel, b, basis)
-        witness = pj.diam_witness(sel, b, basis)
+        slopes = pj.projection_slopes(sel, b)
+        witness = pj.diam_witness(sel, b)
         if any(farey_distance(witness, s) < 2 for s in slopes):
             bad.append(("witness", side, str(witness)))
         # Disk witness in the glued configuration: marking on the left.
-        left_slopes = pj.projection_slopes(sels["left"], b, bases["left"])
+        left_slopes = pj.projection_slopes(sel_l, b)
         if rng.random() < 0.5 and left_slopes:
             mark_slope = sorted(left_slopes)[0]
             expect_witness = True
         else:
-            mark_slope = pj.diam_witness(sels["left"], b, bases["left"])
+            mark_slope = pj.diam_witness(sel_l, b)
             expect_witness = False
-        mark = bases["left"].realize(mark_slope)
-        got = pj.surjdisc_witness(w, b, MarkedCB(tri, [w, mark]))
+        mark = sel_l.chart.image(mark_slope)
+        got = pj.surjdisc_witness(sel_l, b, MarkedCB(tri, [w, mark]))
         if expect_witness:
             disk_true += 1
             if got != mark:

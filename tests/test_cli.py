@@ -474,6 +474,22 @@ def test_fragment_graph_is_taken_as_given(capsys, tmp_path):
     assert _run_json(capsys, argv) == {"kind": "tc", "chromatic": {"clique": 3, "chromatic": 3}}
 
 
+def test_joins_on_an_edge_without_containment_exit_3(capsys, tmp_path):
+    # The record joins S[W] (height 1) and S[chain connector] (height 2),
+    # though neither body contains the other; links ask the one
+    # direction the heights allow and find no containment.
+    frag = complexes.ComplexFragment("cb", [small_cb(W), small_cb(E)], [(0, 1)])
+    assert [v.height for v in frag.vertices] == [1, 2]
+    (tmp_path / "fragment.json").write_text(json.dumps(frag.to_json()))
+    argv = ["complex", "analyze", "--in", str(tmp_path), "--checks", "joins"]
+    code, error = _run_error(capsys, argv)
+    assert code == 3
+    assert error == {
+        "type": "RuntimeError",
+        "message": "fragment edge without a containment direction",
+    }
+
+
 def test_unknown_analyze_check_exits_2(capsys, tmp_path):
     record = complexes.build_tc_fragment([A, C]).to_json()
     (tmp_path / "fragment.json").write_text(json.dumps(record))

@@ -4,7 +4,7 @@ from itertools import combinations
 import graph_oracle
 import pytest
 
-from cbgraph import cb, complexes, ops
+from cbgraph import cb, complexes, ops, suites
 from cbgraph.cb import MarkedCB, small_cb
 from cbgraph.complexes import (
     ComplexFragment,
@@ -163,6 +163,28 @@ def test_cb_fragment_asks_one_direction_after_a_containment(monkeypatch):
     frag = build_cb_fragment(_chain_bodies())
     assert frag.edges == frozenset({(0, 1), (0, 2), (1, 2)})
     assert len(calls) == 3
+
+
+def test_links_ask_one_direction_per_endpoint(monkeypatch):
+    # Heights order every edge, so each endpoint visit asks one
+    # containment: the chain fragments at genus 2 and 3 have 3 + 10
+    # edges, so 26 visits.
+    frags = [build_cb_fragment(suites._maximal_chain_bodies(g)) for g in (2, 3)]
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return cb.contains(u, v)
+
+    monkeypatch.setattr(complexes, "contains", counted)
+    for frag in frags:
+        for v in range(len(frag)):
+            lk = links(frag, v)
+            assert lk["up"] == list(range(v + 1, len(frag)))
+            assert lk["down"] == list(range(v))
+    assert sum(len(f.edges) for f in frags) == 13
+    assert len(calls) == 26
+    assert all(u.height < w.height for u, w in calls)
 
 
 def test_cb_fragment_small_bodies():

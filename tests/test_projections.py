@@ -17,7 +17,7 @@ E = chain_connector(TRI, 0)
 W = ops.band_sum(A, B)
 SEL_L = pj.SideSelector(W, "left")
 SEL_R = SEL_L.other()
-BASIS_L = pj.TorusBasis(SEL_L)
+CHART_L = SEL_L.chart
 
 
 def _multi_arc_curve(seed, min_crossings=4):
@@ -83,9 +83,9 @@ def test_project_matches_neighborhood_oracle():
     # For a single arc per side, the boundary circles of N(a ∪ b) split
     # into the per-arc neighborhood circles, so the ribbon tracer gives
     # an independent computation of the projection.
-    bs = [E, ops.twist(E, BASIS_L.realize(Slope(1, 0)), 1),
-          ops.twist(E, BASIS_L.realize(Slope(0, 1)), -1),
-          ops.twist(E, BASIS_L.realize(Slope(2, 1)), 2)]
+    bs = [E, ops.twist(E, CHART_L.image(Slope(1, 0)), 1),
+          ops.twist(E, CHART_L.image(Slope(0, 1)), -1),
+          ops.twist(E, CHART_L.image(Slope(2, 1)), 2)]
     for b in bs:
         assert ops.intersect(b, W) == 2
         prof = ops.neighborhood_profile([W, b])
@@ -102,7 +102,7 @@ def test_project_twist_equivariance():
     # Twists supported inside the side commute with the projection; a
     # twist along the boundary curve itself does not change it at all.
     for s, p in ((Slope(1, 0), 1), (Slope(0, 1), -1), (Slope(2, 1), 1)):
-        t = BASIS_L.realize(s)
+        t = CHART_L.image(s)
         moved = pj.project(SEL_L, ops.twist(E, t, p))
         expect = {ops.twist(m, t, p) for m in pj.project(SEL_L, E)}
         assert moved == expect
@@ -113,28 +113,87 @@ def test_project_twist_equivariance():
 
 def test_projection_slopes_and_chart():
     for s in (Slope(1, 0), Slope(0, 1), Slope(1, 1), Slope(-1, 2), Slope(5, 3)):
-        c = BASIS_L.realize(s)
-        assert BASIS_L.slope_of(c) == s
+        c = CHART_L.image(s)
+        assert CHART_L.slope_of(c) == s
         assert ops.intersect(c, W) == 0
         assert SEL_L.complex.region_containing(c) == SEL_L.region
     # Slope determinants realize intersection numbers inside the side.
-    x, y = BASIS_L.realize(Slope(2, 1)), BASIS_L.realize(Slope(1, 2))
+    x, y = CHART_L.image(Slope(2, 1)), CHART_L.image(Slope(1, 2))
     assert ops.intersect(x, y) == 3
     left, right = pj.projection_slopes(SEL_L, E), pj.projection_slopes(SEL_R, E)
     assert len(left) == 1 == len(right)
     with pytest.raises(ValueError):
-        BASIS_L.slope_of(W)
+        CHART_L.slope_of(W)
 
 
-def test_torus_basis_needs_genus_one_side():
+def test_chart_needs_genus_one_side():
     tri3 = standard_triangulation(3)
     h = handle_curves(tri3)
     w3 = ops.band_sum(h[0], h[1])
     sel = pj.SideSelector(w3, "left")
     big = sel if sel.genus == 2 else sel.other()
     assert big.genus == 2
-    with pytest.raises(ValueError):
-        pj.TorusBasis(big)
+    with pytest.raises(ValueError, match="genus-1 side"):
+        big.chart
+
+
+def _charted_sides():
+    """Both sides of W and the genus-1 side of a genus-3 band sum."""
+    h = handle_curves(standard_triangulation(3))
+    sel = pj.SideSelector(ops.band_sum(h[0], h[1]), "left")
+    return [SEL_L, SEL_R, sel if sel.genus == 1 else sel.other()]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_chart_reads_back_every_slope_it_realizes(k):
+    chart = _charted_sides()[k].chart
+    for s in sorted(enumerate_slopes(6)):
+        assert chart.slope_of(chart.image(s)) == s
+
+
+def test_braid_relation_on_chart_and_handle_pairs():
+    # Curves meeting once satisfy T_a(b) = T_b^-1(a), so a chart twists
+    # along its beta with one constant sign.
+    pairs = [(sel.chart.alpha, sel.chart.beta) for sel in _charted_sides()]
+    for g in (2, 3, 4):
+        h = handle_curves(standard_triangulation(g))
+        pairs += [(h[2 * k], h[2 * k + 1]) for k in range(g)]
+    for a, b in pairs + [(b, a) for a, b in pairs]:
+        assert ops.intersect(a, b) == 1
+        assert ops.twist(b, a, 1) == ops.twist(a, b, -1)
+
+
+def _project_drawn_in_order(sel, b):
+    """The projection of b crossing the selector's curve a, read off the
+    pair drawn in the order (a, b)."""
+    a = sel.curve
+    out = set()
+    for _, words, _ in ops.reduced_pair(a, b).arc_closures(1):
+        kept = [c for c in (CurveClass.from_texts(a.tri, [w]) for w in words) if c != a]
+        if kept and sel.complex.region_containing(kept[0]) == sel.region:
+            out.update(kept)
+    return out
+
+
+def test_projection_does_not_depend_on_the_drawing_order():
+    # `_project` reads b's arcs from the pair drawn in sorted order;
+    # both orders of (a, b) occur below.
+    tri3 = standard_triangulation(3)
+    h = handle_curves(tri3)
+    sel3 = pj.SideSelector(ops.band_sum(h[0], h[1]), "left")
+    gens3 = h + [chain_connector(tri3, k) for k in range(2)]
+    cases = [(SEL_L, [A, B, C, D, E]), (SEL_R, [A, B, C, D, E]), (sel3, gens3)]
+    orders = []
+    for k, (sel, gens) in enumerate(cases):
+        rng = random.Random(1500 + k)
+        for _ in range(40):
+            b = _push(rng.choice(gens), [(rng.choice(gens), rng.choice((1, -1))) for _ in range(4)])
+            if ops.intersect(b, sel.curve) == 0:
+                continue
+            orders.append((k, b > sel.curve))
+            assert pj.project(sel, b) == _project_drawn_in_order(sel, b)
+    assert {k for k, _ in orders} == {0, 1, 2}
+    assert len(orders) >= 30 and {order for _, order in orders} == {True, False}
 
 
 def _diameter(sel, b):
@@ -155,8 +214,8 @@ def test_projection_diameter_and_bound():
 
 
 def test_diam_witness():
-    w = pj.diam_witness(SEL_L, E, BASIS_L)
-    slopes = pj.projection_slopes(SEL_L, E, BASIS_L)
+    w = pj.diam_witness(SEL_L, E)
+    slopes = pj.projection_slopes(SEL_L, E)
     assert all(farey_distance(w, s) >= 2 for s in slopes)
     # Deterministic first-by-height choice: 1/0 and 0/1 are Farey
     # neighbors of the single projected slope 1/1, so -1/1 is first.
@@ -164,17 +223,17 @@ def test_diam_witness():
     assert w == Slope(-1, 1)
     # Vacuous case: empty projection accepts the very first slope.
     assert pj.project(SEL_L, A) == set()
-    assert pj.diam_witness(SEL_L, A, BASIS_L) == Slope(1, 0)
+    assert pj.diam_witness(SEL_L, A) == Slope(1, 0)
     b = _multi_arc_curve(11)
-    wb = pj.diam_witness(SEL_L, b, BASIS_L)
+    wb = pj.diam_witness(SEL_L, b)
     assert all(
-        farey_distance(wb, s) >= 2 for s in pj.projection_slopes(SEL_L, b, BASIS_L)
+        farey_distance(wb, s) >= 2 for s in pj.projection_slopes(SEL_L, b)
     )
 
 
-def _rescan_diam_witness(sel, b, basis):
+def _rescan_diam_witness(sel, b):
     """`diam_witness` as it was: step h retests every slope of height <= h."""
-    slopes = pj.projection_slopes(sel, b, basis)
+    slopes = pj.projection_slopes(sel, b)
     for h in range(1, pj.MAX_WITNESS_HEIGHT + 1):
         for c in sorted(enumerate_slopes(h)):
             if all(farey_distance(c, s) >= 2 for s in slopes):
@@ -195,17 +254,17 @@ def test_diam_witness_against_rescan_on_suite_instances(monkeypatch):
     calls = []
     witness = pj.diam_witness
 
-    def record(sel, b, basis):
-        calls.append((sel, b, basis, witness(sel, b, basis)))
-        return calls[-1][3]
+    def record(sel, b):
+        calls.append((sel, b, witness(sel, b)))
+        return calls[-1][2]
 
     monkeypatch.setattr(pj, "diam_witness", record)
     for seed in (101, 102, 103, 104):
         suites.run_check("projection-diameter", seed)
     assert len(calls) > 200
     assert any(got.q > 1 for *_, got in calls)
-    for sel, b, basis, got in calls:
-        assert got == _rescan_diam_witness(sel, b, basis)
+    for sel, b, got in calls:
+        assert got == _rescan_diam_witness(sel, b)
 
 
 def test_innermost_surgery_separating():
@@ -226,9 +285,9 @@ def test_innermost_surgery_separating():
 
 
 def test_innermost_surgery_torus_slopes():
-    alpha = BASIS_L.alpha
+    alpha = CHART_L.alpha
     for s in (Slope(1, 2), Slope(2, 3), Slope(-1, 3), Slope(3, 4)):
-        b = BASIS_L.realize(s)
+        b = CHART_L.image(s)
         n = ops.intersect(alpha, b)
         assert n == abs(s.q)
         rec = pj.innermost_surgery(alpha, b)
@@ -247,38 +306,48 @@ def test_innermost_surgery_errors():
 
 
 def test_surjdisc_witness():
-    c = BASIS_L.realize(Slope(1, 1))
+    c = CHART_L.image(Slope(1, 1))
     cont = MarkedCB(TRI, [W, c])
-    assert pj.surjdisc_witness(W, c, cont) == c
+    assert pj.surjdisc_witness(SEL_L, c, cont) == c
     # E projects to the 1/1 slope on the left, hitting the marking.
-    assert pj.projection_slopes(SEL_L, E, BASIS_L) == {Slope(1, 1)}
-    assert pj.surjdisc_witness(W, E, cont) == c
+    assert pj.projection_slopes(SEL_L, E) == {Slope(1, 1)}
+    assert pj.surjdisc_witness(SEL_L, E, cont) == c
     # Far marking: every projection at distance >= 2 refutes containment.
-    far = BASIS_L.realize(Slope(-1, 1))
+    far = CHART_L.image(Slope(-1, 1))
     assert all(
         farey_distance(Slope(-1, 1), s) >= 2
         for side in (SEL_L, SEL_R)
-        for s in (pj.projection_slopes(SEL_L, E, BASIS_L) if side is SEL_L else set())
+        for s in (pj.projection_slopes(SEL_L, E) if side is SEL_L else set())
     )
     cont_far = MarkedCB(TRI, [W, far])
-    assert pj.surjdisc_witness(W, E, cont_far) is None
+    assert pj.surjdisc_witness(SEL_L, E, cont_far) is None
 
 
 def test_surjdisc_witness_on_the_right_side():
     # The marking lies right of W, so only the second selector sees it.
-    basis_r = pj.TorusBasis(SEL_R)
-    m = basis_r.realize(min(pj.projection_slopes(SEL_R, E, basis_r)))
+    m = SEL_R.chart.image(min(pj.projection_slopes(SEL_R, E)))
     assert SEL_R.complex.region_containing(m) == SEL_R.region
-    assert pj.surjdisc_witness(W, E, MarkedCB(TRI, [W, m])) == m
+    assert pj.surjdisc_witness(SEL_L, E, MarkedCB(TRI, [W, m])) == m
+
+
+def test_surjdisc_witness_is_the_same_from_either_side():
+    # The search runs left before right whichever selector it is given:
+    # with a marking in each side's projection the left one is found.
+    for seed in (11, 12, 14):
+        b = _multi_arc_curve(seed)
+        marks = [sel.chart.image(min(pj.projection_slopes(sel, b))) for sel in (SEL_L, SEL_R)]
+        for system in ([W, marks[0]], [W, marks[1]], [W, *marks]):
+            cont = MarkedCB(TRI, system)
+            got = pj.surjdisc_witness(SEL_L, b, cont)
+            assert got == system[1]
+            assert pj.surjdisc_witness(SEL_R, b, cont) == got
 
 
 def test_surjdisc_preconditions():
-    c = BASIS_L.realize(Slope(1, 1))
-    cont = MarkedCB(TRI, [W, c])
+    with pytest.raises(ValueError, match="contain S\\[a\\]"):
+        pj.surjdisc_witness(SEL_L, A, small_cb(E))
     with pytest.raises(ValueError):
-        pj.surjdisc_witness(A, E, cont)
-    with pytest.raises(ValueError):
-        pj.surjdisc_witness(W, A, small_cb(W))
+        pj.surjdisc_witness(SEL_L, A, small_cb(W))
 
 
 def test_projection_finite_and_essential():

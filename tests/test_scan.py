@@ -6,7 +6,9 @@ planted suite fails by its witnesses at one seed and by an error at the
 other; each failure must appear on its seed's line with its reproducer,
 and the digests must repeat and equal those of `run_suite` called
 directly.  Run in fresh processes under two hash seeds, a scan of two
-suites that build curves must print identical lines.
+suites that build curves must print identical lines.  Two seeds of the
+full scan must reproduce their lines of `golden/scan_100_300.jsonl`,
+which `tools/scan.py 100 300` wrote.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ import pytest
 from cbgraph import suites
 
 SCAN_PATH = Path(__file__).resolve().parent.parent / "tools" / "scan.py"
+GOLDEN_SCAN = Path(__file__).resolve().parent / "golden" / "scan_100_300.jsonl"
 _spec = importlib.util.spec_from_file_location("tools_scan", SCAN_PATH)
 scan = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(scan)
@@ -96,3 +99,11 @@ def test_scan_lines_do_not_depend_on_the_hash_seed():
         lines.append(done.stdout)
     assert lines[0] == lines[1]
     assert json.loads(lines[0])["status"] == {"chain-containment": "pass", "equivariance": "pass"}
+
+
+@pytest.mark.parametrize("seed", [100, 104])
+def test_scan_lines_equal_the_golden_scan(seed):
+    # Seed 104 pins a known failure (ROADMAP item 3) with its reproducer.
+    golden = GOLDEN_SCAN.read_text().splitlines()
+    assert len(golden) == 201
+    assert json.dumps(scan.scan_line(seed), sort_keys=True) == golden[seed - 100]
