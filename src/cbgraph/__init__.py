@@ -5,7 +5,9 @@
 # that normalises the key and returns nothing a caller can change;
 # errors are raised every time and never cached.
 #
-# - `ops`: intersection numbers and the punctured-torus test (ints, bools);
+# - `ops`: the intersection number and the punctured-torus test (ints,
+#   bools), and `geom._corner_vectors`, the corner counts of a class (an
+#   array), which give the algebraic count;
 # - `projections.project` (a frozenset, copied);
 # - `cb._placement` (a tuple of bools) and `cut.cut_profile` (a tuple,
 #   returned as a fresh list);
@@ -13,11 +15,12 @@
 #   `CurveClass.from_weights`, which holds a shared `CurveClass`: both
 #   are value-typed and never written after construction.
 #
-# After a cold acceptance pass (seed 101) they hold 2,110 entries and
-# 1.13 MB (`tracemalloc`), keys' curves and the traces they keep
-# (`CurveClass.trace`) included.  `tests/conftest.py`
-# lists these eight in `MEMOS` and clears them before every test, and a
-# test fails if a memo of `MEMO_ENTRIES` entries is missing there.
+# After a cold acceptance pass (seed 101) they hold 2,497 entries and
+# 1.57 MB (`tracemalloc`), 605 entries and 0.48 MB of them corner
+# counts, keys' curves and the traces they keep (`CurveClass.trace`)
+# included.  `tests/conftest.py` lists these eight in `MEMOS` and clears
+# them before every test, and a test fails if a memo of `MEMO_ENTRIES`
+# entries is missing there.
 #
 # Per-process tables are unbounded `functools.lru_cache`s too, keyed by
 # genus or triangulation and never cleared: `surface.standard_triangulation`,

@@ -120,43 +120,51 @@ class _Tracer:
         edge's first listed incidence.  An arc at the start corner of slot
         s leaves through side s-1 at the same index; any other leaves
         through side s+1, its index shifted by the change in weight.
+        A walk stops at its start state, since a normal curve passes each
+        point once; points are marked seen only while letters are left.
         """
         tri = self.tri
         w = self.w
         edge = tri.side_edge
         back, ahead, first = tri.back, tri.ahead, tri.first
-        # Per letter: weight, arc count at the start corner, and the
-        # edge's first point number base[e].
+        # Per letter: weight, arc count at the start corner, change of
+        # weight ahead, last index if the slot's frame is reversed (else
+        # -1), and the edge's first point number base[e].
         weight = [w[e] for e in edge]
         corner = [n for counts in self.corners for n in counts]
+        dwa = [weight[y] - n for y, n in zip(ahead, weight)]
+        top = [-1 if f else n - 1 for f, n in zip(first, weight)]
         base = [0] * tri.num_edges
         for e in range(1, tri.num_edges):
             base[e] = base[e - 1] + w[e - 1]
         offset = [base[e] for e in edge]
-        seen = bytearray(sum(w))
+        total, traced = sum(w), 0
+        seen = bytearray(total)
         out = []
         for e in range(tri.num_edges):
             t0, s0 = tri.sides[e][0]
+            x0 = 3 * t0 + s0
             for p in range(w[e]):
                 if seen[base[e] + p]:
                     continue
                 letters, positions = [], array("I")
-                x, pos = 3 * t0 + s0, p
+                x, pos = x0, p
                 while True:
-                    cpos = pos if first[x] else weight[x] - 1 - pos
-                    key = offset[x] + cpos
-                    if seen[key]:
-                        break
-                    seen[key] = 1
                     letters.append(x)
-                    positions.append(cpos)
+                    positions.append(pos if top[x] < 0 else top[x] - pos)
                     if pos < corner[x]:
                         x = back[x]
                     else:
-                        y = ahead[x]
-                        pos += weight[y] - weight[x]
-                        x = y
+                        pos += dwa[x]
+                        x = ahead[x]
+                    if pos == p and x == x0:
+                        break
                 out.append((encode(letters), positions))
+                traced += len(letters)
+                if traced == total:
+                    return out
+                for x, cpos in zip(letters, positions):
+                    seen[offset[x] + cpos] = 1
         return out
 
 

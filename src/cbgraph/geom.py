@@ -31,6 +31,15 @@ text between their chords.  That is everything the curve operations
 holds its two strands and a strand only the indices of its crossings,
 so a drawing has no reference cycle and is freed as soon as its last
 reference goes, without waiting for the cyclic garbage collector.
+
+Counts need no drawing.  Curve 0's points come first counterclockwise
+on side s of triangle t iff first[3t + s], and chords cross by the
+order of their ends on shared sides, so one curve's arcs at the corner
+of sides s and s + 1 (family 3t + s) cross all or none of the other's.
+`crossing_counts` sums F_a * F_b (arcs per family) and sign * D_a * D_b
+(arcs run from s to s + 1 less those run back: trace bigram counts)
+over the crossing family pairs of each triangle, kept per class as
+projections of F and D in one memoised array: three dot products.
 """
 
 from __future__ import annotations
@@ -38,20 +47,21 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
-from functools import partial
-from operator import add
+from functools import lru_cache, partial
+from operator import add, mul, sub
 
+from cbgraph import MEMO_ENTRIES
 from cbgraph.curves import chains, translate_tables
 from cbgraph.kernel import decode
 from cbgraph.surface import Triangulation
 
 # Crossings a drawing may hold.  Measured with `tracemalloc` on
-# Farey-neighbour model pairs of 10^4-7*10^4 crossings (genus 2, curves
-# of 165/267 to 432/699 letters), a drawing peaks at 241-310 bytes per
-# crossing while it sorts the strand orders (and holds 118-181 after),
-# so one at the bound peaks near 0.8 GB.  Drawing and then removing
-# bigons peaks at 257-335 bytes per crossing, so an `ops.intersect` at
-# the bound needs about 0.85 GB.
+# Farey-neighbour model pairs of 2.6*10^4-1.8*10^5 crossings (genus 2,
+# curves of 267/432 to 699/1,131 letters), a drawing peaks at 274-330
+# bytes per crossing while it sorts the strand orders (and holds 149-205
+# after), so one at the bound peaks near 0.8 GB.  Drawing and then
+# removing bigons peaks at 316-391 bytes per crossing, so an
+# `ops.intersect` at the bound needs about 1 GB.
 MAX_DRAWN_CROSSINGS = 2_500_000
 
 
@@ -257,3 +267,49 @@ def _cross(curves, chords, first, lo, circle) -> list[Crossing]:
                     f" {m} and {n} letters"
                 )
     return crossings
+
+
+def crossing_counts(a, b) -> tuple[int, int, int]:
+    """`Drawing(tri, [a, b]).raw_count(0, 1)`, the same of [b, a], and
+    `Drawing(tri, [a, b]).algebraic(0, 1)`, from the corner counts."""
+    if a.tri != b.tri:
+        raise ValueError("curve drawn on a different triangulation")
+    u, v = _corner_vectors(a), _corner_vectors(b)
+    raw = sum(map(mul, u[::4], v[2::4]))
+    return raw, sum(map(mul, v[::4], u[2::4])), sum(map(mul, u[1::4], v[3::4]))
+
+
+@lru_cache(maxsize=None)
+def _corner_table(tri: Triangulation):
+    """Per family 3t + f the bigrams of its arcs run from side f to
+    f + 1 and back, and (i, j, sign) per crossing pair of families."""
+    ahead, back, first = tri.ahead, tri.back, tri.first
+    bigrams, pairs = [], []
+    for i in range(3 * tri.num_triangles):
+        t, f = i - i % 3, i % 3
+        j = t + (f + 1) % 3
+        assert i != ahead[i] and j != back[j]
+        bigrams += (chr(i) + chr(ahead[i]), chr(j) + chr(back[j]))
+        a, b = (2 * s + (not first[t + s]) for s in (f, (f + 1) % 3))
+        for g in range(3):
+            c, d = (2 * s + first[t + s] for s in (g, (g + 1) % 3))
+            c_in = (c - a) % 6 < (b - a) % 6
+            if c_in != ((d - a) % 6 < (b - a) % 6):
+                pairs.append((i, t + g, 1 if c_in else -1))
+    return bigrams, pairs
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _corner_vectors(c) -> array:
+    """F, D, P and Q of each family of a class, interleaved in one `array("q")`."""
+    bigrams, pairs = _corner_table(c.tri)
+    # Cycles wrapped and joined by a code point that is no letter.
+    text = chr(len(bigrams)).join(t + t[:1] for t, _, _ in c.trace)
+    counts = list(map(text.count, bigrams))
+    arcs = list(map(add, counts[::2], counts[1::2]))
+    net = list(map(sub, counts[::2], counts[1::2]))
+    over, signed = [0] * len(arcs), [0] * len(arcs)
+    for i, j, sign in pairs:
+        over[i] += arcs[j]
+        signed[i] += sign * net[j]
+    return array("q", [x for fdpq in zip(arcs, net, over, signed) for x in fdpq])

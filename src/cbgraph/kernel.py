@@ -107,8 +107,8 @@ def min_rotation(text: str) -> str:
     if not s:
         return s
     rounds = []
+    m = min(s)
     while True:
-        m = min(s)
         count = s.count(m)
         if count == 1:
             k = s.find(m)
@@ -124,6 +124,7 @@ def min_rotation(text: str) -> str:
         distinct = sorted(set(blocks))
         rank = dict(zip(distinct, map(chr, range(len(distinct)))))
         s = "".join(map(rank.__getitem__, blocks))
+        m = "\x00"  # the least block's rank
     for p, size, blocks in reversed(rounds):
         k = (p + sum(map(len, blocks[:k]))) % size
     return text[k:] + text[:k]

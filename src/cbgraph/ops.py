@@ -7,21 +7,31 @@ exactly the image under the annulus twist homeomorphism (excess
 crossings insert cancelling passes, so minimal position is not needed).
 The image is spliced from the drawn strands' text (`Strand.letters`),
 its length checked against `MAX_TWIST_LETTERS` first, joined once and
-handed to `CurveClass.from_texts`.
-Intersection numbers come from exhaustive bigon removal; the boundary
-of a regular neighborhood is the ribbon walk of the reduced pair,
+handed to `CurveClass.from_texts`.  The boundary of a regular
+neighborhood is the ribbon walk of the reduced pair,
 `Reduced.boundary_words`, whose texts go to `CurveClass.from_texts`.
+
+Only an answer that needs the crossings draws.  `geom.crossing_counts`
+gives both stacked orders' crossing counts and the signed count, an
+isotopy invariant: `algebraic_intersect` returns the latter; `_intersect`
+returns a count equal to |signed| (|algebraic| <= minimal <= drawn),
+else draws and removes bigons; `twist` returns c when an order has no
+crossing; the punctured-torus test of two curves meeting once builds no
+profile.
+`band_sum`, `neighborhood_profile` and `reduced_pair` draw and reduce.
 
 The exact answers whose inputs repeat are memoised per process in
 bounded `functools.lru_cache`s of `MEMO_ENTRIES` entries: the geometric
-and the algebraic intersection number of a pair, and the punctured-torus
-test of a curve set.  They key on the curves (value-typed and hashable)
-and hold only ints and bools.  A key keeps its curves alive.  Measured
-with `tracemalloc`, an entry costs about 150 bytes on top of curves that
-live elsewhere; after a cold acceptance pass (seed 101) the memos of
-this module and `projections` hold 1,721 entries and 0.85 MB, the
-curves that only the keys still reference included, each with the
-trace it keeps (`CurveClass.trace`).  The
+intersection number of a pair and the punctured-torus test of a curve
+set; the algebraic count has none of its own, being one dot product of
+the corner counts that `geom` keeps per class.  They key on the curves
+(value-typed and hashable) and hold only ints and bools.  A key keeps
+its curves alive.  Measured with `tracemalloc`, an entry costs about
+150 bytes on top of curves that live elsewhere; after a cold acceptance
+pass (seed 101) the memos of this module and `projections` hold 1,503
+entries and 0.42 MB, the
+curves that only the keys still reference included (most are keys of
+`geom`'s corner counts too), each with the trace it keeps.  The
 package's other memos, among them two that hold curves and bodies
 rather than ints and bools, are listed in `cbgraph/__init__.py`.
 
@@ -31,18 +41,16 @@ pair drawn, its `Drawing`, and its `Reduced` once an operation needs it
 before it draws, so no more drawings are alive at once than without it.
 The operations whose answers do not depend on the drawing order also
 reuse a record drawn in the reversed order: `_intersect` and
-`band_sum`, which are symmetric in the pair, `_algebraic`, which reads
-the count of the reversed pair, and `twist`, which reads each crossing
-from its own curve's side through `Crossing.strand_data`.
+`band_sum`, which are symmetric in the pair, and `twist`, which reads
+each crossing from its own curve's side through `Crossing.strand_data`.
 `neighborhood_profile` and `reduced_pair`, whose outputs follow the
 drawing order (`essential_flags`, surgery candidates), redraw it.
 There is one record and not a memo of drawings because a drawing of two
 long curves is large: memoising 1,024 drawings raised the peak RSS of
 the scale benchmark from 27.3 to 34.7 MB, while a pair's operations run
 one after another.  `Reduced` clears `alive` on the crossings of the
-shared drawing; the raw readers (`Drawing.raw_count`,
-`Drawing.algebraic` and the `strand_sequence` walk of `twist`) ignore
-`alive`, so they read the same drawing before and after its reduction.
+shared drawing; the `strand_sequence` walk of `twist` ignores `alive`,
+so it reads the same drawing before and after its reduction.
 The record is shared by every caller in the process, so these
 operations must not run in several threads at once; nothing in the
 package starts a thread.
@@ -65,7 +73,7 @@ from functools import lru_cache
 
 from cbgraph import MEMO_ENTRIES, dehn
 from cbgraph.curves import CurveClass, translate_tables
-from cbgraph.geom import Drawing
+from cbgraph.geom import Drawing, crossing_counts
 from cbgraph.kernel import reverse_word
 from cbgraph.position import Reduced
 
@@ -136,12 +144,11 @@ def intersect(a: CurveClass, b: CurveClass) -> int:
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _intersect(a: CurveClass, b: CurveClass) -> int:
+    raw, reversed_raw, alg = crossing_counts(a, b)
+    if min(raw, reversed_raw) == abs(alg):
+        # |algebraic| <= minimal <= drawn, so that order's drawing is minimal.
+        return abs(alg)
     LAST_PAIR.draw(a, b, either_order=True)
-    drawing = LAST_PAIR.drawing
-    raw = drawing.raw_count(0, 1)
-    if raw == abs(drawing.algebraic(0, 1)):
-        # |algebraic| <= minimal <= drawn, so the drawing is minimal.
-        return raw
     return LAST_PAIR.reduced.count()
 
 
@@ -151,16 +158,7 @@ def algebraic_intersect(a: CurveClass, b: CurveClass) -> int:
         raise ValueError("algebraic_intersect needs connected curves")
     if a == b:
         return 0
-    # Swapping the pair negates the count of the traced orientations.
-    if b < a:
-        return -_algebraic(b, a)
-    return _algebraic(a, b)
-
-
-@lru_cache(maxsize=MEMO_ENTRIES)
-def _algebraic(a: CurveClass, b: CurveClass) -> int:
-    ia, ib = LAST_PAIR.draw(a, b, either_order=True)
-    return LAST_PAIR.drawing.algebraic(ia, ib)
+    return crossing_counts(a, b)[2]
 
 
 def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
@@ -169,12 +167,12 @@ def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
         raise ValueError("twisting curve must be connected")
     if power == 0:
         return c
+    if not all(crossing_counts(c, along)[:2]):
+        # The twist is supported near `along`, which c is drawn apart from.
+        return c
     tri = c.tri
     ic, _ = LAST_PAIR.draw(c, along, either_order=True)
     drawing = LAST_PAIR.drawing
-    if not drawing.crossings:
-        # The twist is supported near `along`, which c is drawn apart from.
-        return c
     # Each crossing adds |power| passes of along's letters to c's.
     size = sum(map(len, c.texts)) + abs(power) * len(drawing.crossings) * len(along.texts[0])
     if size > MAX_TWIST_LETTERS:
@@ -323,6 +321,9 @@ def common_punctured_torus(curves) -> bool:
     Conversely a common punctured torus contains the filled
     neighborhood of a and b, so its boundary is parallel to that of T,
     and every curve misses it.
+
+    Two curves meeting once need no profile: N(a ∪ b) is a punctured
+    torus, whose boundary is essential because the genus is at least 2.
     """
     curves = sorted(set(curves))
     if not curves:
@@ -343,6 +344,8 @@ def _common_punctured_torus(curves: tuple[CurveClass, ...]) -> bool:
         for j in range(i + 1, len(curves)):
             if intersect(curves[i], curves[j]) == 0:
                 return False
+    if len(curves) == 2 and intersect(*curves) == 1:
+        return True
     prof = neighborhood_profile(curves[:2])
     if not (
         prof.connected and prof.genus == 1 and prof.boundary_components == 1

@@ -21,7 +21,9 @@ under their names in `cbgraph.curves` and the text word functions of
 tracer that calls a method per step and builds a (letter, position)
 tuple per crossing, where the kept one reads per-letter tables and
 writes each cycle straight into the kept form; `compact_trace` writes
-the step tracer's cycles in that form.  `parent_words` is the
+the step tracer's cycles in that form.  `marking_trace` is the flat
+tracer loop that marked every point it passed and stopped at the first
+marked one.  `parent_words` is the
 class-building rule that canonicalised every traced word a second
 time.  Tests require the kept code to give the same words, weights,
 cycles and classes.
@@ -48,6 +50,7 @@ from cbgraph import kernel
 from cbgraph.curves import (
     MAX_VERTEX_CLOSURE,
     _same_cycle,
+    _Tracer,
     _text_weights,
     translate_tables,
     validate_word,
@@ -151,6 +154,48 @@ def compact_trace(tri: Triangulation, weights) -> list[tuple[str, array]]:
         ("".join(chr(x) for x, _ in cycle), array("I", [p for _, p in cycle]))
         for cycle in StepTracer(tri, weights).components()
     ]
+
+
+def marking_trace(tri: Triangulation, weights) -> list[tuple[str, array]]:
+    """The flat tracer loop that `_Tracer.components` replaced: it marks
+    every point it passes and ends a walk at the first point marked,
+    where the kept loop ends it at its start state and marks points only
+    between the components of a multicurve."""
+    tracer = _Tracer(tri, weights)
+    w = tracer.w
+    edge = tri.side_edge
+    back, ahead, first = tri.back, tri.ahead, tri.first
+    weight = [w[e] for e in edge]
+    corner = [n for counts in tracer.corners for n in counts]
+    base = [0] * tri.num_edges
+    for e in range(1, tri.num_edges):
+        base[e] = base[e - 1] + w[e - 1]
+    offset = [base[e] for e in edge]
+    seen = bytearray(sum(w))
+    out = []
+    for e in range(tri.num_edges):
+        t0, s0 = tri.sides[e][0]
+        for p in range(w[e]):
+            if seen[base[e] + p]:
+                continue
+            letters, positions = [], array("I")
+            x, pos = 3 * t0 + s0, p
+            while True:
+                cpos = pos if first[x] else weight[x] - 1 - pos
+                key = offset[x] + cpos
+                if seen[key]:
+                    break
+                seen[key] = 1
+                letters.append(x)
+                positions.append(cpos)
+                if pos < corner[x]:
+                    x = back[x]
+                else:
+                    y = ahead[x]
+                    pos += weight[y] - weight[x]
+                    x = y
+            out.append((encode(letters), positions))
+    return out
 
 
 def trace_components(tri: Triangulation, weights) -> list[tuple[int, ...]]:

@@ -5,18 +5,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from cbgraph import cb, curves, cut, farey, ops, projections  # noqa: E402
+from cbgraph import cb, curves, cut, farey, geom, ops, projections  # noqa: E402
 
 # Every memo of exact answers in the package.
 MEMOS = (
     ops._intersect,
-    ops._algebraic,
     ops._common_punctured_torus,
     projections._project,
     cb._placement,
     cb._small_cb,
     cut._cut_profile,
     curves._from_weights,
+    geom._corner_vectors,
 )
 
 

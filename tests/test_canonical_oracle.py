@@ -12,7 +12,11 @@ multicurves, long twist ladder rungs and `hypothesis` twist words; the
 raw words of the scale ladders, up to 5,484 letters, are compared with
 the tuple and string closures, and so are the raw words of twisting the
 genus-2 ladder's rungs along a_1 up to 795 letters, and every input the
-closure gets in one seed-101 pass of each benchmark workload.
+closure gets in one seed-101 pass of each benchmark workload.  On every
+weight vector traced in that pass, on parallel copies of the shorter
+ones and on disjoint unions of handle curves mapped by twist words, the
+tracer must give the cycles of the loop that marked every point it
+passed (`canonical_oracle.marking_trace`).
 
 The closure swaps each maximal run once and decides from the trace of
 the word being swapped whether the swap is an isotopy: every swap
@@ -24,20 +28,19 @@ closure does.  Twisting the 795-letter rung along a_1 traces no more
 words than its closure holds.
 `kernel.min_rotation` must return Booth's rotation on short words over
 few letters, on random words, on the P^k Q words where cutting at
-single least letters would go quadratic, and on every encoded word
+single least letters would go quadratic, on `hypothesis` words of
+repeated least-letter runs, and on every encoded word
 `kernel.min_rotation` is given while the scale ladders are built.
 """
 
 import contextlib
 import functools
 import itertools
-import json
 import random
-import sys
-from pathlib import Path
 
 import canonical_oracle as oracle
 import tuple_words
+import workload_pass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -319,6 +322,28 @@ def test_min_rotation_on_powers_with_one_defect():
         assert tuple_words.min_rotation(w) == oracle.min_rotation(w)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 4), st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+        min_size=1,
+        max_size=6,
+    ),
+    repeat=st.integers(1, 4),
+    shift=st.integers(0, 100),
+    base=st.sampled_from((0, 62, 70, 0xD800)),
+)
+def test_min_rotation_on_repeated_least_letter_runs(blocks, repeat, shift, base):
+    # Runs of the least letter of several lengths, repeated, so that the
+    # later rounds rank repeated runs of the least block; the least
+    # letter is code point 0, as every later round's least block rank
+    # is, or lies above it.
+    w = [base + x for k, rest in blocks for x in [0] * k + rest] * repeat
+    k = shift % len(w)
+    w = w[k:] + w[:k]
+    assert tuple_words.min_rotation(w) == oracle.min_rotation(w)
+
+
 def _scale_ladders():
     """Build the scale workload's genus-2 and genus-3 twist ladders, up
     to 5,484 letters."""
@@ -472,30 +497,35 @@ def test_min_rotation_on_scale_ladder_inputs(monkeypatch):
         assert decode(kept(text)) == oracle.min_rotation(decode(text))
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def test_every_closure_input_of_a_workload_pass(monkeypatch):
+def test_every_closure_input_of_a_workload_pass():
     # One seed-101 pass of each benchmark workload, its set-up included,
     # each distinct input with the trace it came with.
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    inputs = {}
-    kept = curves._vertex_canonical
-
-    def record(tri, text, trace=None):
-        inputs.setdefault((tri, text), trace)
-        return kept(tri, text, trace)
-
-    for w in (workloads.Scale(), workloads.Acceptance(), workloads.FreshPairs()):
-        data = json.loads(json.dumps(w.generate(101, 0)))
-        with monkeypatch.context() as m:
-            m.setattr(curves, "_vertex_canonical", record)
-            w.run(w.load(data))
+    inputs = workload_pass.recorded().closures
     decided = 0
     for (tri, text), trace in inputs.items():
         decided += _assert_string_closure(tri, text, trace)[1]
     assert len(inputs) > 1000 and decided > 500
+
+
+def test_tracer_loops_agree_on_a_workload_pass():
+    # Every weight vector traced in the pass, twice and three times the
+    # shorter ones (parallel copies), and disjoint unions: the handle
+    # curves a_k at genus 2-4, and their images under twist words.
+    traced = list(workload_pass.recorded().traced)
+    inputs = traced + [
+        (tri, tuple(k * x for x in w)) for tri, w in traced if sum(w) <= 1000 for k in (2, 3)
+    ]
+    rng = random.Random(45)
+    for tri in TRIS.values():
+        gens = _generators(tri)
+        for n in range(6):
+            word = [(rng.choice(gens), rng.choice((1, -1))) for _ in range(n)]
+            handles = [_push(a, word) for a in handle_curves(tri)[::2]]
+            inputs.append((tri, tuple(map(sum, zip(*(h.weights for h in handles))))))
+    letters = multi = 0
+    for tri, w in inputs:
+        got = _Tracer(tri, w).components()
+        assert got == oracle.marking_trace(tri, w)
+        letters += sum(w)
+        multi += len(got) > 1
+    assert len(traced) > 1000 and letters > 300_000 and multi > 2000

@@ -6,8 +6,10 @@ record must answer as it does with the record cleared: after the record
 was drawn in the operation's own order, in the reversed order, and in
 either order with its reduction already made.  The memos are cleared
 before each call, so every answer is computed.  A fresh-pairs query
-(three reads and a twist) draws each pair once, and a record is freed as
-soon as another pair is drawn (see `test_drawings.py`).
+(three reads and a twist) draws a pair that meets exactly once and
+other pairs at most once (16 of 30 seeded queries draw nothing, decided
+by the corner counts), and a record is freed as soon as another pair is
+drawn (see `test_drawings.py`).
 """
 
 import itertools
@@ -181,15 +183,20 @@ def test_a_fresh_pair_query_draws_once(built):
             for _ in range(2):
                 c = ops.twist(c, rng.choice(gens), rng.choice((1, -1)))
             pairs.add((c, d) if rng.random() < 0.5 else (d, c))
-    reduced = reversed_twists = 0
+    reduced = reversed_twists = undrawn = 0
     for x, y in sorted(pairs):
         before = dict(built)
-        ops.intersect(x, y)
+        meet = ops.intersect(x, y)
         ops.algebraic_intersect(x, y)
         ops.common_punctured_torus([x, y])
         ops.twist(x, y, 1)
-        assert built["drawings"] - before["drawings"] == 1
+        drawn = built["drawings"] - before["drawings"]
+        # The corner counts decide pairs drawn apart in some order
+        # without a drawing; a pair that meets is drawn for its twist.
+        assert drawn == 1 if meet else drawn <= 1
         assert built["reduced"] - before["reduced"] <= 1
         reduced += built["reduced"] - before["reduced"]
         reversed_twists += y < x
+        undrawn += not drawn
     assert len(pairs) == 30 and reduced > 3 and reversed_twists > 3
+    assert undrawn == 16

@@ -8,7 +8,9 @@ and the digests must repeat and equal those of `run_suite` called
 directly.  Run in fresh processes under two hash seeds, a scan of two
 suites that build curves must print identical lines.  Two seeds of the
 full scan must reproduce their lines of `golden/scan_100_300.jsonl`,
-which `tools/scan.py 100 300` wrote.
+which `tools/scan.py 100 300` wrote.  With `--against FILE` the scan
+prints only the seeds whose lines differ from the file's and exits by
+whether any does.
 """
 
 import hashlib
@@ -83,6 +85,21 @@ def test_scan_of_passing_suites_exits_zero(capsys):
     (line,) = [json.loads(text) for text in capsys.readouterr().out.splitlines()]
     assert line["failed"] == []
     assert line["left_out"] == [name for name in suites.SUITES if name != CHEAP[0]]
+
+
+def test_scan_against_a_file_prints_the_seeds_that_differ(planted, tmp_path, capsys):
+    # Exits 0 on equal lines though both seeds fail, and 1 naming the
+    # seed whose line was changed or is missing from the file.
+    argv = ["6", "7"] + [arg for name in planted for arg in ("--suite", name)]
+    assert scan.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    golden = tmp_path / "golden.jsonl"
+    golden.write_text("\n".join(lines) + "\n")
+    assert scan.main(argv + ["--against", str(golden)]) == 0
+    assert capsys.readouterr().out == ""
+    golden.write_text(lines[0].replace('"seed": 6', '"seed": 6, "x": 1') + "\n")
+    assert scan.main(argv + ["--against", str(golden)]) == 1
+    assert capsys.readouterr().out == "seed 6 differs\nseed 7 differs\n"
 
 
 def test_scan_lines_do_not_depend_on_the_hash_seed():

@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 tools/scan.py A B [--suite NAME ...]
+    python3 tools/scan.py A B [--suite NAME ...] [--against FILE]
 
 For each seed N in A..B (both included) it runs
 `suites.run_suite(Recipe(seed=N, checks=...))` and prints one JSON line:
@@ -17,6 +17,12 @@ For each seed N in A..B (both included) it runs
 Comparing two checkouts' lines shows whether their reports are
 byte-identical on every seed of the range.  Memos stay warm from one
 seed to the next; answers are exact, so that changes no report.
+
+The exit status is 1 if any seed has a failed suite, else 0.  With
+`--against FILE`, lines such as `tests/golden/scan_100_300.jsonl`, it
+prints instead `seed N differs` for each seed whose line is not FILE's
+line of that seed (a seed FILE lacks differs), and exits 1 if any
+differs, else 0, failing seeds included.
 """
 
 from __future__ import annotations
@@ -64,13 +70,24 @@ def main(argv=None) -> int:
     parser.add_argument("first", type=int, metavar="A")
     parser.add_argument("last", type=int, metavar="B")
     parser.add_argument("--suite", action="append", choices=list(suites.SUITES))
+    parser.add_argument("--against", metavar="FILE", type=argparse.FileType())
     opts = parser.parse_args(argv)
-    failing = 0
+    golden = None
+    if opts.against:
+        with opts.against:
+            lines = opts.against.read().splitlines()
+        golden = {json.loads(text)["seed"]: text for text in lines if text}
+    bad = 0
     for seed in range(opts.first, opts.last + 1):
         line = scan_line(seed, opts.suite)
-        failing += bool(line["failed"])
-        print(json.dumps(line, sort_keys=True), flush=True)
-    return 1 if failing else 0
+        text = json.dumps(line, sort_keys=True)
+        if golden is None:
+            bad += bool(line["failed"])
+            print(text, flush=True)
+        elif golden.get(seed) != text:
+            bad += 1
+            print(f"seed {seed} differs", flush=True)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
