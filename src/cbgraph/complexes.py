@@ -22,6 +22,8 @@ from cbgraph.cb import Containment, MarkedCB, contains
 from cbgraph.curves import CurveClass, json_field, json_record
 
 MAX_EXACT_VERTICES = 64
+# Fragment kinds: compression-body graph, torus complex, Schmutz graph.
+KINDS = ("cb", "tc", "schmutz")
 
 
 class ComplexFragment:
@@ -66,6 +68,8 @@ class ComplexFragment:
         """The fragment of a record, its graph taken as given: edge and
         simplex indices are checked, but not re-derived from the vertices."""
         data = json_record(data, "fragment", "kind", "vertices", "edges", "simplices")
+        if data["kind"] not in KINDS:
+            raise ValueError(f"fragment kind must be one of {', '.join(KINDS)}, not {data['kind']!r}")
         vertices = json_field(data, "fragment", "vertices", list, None)
         return cls(
             data["kind"],

@@ -42,15 +42,20 @@ before it draws, so no more drawings are alive at once than without it.
 The operations whose answers do not depend on the drawing order also
 reuse a record drawn in the reversed order: `_intersect` and
 `band_sum`, which are symmetric in the pair, and `twist`, which reads
-each crossing from its own curve's side through `Crossing.strand_data`.
+each crossing from its own curve's side through
+`Drawing.crossings_along`: per half of a strand of c, its chord, the
+letters and chord of `along` there, and its sign.
 `neighborhood_profile` and `reduced_pair`, whose outputs follow the
 drawing order (`essential_flags`, surgery candidates), redraw it.
 There is one record and not a memo of drawings because a drawing of two
 long curves is large: memoising 1,024 drawings raised the peak RSS of
 the scale benchmark from 27.3 to 34.7 MB, while a pair's operations run
 one after another.  `Reduced` clears `alive` on the crossings of the
-shared drawing; the `strand_sequence` walk of `twist` ignores `alive`,
-so it reads the same drawing before and after its reduction.
+shared drawing, the one flag a `Crossing` keeps, because the benchmark's
+bigon count reads it there; a flag owned by `Reduced` waits for the
+layers to count their own work (ROADMAP item 26).  The walk of `twist`
+ignores `alive`, so it reads the same drawing before and after its
+reduction.
 The record is shared by every caller in the process, so these
 operations must not run in several threads at once; nothing in the
 package starts a thread.
@@ -182,7 +187,7 @@ def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
         )
     flip = translate_tables(tri).flip
     texts = []
-    for s in drawing.strands:
+    for m, s in enumerate(drawing.strands):
         if s.curve != ic:
             continue
         # Splice a pass around `along` into the text after the chord of
@@ -190,14 +195,11 @@ def twist(c: CurveClass, along: CurveClass, power: int) -> CurveClass:
         # rotation of along's text, reversed when sign and power disagree.
         text = s.letters
         parts, done = [], 0
-        for x in drawing.strand_sequence(s):
-            k, _, sd, sign = x.strand_data(s)
+        for k, around, kd, positive in drawing.crossings_along(m):
             parts.append(text[done : k + 1])
             done = k + 1
-            kd = x.strand_data(sd)[0]
-            around = sd.letters
             rot = around[kd + 1 :] + around[: kd + 1]
-            if sign * power < 0:
+            if positive != (power > 0):
                 rot = reverse_word(rot, flip)
             parts.append(rot * abs(power))
         parts.append(text[done:])

@@ -36,9 +36,10 @@ minimum that is a bigon is exactly the one the scan would find first.
 The candidates and the strands' links are kept in flat arrays indexed
 by a candidate's key.
 
-Those arrays, one entry per half (a crossing seen from one of its two
-strands, numbered strand after strand in drawn order), are also the
-result, and only this module walks them:
+The half arrays are the drawing's (`Drawing`: a half is a crossing
+seen from one of its two strands, numbered strand after strand in
+drawn order); `Reduced` owns only its links, and only this module
+walks them:
 
 - `Reduced.boundary_words` walks the ribbon graph of the union.
   Arriving at a half along its strand, the boundary turns onto the
@@ -62,18 +63,14 @@ from cbgraph.kernel import reverse_word
 
 
 class Reduced:
-    """A drawing after exhaustive bigon removal, as arrays of halves.
+    """A drawing after exhaustive bigon removal, as links of its halves.
 
-    A half is a crossing seen from one strand through it.  The halves of
-    strand m (the m-th of `drawing.strands`) are numbered `firsts[m]` to
-    `firsts[m + 1] - 1` in drawn order, and `strand_of[h]` is m.  Per
-    half h: `cross[h]` is its crossing, `other[h]` the crossing's half
-    on the other strand, `positive[h]` whether the crossing is positive
-    seen from h's strand, and `chord[h]` the index of the strand's chord
-    it lies on.  `succ[h]` and `pred[h]` link the surviving halves of
-    each strand cyclically; they are valid only while `cross[h].alive`,
-    which removal clears.  `arc(h)` is the directed crossings from h to
-    `succ[h]`, a slice of the strand's text; `flip` reverses arcs.
+    The halves and their arrays are the drawing's (`Drawing`); `Reduced`
+    owns only `succ` and `pred`, which link the surviving halves of each
+    strand cyclically.  They are valid at a half only while its crossing
+    is alive, which removal clears.  `arc(h)` is the directed crossings
+    from h to `succ[h]`, a slice of the strand's text; `flip` reverses
+    arcs.
     """
 
     def __init__(self, drawing: Drawing):
@@ -97,40 +94,20 @@ class Reduced:
         return dehn.is_trivial(self.tri, loop)
 
     def _reduce(self):
-        drawing = self.drawing
-        # The halves' arrays of the class docstring; a half's number is
-        # its candidate's heap key.
-        cross, firsts = [], []
-        strand_of, succ, pred, chord = array("I"), array("I"), array("I"), array("I")
-        positive = bytearray()
-        for m, s in enumerate(drawing.strands):
-            seq = drawing.strand_sequence(s)
-            n = len(seq)
-            base = len(cross)
-            firsts.append(base)
-            if not n:
-                continue
-            cross += seq
-            strand_of += array("I", [m]) * n
-            succ += array("I", range(base + 1, base + n))
-            succ.append(base)
-            pred.append(base + n - 1)
-            pred += array("I", range(base, base + n - 1))
-            chord += array("I", [x.k1 if x.s1 is s else x.k2 for x in seq])
-            positive += bytes([(x.sign if x.s1 is s else -x.sign) > 0 for x in seq])
-        firsts.append(len(cross))
-        other = array("I", bytes(4 * len(cross)))
-        seen = {}
-        for h, x in enumerate(cross):
-            o = seen.pop(x, None)
-            if o is None:
-                seen[x] = h
-            else:
-                other[h], other[o] = o, h
-        del seen
-        self.cross, self.other, self.positive = cross, other, positive
-        self.succ, self.pred, self.chord = succ, pred, chord
-        self.strand_of, self.firsts = strand_of, firsts
+        d = self.drawing
+        crossings, cross, other, positive, strand_of = (
+            d.crossings, d.cross, d.other, d.positive, d.strand_of
+        )
+        # Each strand's halves in drawn order, cyclically; a half's
+        # number is its candidate's heap key.
+        n = len(cross)
+        links = array("I", range(n))
+        self.succ = succ = links[1:] + links[:1]
+        self.pred = pred = links[-1:] + links[:-1]
+        del links
+        for lo, hi in zip(d.firsts, d.firsts[1:]):
+            if lo < hi:
+                succ[hi - 1], pred[lo] = lo, hi - 1
         arc = self.arc
 
         def bigon_at(h):
@@ -162,20 +139,20 @@ class Reduced:
 
         # The heap holds the halves popped and queued again, all below
         # `scan`; every half from `scan` on is still queued.
-        heap, queued, scan = [], bytearray(len(cross)), 0
-        while heap or scan < len(cross):
+        heap, queued, scan = [], bytearray(n), 0
+        while heap or scan < n:
             if heap:
                 h = heapq.heappop(heap)
                 queued[h] = 0
             else:
                 h, scan = scan, scan + 1
-            if not cross[h].alive:
+            if not crossings[cross[h]].alive:
                 continue
             found = bigon_at(h)
             if found is None:
                 continue
             k = succ[h]
-            cross[h].alive = cross[k].alive = False
+            crossings[cross[h]].alive = crossings[cross[k]].alive = False
             for p in (splice(h, k), splice(*found)):
                 if p is None:
                     continue
@@ -192,8 +169,9 @@ class Reduced:
         Halves are numbered in strand order, so the walk wraps past the
         strand's end exactly when k is not after h.
         """
-        letters = self.drawing.strands[self.strand_of[h]].letters
-        a, b = self.chord[h] + 1, self.chord[k] + 1
+        d = self.drawing
+        letters = d.strands[d.strand_of[h]].letters
+        a, b = d.chord[h] + 1, d.chord[k] + 1
         return letters[a:b] if h < k else letters[a:] + letters[:b]
 
     def arc(self, h: int) -> str:
@@ -206,13 +184,16 @@ class Reduced:
 
     def connected(self) -> bool:
         """Whether the strands and the surviving crossings form one piece."""
-        cross, other, strand_of, firsts = self.cross, self.other, self.strand_of, self.firsts
+        d = self.drawing
+        crossings, cross, other, strand_of, firsts = (
+            d.crossings, d.cross, d.other, d.strand_of, d.firsts
+        )
         reached, todo = {0}, [0]
         while todo:
             m = todo.pop()
             for h in range(firsts[m], firsts[m + 1]):
                 t = strand_of[other[h]]
-                if cross[h].alive and t not in reached:
+                if crossings[cross[h]].alive and t not in reached:
                     reached.add(t)
                     todo.append(t)
         return len(reached) == len(firsts) - 1
@@ -225,16 +206,18 @@ class Reduced:
         increasing number and each direction (forward first), the circle
         leaving it, unless an earlier circle passed that way.
         """
-        flip = self.flip
-        cross, other, positive = self.cross, self.other, self.positive
-        succ, pred, firsts, arc = self.succ, self.pred, self.firsts, self.arc
+        d, flip = self.drawing, self.flip
+        crossings, cross, other, positive, firsts = (
+            d.crossings, d.cross, d.other, d.positive, d.firsts
+        )
+        succ, pred, arc = self.succ, self.pred, self.arc
         words = []
-        for m, s in enumerate(self.drawing.strands):
-            if not any(cross[h].alive for h in range(firsts[m], firsts[m + 1])):
+        for m, s in enumerate(d.strands):
+            if not any(crossings[cross[h]].alive for h in range(firsts[m], firsts[m + 1])):
                 words += [s.letters, reverse_word(s.letters, flip)]
         seen = bytearray(2 * len(cross))  # (half, forward) as 2 * half + forward
         for h0, x in enumerate(cross):
-            if not x.alive:
+            if not crossings[x].alive:
                 continue
             for forward in (True, False):
                 if seen[2 * h0 + forward]:
@@ -266,12 +249,13 @@ class Reduced:
         back on the same side of the other curve.  The arcs of the other
         strand between two of its halves are one slice of its letters.
         """
-        if [s.curve for s in self.drawing.strands] != [0, 1]:
+        d = self.drawing
+        if [s.curve for s in d.strands] != [0, 1]:
             raise ValueError("arc closures need a pair of connected curves")
-        flip, other, succ, positive = self.flip, self.other, self.succ, self.positive
-        along = self._letters
-        for h in range(self.firsts[curve], self.firsts[curve + 1]):
-            if not self.cross[h].alive:
+        crossings, cross, other, positive = d.crossings, d.cross, d.other, d.positive
+        flip, succ, along = self.flip, self.succ, self._letters
+        for h in range(d.firsts[curve], d.firsts[curve + 1]):
+            if not crossings[cross[h]].alive:
                 continue
             k = succ[h]
             x, y, beta = other[h], other[k], along(h, k)

@@ -13,18 +13,118 @@ crossings, signs and crossing orders, and use this one to draw the
 three- and four-curve sets that exercise bigon-removal order.  Its
 strands hold their letters as encoded text, as the integer drawing's
 do.
+
+It keeps a crossing as the object `Drawing` once kept, `Crossing`:
+both strands, the chord and parameter on each, and the sign.
+`number_halves` numbers its halves from the strand sequences, as
+`Reduced` once did for itself, so that `Reduced` runs on it and tests
+compare the integer drawing's own numbering with this one.
+`object_form` reads an integer drawing back into `Crossing`s and
+strand sequences, for the oracles that walk those.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from math import lcm
 
 from canonical_oracle import StepTracer
-from cbgraph.geom import Crossing, Strand
+from cbgraph.geom import Drawing, Strand
 from cbgraph.kernel import encode
 from cbgraph.surface import Triangulation
 from polygon_oracle import polygon_vertices
+
+
+class Crossing:
+    """A transversal intersection of two chords from different curves.
+
+    `sign` is the orientation of (direction of s1's chord, direction of
+    s2's chord) in the surface orientation; `alive` is cleared by bigon
+    removal.
+    """
+
+    __slots__ = ("s1", "k1", "p1", "s2", "k2", "p2", "sign", "alive")
+
+    def __init__(self, s1, k1, p1, s2, k2, p2, sign):
+        self.s1, self.k1, self.p1 = s1, k1, p1
+        self.s2, self.k2, self.p2 = s2, k2, p2
+        self.sign = sign
+        self.alive = True
+
+    def strand_data(self, strand):
+        """(chord index, param, other strand, crossing sign from this side)."""
+        if strand is self.s1:
+            return self.k1, self.p1, self.s2, self.sign
+        if strand is self.s2:
+            return self.k2, self.p2, self.s1, -self.sign
+        raise ValueError("crossing does not involve this strand")
+
+
+def number_halves(drawing):
+    """Give a drawing of `Crossing`s the half arrays of `Drawing`.
+
+    Halves are numbered strand after strand in strand-sequence order;
+    each takes its chord and sign from the crossing by `x.s1 is s`, and
+    the two halves of a crossing are paired through a dict.
+    """
+    number = {x: i for i, x in enumerate(drawing.crossings)}
+    cross, firsts = array("I"), []
+    strand_of, chord = array("I"), array("I")
+    positive = bytearray()
+    for m, s in enumerate(drawing.strands):
+        seq = drawing.strand_sequence(s)
+        firsts.append(len(cross))
+        cross += array("I", [number[x] for x in seq])
+        strand_of += array("I", [m]) * len(seq)
+        chord += array("I", [x.k1 if x.s1 is s else x.k2 for x in seq])
+        positive += bytes([(x.sign if x.s1 is s else -x.sign) > 0 for x in seq])
+    firsts.append(len(cross))
+    other = array("I", bytes(4 * len(cross)))
+    seen = {}
+    for h, x in enumerate(cross):
+        o = seen.pop(x, None)
+        if o is None:
+            seen[x] = h
+        else:
+            other[h], other[o] = o, h
+    assert not seen
+    drawing.cross, drawing.other, drawing.positive = cross, other, positive
+    drawing.chord, drawing.strand_of, drawing.firsts = chord, strand_of, firsts
+
+
+class ObjectDrawing:
+    """An integer `Drawing` read back into `Crossing`s, index for index.
+
+    Each crossing's s1 is the strand of its lower half, which is curve
+    0's, and a half's parameter is its number, which orders the halves
+    of a chord as the drawing does.
+    """
+
+    def __init__(self, drawing: Drawing):
+        self.tri, self.curves, self.strands = drawing.tri, drawing.curves, drawing.strands
+        strands, cross, other, chord = self.strands, drawing.cross, drawing.other, drawing.chord
+        strand_of, positive, firsts = drawing.strand_of, drawing.positive, drawing.firsts
+        self.crossings = [None] * len(drawing.crossings)
+        for h, o in enumerate(other):
+            if h < o:
+                s1, s2 = strands[strand_of[h]], strands[strand_of[o]]
+                sign = 1 if positive[h] else -1
+                self.crossings[cross[h]] = Crossing(s1, chord[h], h, s2, chord[o], o, sign)
+        self._seqs = {
+            s: [self.crossings[cross[h]] for h in range(firsts[m], firsts[m + 1])]
+            for m, s in enumerate(strands)
+        }
+
+    def strand_sequence(self, strand: Strand) -> list[Crossing]:
+        """Crossings in cyclic order along the strand."""
+        return list(self._seqs[strand])
+
+
+def object_form(drawing):
+    """The drawing as `Crossing`s: an integer `Drawing` read back, or
+    the oracle drawing itself."""
+    return ObjectDrawing(drawing) if isinstance(drawing, Drawing) else drawing
 
 
 class DegenerateDrawing(Exception):
@@ -44,10 +144,12 @@ class FractionDrawing:
         for spread in (1, 3, 7, 31, 127, 8191):
             try:
                 self._build(spread)
-                return
+                break
             except DegenerateDrawing:
                 continue
-        raise RuntimeError("could not find a nondegenerate spacing")
+        else:
+            raise RuntimeError("could not find a nondegenerate spacing")
+        number_halves(self)
 
     def _build(self, spread: int):
         tri = self.tri

@@ -19,15 +19,18 @@ union-find over strands that `Reduced.connected` replaced.
 Arcs and words are encoded text, as `Reduced` gives them; a merge is
 freely reduced as a tuple (`tuple_words.free_reduce`).  `arc_letters`
 is the arc reader that `Drawing` kept for this oracle;
-`FractionDrawing` walks its chords with its own.
+`FractionDrawing` walks its chords with its own.  The reducer reads a
+drawing of `drawing_oracle.Crossing`s: the oracle drawing, or an
+integer `Drawing` read back by `drawing_oracle.object_form`.
 """
 
 from __future__ import annotations
 
 import dehn_oracle
+from drawing_oracle import Crossing
 from tuple_words import free_reduce
 
-from cbgraph.geom import Crossing, Drawing, Strand
+from cbgraph.geom import Strand
 from cbgraph.kernel import decode, encode, reverse_word
 
 
@@ -47,7 +50,7 @@ def arc_letters(strand: Strand, x: Crossing, y: Crossing) -> str:
 class RescanReduced:
     """Bigon removal by rescanning from the start after every removal."""
 
-    def __init__(self, drawing: Drawing):
+    def __init__(self, drawing):
         self.drawing = drawing
         self.tri = drawing.tri
         self.flip = encode(drawing.tri.mate)

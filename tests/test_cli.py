@@ -461,6 +461,16 @@ def test_fragment_without_kind_exits_2(capsys, tmp_path):
     code, error = _run_error(capsys, ["complex", "analyze", "--in", str(tmp_path)])
     assert code == 2
     assert error == {"type": "ValueError", "message": "fragment record lacks the key 'kind'"}
+    # A kind outside the three is refused, not read as a curve fragment.
+    for kind in ("bogus", ["tc"]):
+        record["kind"] = kind
+        (tmp_path / "fragment.json").write_text(json.dumps(record))
+        code, error = _run_error(capsys, ["complex", "analyze", "--in", str(tmp_path)])
+        assert code == 2
+        assert error == {
+            "type": "ValueError",
+            "message": f"fragment kind must be one of cb, tc, schmutz, not {kind!r}",
+        }
 
 
 def test_fragment_graph_is_taken_as_given(capsys, tmp_path):

@@ -2,13 +2,16 @@
 
 Both drawings of a pair must list the same crossings, between the same
 chords, with the same signs and in the same order, and every strand
-must meet its crossings in the same order.
+must meet its crossings in the same order.  The integer drawing is read
+back into crossing objects (`object_form`) for that, and its half
+arrays must equal those the oracle numbers from its strand sequences
+(`number_halves`).
 """
 
 import random
 from collections import Counter
 
-from drawing_oracle import FractionDrawing
+from drawing_oracle import FractionDrawing, object_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ def _generators(tri):
 
 def _shape(drawing):
     """Strands, crossings and per-strand crossing orders, by position."""
+    drawing = object_form(drawing)
     at = {s: i for i, s in enumerate(drawing.strands)}
     strands = [(s.curve, s.comp, s.letters) for s in drawing.strands]
     crossings = [(at[x.s1], x.k1, at[x.s2], x.k2, x.sign) for x in drawing.crossings]
@@ -36,16 +40,25 @@ def _shape(drawing):
     return strands, crossings, orders
 
 
+def _halves(drawing):
+    """The half arrays, as lists."""
+    names = ("firsts", "cross", "other", "chord", "positive", "strand_of")
+    return [list(getattr(drawing, name)) for name in names]
+
+
 def _most_per_chord(drawing):
     """Most crossings on one chord of the first curve and of the second."""
+    drawing = object_form(drawing)
     first = Counter((id(x.s1), x.k1) for x in drawing.crossings)
     second = Counter((id(x.s2), x.k2) for x in drawing.crossings)
     return max(first.values(), default=0), max(second.values(), default=0)
 
 
 def _assert_same(tri, curves):
-    expected = _shape(FractionDrawing(tri, curves))
-    assert _shape(Drawing(tri, curves)) == expected
+    oracle, drawing = FractionDrawing(tri, curves), Drawing(tri, curves)
+    expected = _shape(oracle)
+    assert _shape(drawing) == expected
+    assert _halves(drawing) == _halves(oracle)
     return len(expected[1])
 
 

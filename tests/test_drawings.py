@@ -5,6 +5,7 @@ import weakref
 
 import dehn_oracle
 import pytest
+from drawing_oracle import object_form
 from reducer_oracle import arc_letters
 from tuple_words import cyclic_reduce, reverse_word
 
@@ -154,16 +155,15 @@ def test_drawing_algebraic_sign_conventions():
     assert d.raw_count(1, 0) == d.raw_count(0, 1)
     assert d.raw_count(0, 0) == d.raw_count(1, 1) == 0
     assert d.algebraic(0, 0) == d.algebraic(1, 1) == 0
-    r = Reduced(d)
-    curve_of = [d.strands[m].curve for m in r.strand_of]
-    assert all(curve_of[h] != curve_of[r.other[h]] for h in range(len(r.cross)))
+    curve_of = [d.strands[m].curve for m in d.strand_of]
+    assert all(curve_of[h] != curve_of[d.other[h]] for h in range(len(d.cross)))
     assert Drawing(tri, [a]).raw_count(0, 0) == 0
 
 
 def test_arc_letters_concatenate_to_strand():
     tri = standard_triangulation(2)
     a, b = _handles(tri)
-    d = Drawing(tri, [a, b])
+    d = object_form(Drawing(tri, [a, b]))
     for s in d.strands:
         seq = d.strand_sequence(s)
         if not seq:
@@ -316,3 +316,31 @@ def test_drawing_memory_per_letter():
     assert letters >= 5000 and len(drawing.crossings) > 0
     assert (peak - before) / letters < 120
     assert (held - before) / letters < 60
+
+
+def test_drawing_and_reduction_memory_per_crossing():
+    # A crossing is its two halves' integers and a one-slot `Crossing`:
+    # the 165/267-letter Farey-neighbour model pair (9,789 crossings)
+    # with its `Reduced` holds at most 120 bytes per crossing, where
+    # eight-slot crossings held 179, and peaks no higher than they did
+    # (248 bytes), while the drawing numbers its halves.
+    from cbgraph.farey import Slope
+    from cbgraph.model import EmbeddedToriModel
+
+    tri = standard_triangulation(2)
+    model = EmbeddedToriModel(*handle_curves(tri)[:2])
+    a, b = model.image(Slope(34, 55)), model.image(Slope(55, 89))
+    assert (len(a.word), len(b.word)) == (165, 267)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        drawing = Drawing(tri, [a, b])
+        reduced = Reduced(drawing)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(drawing.crossings)
+    assert n == 9789 and reduced.count() == 1
+    assert (held - before) / n <= 120
+    assert (peak - before) / n <= 248

@@ -66,3 +66,30 @@ def test_the_null_homotopy_span_sees_calls():
     calls = {name: metrics[f"kernel.{name}.calls"] for name in spans}
     calls["dehn.is_trivial"] = metrics["dehn.is_trivial.calls"]
     assert min(calls.values()) >= 1, calls
+
+
+def test_bigon_count_reads_the_flags_reduction_clears():
+    # `position.bigons_removed` counts the crossings whose `alive` the
+    # reduction cleared, halved: on a pair minimal in neither stacked
+    # order, `intersect` draws and reduces once, and every removed
+    # bigon takes two drawn crossings.
+    from cbgraph.polygon import chain_connector
+
+    tri = standard_triangulation(2)
+    a, b = handle_curves(tri)[:2]
+    c = ops.twist(ops.twist(b, a, 1), chain_connector(tri, 0), -1)
+    raw, reversed_raw, alg = geom.crossing_counts(c, b)
+    assert min(raw, reversed_raw) > abs(alg)
+    for memo in MEMOS:
+        memo.cache_clear()
+    ops.LAST_PAIR.clear()
+    layers = Layers(Tracer())
+    installed = layers.install()
+    try:
+        i = ops.intersect(c, b)
+    finally:
+        installed.remove()
+    metrics = layers.metrics()
+    assert metrics["position.Reduced.calls"] == 1
+    assert metrics["geom.crossings"] > i
+    assert metrics["position.bigons_removed"] == (metrics["geom.crossings"] - i) / 2

@@ -8,12 +8,13 @@ arc, the same two closing words and the same returning flag as the
 positions of the arc's ends in the other curve's list, and
 `Reduced.connected` the same answer as a union-find over the surviving
 crossings.  Both reducers remove the same bigons (`test_reducer_oracle`),
-so the walks run over the same reduced pair.
+so the walks run over the same reduced pair; the rescanning reducer
+reads an integer drawing through `object_form`.
 """
 
 import random
 
-from drawing_oracle import FractionDrawing
+from drawing_oracle import FractionDrawing, object_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reducer_oracle import RescanReduced, arc_closures, connected, ribbon_boundary_words
@@ -45,7 +46,7 @@ def _assert_walks_agree(tri, curves):
     Arc closures are compared when the drawing holds two connected curves.
     """
     draw = Drawing if len(curves) <= 2 else FractionDrawing
-    old, new = RescanReduced(draw(tri, curves)), Reduced(draw(tri, curves))
+    old, new = RescanReduced(object_form(draw(tri, curves))), Reduced(draw(tri, curves))
     assert new.connected() == connected(old)
     words = new.boundary_words()
     assert words == ribbon_boundary_words(tri, old, old.drawing.strands)

@@ -8,7 +8,9 @@ reads them as slices of the strand's letters, so equal arcs also show
 that the merge never cancels a letter.  With three or more
 curves the result depends on the removal order, which the worklist
 must keep equal to the rescan's.  `Drawing` holds at most two curves,
-so those sets are drawn by the rational-coordinate oracle drawing.
+so those sets are drawn by the rational-coordinate oracle drawing.  The
+rescanning reducer reads an integer drawing through `object_form`, and
+crossings are named by the ends that form gives them.
 """
 
 import random
@@ -16,11 +18,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import reducer_oracle
-from drawing_oracle import FractionDrawing
+from drawing_oracle import FractionDrawing, object_form
 from reducer_oracle import RescanReduced
 
 from cbgraph import ops
-from cbgraph.geom import Crossing, Drawing
+from cbgraph.geom import Drawing
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.position import Reduced
 from cbgraph.surface import standard_triangulation
@@ -42,22 +44,27 @@ def _strand_lists(reduced):
     """
     if isinstance(reduced, RescanReduced):
         return [(reduced.seqs[s], reduced.arcs[s]) for s in reduced.drawing.strands]
-    cross, other, succ, pred = reduced.cross, reduced.other, reduced.succ, reduced.pred
-    assert all(cross[other[h]] is x and other[other[h]] == h for h, x in enumerate(cross))
+    d, succ, pred = reduced.drawing, reduced.succ, reduced.pred
+    crossings, cross, other = d.crossings, d.cross, d.other
+    assert all(cross[other[h]] == x and other[other[h]] == h for h, x in enumerate(cross))
     out = []
-    for m in range(len(reduced.firsts) - 1):
-        kept = [h for h in range(reduced.firsts[m], reduced.firsts[m + 1]) if cross[h].alive]
-        assert all(reduced.strand_of[h] == m for h in kept)
+    for m in range(len(d.firsts) - 1):
+        kept = [h for h in range(d.firsts[m], d.firsts[m + 1]) if crossings[cross[h]].alive]
+        assert all(d.strand_of[h] == m for h in kept)
         assert [succ[h] for h in kept] == kept[1:] + kept[:1]
         assert [pred[h] for h in kept] == kept[-1:] + kept[:-1]
-        out.append(([cross[h] for h in kept], [reduced.arc(h) for h in kept]))
+        out.append(([crossings[cross[h]] for h in kept], [reduced.arc(h) for h in kept]))
     return out
 
 
 def _names(drawing):
     """Names of crossings by their ends, the same across identical drawings."""
     at = {s: i for i, s in enumerate(drawing.strands)}
-    return lambda x: (at[x.s1], x.k1, x.p1, at[x.s2], x.k2, x.p2)
+    records = object_form(drawing).crossings
+    return {
+        x: (at[r.s1], r.k1, r.p1, at[r.s2], r.k2, r.p2)
+        for x, r in zip(drawing.crossings, records)
+    }.__getitem__
 
 
 def _snapshot(reduced):
@@ -73,13 +80,18 @@ def _snapshot(reduced):
 def _run(reducer, tri, curves):
     """Reduce a fresh drawing, recording the crossings in removal order.
 
-    Each crossing is recast as a `Crossing` whose `alive` setter logs
-    the crossing when cleared; the layout is the same, so the reducers
-    see no difference.
+    Each crossing is recast as a subclass of its own class whose `alive`
+    setter logs the crossing when cleared; the layout is the same, so
+    the reducers see no difference.
     """
     drawing = (Drawing if len(curves) <= 2 else FractionDrawing)(tri, curves)
+    if reducer is RescanReduced:
+        drawing = object_form(drawing)
     name, removed = _names(drawing), []
-    slot = Crossing.alive
+    if not drawing.crossings:
+        return reducer(drawing), removed
+    cls = type(drawing.crossings[0])
+    slot = cls.alive
 
     def clear(x, value):
         if not value:
@@ -87,7 +99,7 @@ def _run(reducer, tri, curves):
         slot.__set__(x, value)
 
     logged = type(
-        "LoggedCrossing", (Crossing,), {"__slots__": (), "alive": property(slot.__get__, clear)}
+        "LoggedCrossing", (cls,), {"__slots__": (), "alive": property(slot.__get__, clear)}
     )
     for x in drawing.crossings:
         x.__class__ = logged

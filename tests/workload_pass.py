@@ -53,8 +53,7 @@ def recorded() -> Recorded:
     def record_drawing(self):
         build(self)
         if len(self.curves) == 2:
-            signed = sum(x.sign for x in self.crossings)
-            got.drawings.append((*self.curves, len(self.crossings), signed))
+            got.drawings.append((*self.curves, len(self.crossings), self.algebraic(0, 1)))
 
     for w in (workloads.Scale(), workloads.Acceptance(), workloads.FreshPairs()):
         data = json.loads(json.dumps(w.generate(101, 0)))
