@@ -472,10 +472,6 @@ def _text_weights(tables: _Tables, texts) -> tuple[int, ...]:
     return tuple(map(crossed.count, tables.edges))
 
 
-def word_weights(tri: Triangulation, words) -> tuple[int, ...]:
-    return _text_weights(translate_tables(tri), map(encode, words))
-
-
 def read_file(path) -> str:
     """The UTF-8 text of the file at `path`.
 

@@ -54,11 +54,15 @@ from cbgraph.curves import (
     _text_weights,
     translate_tables,
     validate_word,
-    word_weights,
 )
 from cbgraph.curves import trace_components as flat_trace_components
 from cbgraph.kernel import encode
 from cbgraph.surface import Triangulation
+
+
+def word_weights(tri: Triangulation, words) -> tuple[int, ...]:
+    """Normal coordinates of int-tuple words: the count of each edge."""
+    return _text_weights(translate_tables(tri), map(encode, words))
 
 
 def corner_counts(w0: int, w1: int, w2: int) -> tuple[int, int, int]:

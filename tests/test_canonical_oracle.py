@@ -45,7 +45,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbgraph import curves, kernel, ops
-from cbgraph.curves import CurveClass, _Tracer, vertex_canonical, word_weights
+from cbgraph.curves import CurveClass, _Tracer, vertex_canonical
+from canonical_oracle import word_weights
 from cbgraph.kernel import decode, encode
 from cbgraph.polygon import chain_connector, handle_curves
 from cbgraph.surface import standard_triangulation

@@ -8,7 +8,8 @@ import pytest
 
 from cbgraph import curves, kernel, ops, surface
 from cbgraph.kernel import decode, encode
-from cbgraph.curves import CurveClass, trace_components, vertex_canonical, word_weights
+from canonical_oracle import word_weights
+from cbgraph.curves import CurveClass, trace_components, vertex_canonical
 from cbgraph.polygon import chain_connector, curve_from_chords, handle_curves, partner_side
 from cbgraph.surface import Triangulation, standard_triangulation
 from canonical_oracle import rescanning_cyclic_reduce
